@@ -53,8 +53,18 @@ class _Usage(Exception):
     pass
 
 
+def _check_finite(path: str, values: np.ndarray) -> None:
+    """Reject NaN/inf input rows; rows are counted from 1, after any header."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}: data row {row + 1} is not finite "
+                         f"({', '.join(repr(float(v)) for v in values[row])})")
+
+
 def _read_column(path: str, header: bool) -> np.ndarray:
     data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    _check_finite(path, data[:, :1])
     return data[:, 0]
 
 
@@ -62,6 +72,7 @@ def _read_pairs(path: str, header: bool) -> tuple[np.ndarray, np.ndarray]:
     data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     if data.shape[1] < 2:
         raise _Usage("pairs input needs two columns x,y")
+    _check_finite(path, data[:, :2])
     return data[:, 0], data[:, 1]
 
 

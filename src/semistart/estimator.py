@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .kernels import KernelSpec, eval_scaled
+from .kernels import KernelSpec, eval_scaled, row_blocks
 from .starts import FittedStart, eval_start
 
 __all__ = [
@@ -71,24 +71,36 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
     x = np.asarray(x, dtype=float)
-    vals = eval_scaled(kernel, h, data - x[..., None])
-    out = np.mean(vals, axis=-1)
+    pts = x.ravel()
+    out = np.empty(pts.size)
+    for rows in row_blocks(pts.size, data.size):
+        vals = eval_scaled(kernel, h, data - pts[rows, None])
+        out[rows] = np.mean(vals, axis=-1)
+    out = out.reshape(x.shape)
     return out if out.ndim else float(out)
 
 
 def _denominators(e: DensityEstimate) -> np.ndarray:
-    den = np.atleast_1d(eval_start(e.start, e.data))
-    if np.any(den <= 0):
-        raise ValueError(
-            "start density vanishes at a data point; enable clipping or "
-            "choose a start family supported there")
+    """Start density at the data, cached on the (frozen) estimate."""
+    den = e.__dict__.get("_den")
+    if den is None:
+        den = np.atleast_1d(eval_start(e.start, e.data))
+        if np.any(den <= 0):
+            raise ValueError(
+                "start density vanishes at a data point; enable clipping or "
+                "choose a start family supported there")
+        object.__setattr__(e, "_den", den)
     return den
 
 
 def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
     den = _denominators(e)
-    vals = eval_scaled(e.kernel, e.h, e.data - x[..., None])
-    return np.sum(vals / den, axis=-1) / e.n
+    pts = x.ravel()
+    out = np.empty(pts.size)
+    for rows in row_blocks(pts.size, e.n):
+        vals = eval_scaled(e.kernel, e.h, e.data - pts[rows, None])
+        out[rows] = np.sum(vals / den, axis=-1) / e.n
+    return out.reshape(x.shape)
 
 
 def _normalizing_mass(e: DensityEstimate) -> float:

@@ -12,12 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "kernel_props", "eval_scaled", "SHAPES"]
+__all__ = ["KernelSpec", "kernel_props", "eval_scaled", "row_blocks", "SHAPES"]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
 
 SHAPES = ("gaussian", "epanechnikov", "uniform")
+
+# Elements per block of a (grid x data) sum: 2^15 float64 values, 256 KB.
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -80,3 +83,17 @@ def eval_scaled(kernel: KernelSpec | str, h: float, z):
     z = np.asarray(z, dtype=float)
     out = _base_pdf(shape, z / h) / h
     return out if out.ndim else float(out)
+
+
+def row_blocks(rows: int, cols: int):
+    """Slices of range(rows) covering a (rows x cols) array in row blocks.
+
+    Each block holds at most BLOCK_ELEMENTS elements, or a single row when
+    one row alone is longer.  NumPy reduces each row along its last axis
+    the same way whatever the number of rows, so a sum over the data
+    computed block by block is bit-identical to the one over the full
+    array, while the working memory stays bounded by the block size.
+    """
+    step = max(1, BLOCK_ELEMENTS // max(cols, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))

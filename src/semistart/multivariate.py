@@ -18,6 +18,7 @@ import numpy as np
 
 from .bandwidth import BandwidthChoice
 from .hermite import hermite_poly
+from .kernels import row_blocks
 
 __all__ = ["MvEstimate", "mv_kernel_estimate", "mv_estimate", "sphere",
            "mv_bandwidth", "load_matrix"]
@@ -68,11 +69,16 @@ def sphere(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xc @ inv_root.T, mean, root
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i - b_j|^2 without materialising an (m, n, d) intermediate."""
-    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.maximum(sq, 0.0)
+def _pairwise_sq_blocks(a: np.ndarray, b: np.ndarray):
+    """(rows, |a_i - b_j|^2) over row blocks of a, never an (m, n, d) array.
+
+    The squared norms of b are computed once and shared by every block.
+    """
+    b_sq = np.sum(b * b, axis=1)[None, :]
+    for rows in row_blocks(a.shape[0], b.shape[0]):
+        ar = a[rows]
+        sq = np.sum(ar * ar, axis=1)[:, None] + b_sq - 2.0 * ar @ b.T
+        yield rows, np.maximum(sq, 0.0)
 
 
 def mv_kernel_estimate(data, bandwidths, x):
@@ -85,9 +91,10 @@ def mv_kernel_estimate(data, bandwidths, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else _as_matrix(x)
-    log_k = (-0.5 * _pairwise_sq(pts / h, dat / h)
-             - d * np.log(SQRT_2PI) - np.log(h).sum())
-    out = np.exp(log_k).mean(axis=1)
+    out = np.empty(pts.shape[0])
+    for rows, sq in _pairwise_sq_blocks(pts / h, dat / h):
+        log_k = -0.5 * sq - d * np.log(SQRT_2PI) - np.log(h).sum()
+        out[rows] = np.exp(log_k).mean(axis=1)
     return float(out[0]) if single else out
 
 
@@ -147,11 +154,14 @@ def mv_estimate(e: MvEstimate, x):
         q_data = np.minimum(q_data, cap)
         q_pts = np.minimum(q_pts, cap)
 
-    log_kern = -0.5 * _pairwise_sq(yp, yd) / e.h**2 - d * np.log(SQRT_2PI * e.h)
-    if e.normalized:
-        log_kern = log_kern - 0.5 * float(np.linalg.slogdet(e.cov)[1])
-    log_ratio = -0.5 * q_pts[:, None] + 0.5 * q_data[None, :]
-    out = np.exp(log_kern + log_ratio).mean(axis=1)
+    half_logdet = 0.5 * float(np.linalg.slogdet(e.cov)[1])
+    out = np.empty(yp.shape[0])
+    for rows, sq in _pairwise_sq_blocks(yp, yd):
+        log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h)
+        if e.normalized:
+            log_kern = log_kern - half_logdet
+        log_ratio = -0.5 * q_pts[rows, None] + 0.5 * q_data[None, :]
+        out[rows] = np.exp(log_kern + log_ratio).mean(axis=1)
     return float(out[0]) if single else out
 
 

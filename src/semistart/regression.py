@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, eval_scaled
+from .kernels import KernelSpec, eval_scaled, row_blocks
 
 __all__ = ["MeanStart", "RegressionFit", "fit_mean_start", "gnw_estimate", "nw_estimate"]
 
@@ -104,15 +104,21 @@ def _gnw(fit: RegressionFit, x, corrected: bool):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     pts = np.atleast_1d(x)
-    w = eval_scaled(fit.kernel, fit.h, pts[:, None] - fit.x[None, :])
-    wsum = w.sum(axis=1)
+    corrected = corrected and fit.mean_start.kind != "constant"
+    if corrected:
+        m_pts, m_data = _clipped_mean(fit, pts), _clipped_mean(fit, fit.x)
+    wsum = np.empty(pts.size)
+    num = np.empty(pts.size)
+    for rows in row_blocks(pts.size, fit.x.size):
+        w = eval_scaled(fit.kernel, fit.h, pts[rows, None] - fit.x[None, :])
+        wsum[rows] = w.sum(axis=1)
+        if corrected:
+            ratio = m_pts[rows, None] / m_data[None, :]
+            num[rows] = (w * ratio * fit.y[None, :]).sum(axis=1)
+        else:
+            num[rows] = (w * fit.y[None, :]).sum(axis=1)
     if np.any(wsum < 1e-300):
         bad = pts[wsum < 1e-300][0]
         raise ValueError(f"no local data: every kernel weight vanishes at x={bad!r}")
-    if corrected and fit.mean_start.kind != "constant":
-        ratio = _clipped_mean(fit, pts)[:, None] / _clipped_mean(fit, fit.x)[None, :]
-        num = (w * ratio * fit.y[None, :]).sum(axis=1)
-    else:
-        num = (w * fit.y[None, :]).sum(axis=1)
     out = num / wsum
     return float(out[0]) if scalar else out

@@ -204,7 +204,6 @@ def _raw_pdf(s: FittedStart, x: np.ndarray) -> np.ndarray:
 def _clip_edges(s: FittedStart) -> tuple[float, float]:
     """Central-region edges matching the normal mu +/- c*sigma rule."""
     c = s.clip
-    p_lo = stats.norm.cdf(-c)
     if s.family == "normal":
         mu, sd = s.params["mu"], s.params["sd"]
         return mu - c * sd, mu + c * sd
@@ -213,6 +212,7 @@ def _clip_edges(s: FittedStart) -> tuple[float, float]:
         return float(np.exp(mu - c * sd)), float(np.exp(mu + c * sd))
     if s.family == "gamma":
         a, b = s.params["alpha"], s.params["beta"]
+        p_lo = stats.norm.cdf(-c)
         return (float(stats.gamma.ppf(p_lo, a, scale=1.0 / b)),
                 float(stats.gamma.ppf(1.0 - p_lo, a, scale=1.0 / b)))
     if s.family == "normal_mixture":

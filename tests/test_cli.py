@@ -187,3 +187,24 @@ def test_precision_flag(tmp_path):
     v12 = out12.read_text().split()[0]
     assert len(v12) > len(v6)
     assert float(v12) == pytest.approx(float(v6), rel=1e-5)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_input_exits_1_naming_the_row(tmp_path, capsys, bad):
+    rng = np.random.default_rng(8)
+    column = [repr(v) for v in rng.normal(0, 1, 40).tolist()]
+    column[6] = bad
+    data = tmp_path / "d.csv"
+    data.write_text("x\n" + "\n".join(column) + "\n")
+    pairs = tmp_path / "p.csv"
+    pairs.write_text("x,y\n" + "\n".join(
+        f"{i / 40},{bad if i == 6 else '1.5'}" for i in range(40)) + "\n")
+    out = tmp_path / "out"
+    for argv in (["estimate", "--input", str(data), "--header", "--grid", "-1,1,3"],
+                 ["bandwidth", "--input", str(data), "--header"],
+                 ["regress", "--input", str(pairs), "--header", "--h", "0.2",
+                  "--grid", "0,1,3"]):
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "data row 7 is not finite" in err and bad.lstrip("-") in err
+        assert not out.exists()

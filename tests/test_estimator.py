@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,8 +8,8 @@ from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import (DensityEstimate, correction_curve,
                                  estimate_kernel, estimate_semiparametric,
                                  integral_of_estimate)
-from semistart.kernels import kernel_props
-from semistart.starts import FittedStart, fit_start
+from semistart.kernels import BLOCK_ELEMENTS, eval_scaled, kernel_props
+from semistart.starts import FittedStart, eval_start, fit_start
 
 from conftest import phi, phi_scaled
 
@@ -179,5 +181,63 @@ def test_validation():
     # unclipped positive-family start vanishing on a datum is a domain error
     st = FittedStart("lognormal", {"mu": 0.0, "sd": 1.0}, clip=None)
     est = DensityEstimate([-1.0, 2.0], G, 0.5, st)
-    with pytest.raises(ValueError):
-        estimate_semiparametric(est, 1.0)
+    for _ in range(2):  # a failed evaluation caches no denominators
+        with pytest.raises(ValueError, match="vanishes"):
+            estimate_semiparametric(est, 1.0)
+
+
+def _full_estimate(st, data, h, x):
+    """Unblocked (grid x data) expression of the corrected estimate."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_1d(x)
+    vals = eval_scaled(G, h, data - pts[..., None])
+    r = np.sum(vals / np.atleast_1d(eval_start(st, data)), axis=-1) / data.size
+    return np.atleast_1d(eval_start(st, pts)) * r, r
+
+
+@pytest.mark.parametrize("case", ["one_row_per_block", "partial_last_block",
+                                  "scalar_x", "shaped_x", "clipped_gamma"])
+def test_blocked_evaluation_is_bit_identical(case):
+    rng = np.random.default_rng(31)
+    n, x = 1000, np.linspace(-4.0, 4.0, 101)
+    assert 101 % (BLOCK_ELEMENTS // n) != 0  # the last block is a partial one
+    if case == "one_row_per_block":
+        n, x = BLOCK_ELEMENTS + 7, np.linspace(-4.0, 4.0, 9)
+    elif case == "scalar_x":
+        x = np.float64(0.3)
+    elif case == "shaped_x":
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    if case == "clipped_gamma":
+        data = rng.gamma(2.0, 1.5, n)
+        st = fit_start("gamma", data)
+        x = np.linspace(0.01, 25.0, 101)
+        ends = np.array([0.01, 25.0])  # both ends sit on the clip floor
+        assert np.all(eval_start(st, ends) > eval_start(st.unclipped(), ends))
+    else:
+        data = rng.normal(0.0, 1.3, n)
+        st = fit_start("normal", data)
+    h = 0.4
+    want, r_want = _full_estimate(st, data, h, x)
+    est = DensityEstimate(data, G, h, st)
+    got = estimate_semiparametric(est, x)
+    assert np.shape(got) == np.shape(x)
+    assert np.array_equal(np.ravel(got), want.ravel())
+    kde = estimate_kernel(data, G, h, x)
+    assert np.shape(kde) == np.shape(x)
+    assert np.array_equal(kde, np.mean(eval_scaled(G, h, data - np.asarray(x)[..., None]),
+                                       axis=-1))
+    assert np.array_equal(correction_curve(est, np.ravel(x)).r_hat, r_want.ravel())
+
+
+def test_grid_evaluation_memory_is_bounded():
+    # the working set is a fixed block, not the (161 x 5e4) matrix (about 64 MB)
+    x = mixture_sample(marron_wand(2), 50_000, seed=10)
+    est = DensityEstimate(x, G, 0.1, fit_start("normal", x))
+    grid = np.linspace(-3, 3, 161)
+    tracemalloc.start()
+    try:
+        estimate_semiparametric(est, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semistart.bandwidth import rule_delta
 from semistart.densities import NormalMixture, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_kernel, estimate_semiparametric
-from semistart.kernels import kernel_props
+from semistart.kernels import BLOCK_ELEMENTS, kernel_props
 from semistart.multivariate import (MvEstimate, load_matrix, mv_bandwidth,
                                     mv_estimate, mv_kernel_estimate, sphere)
 from semistart.starts import FittedStart
@@ -152,3 +154,55 @@ def test_load_matrix(tmp_path):
     q = tmp_path / "one.csv"
     q.write_text("1.5\n2.5\n")
     assert load_matrix(q).shape == (2, 1)
+
+
+def _full_mv_estimate(e, pts):
+    """Unblocked corrected estimate, with distances by broadcasting (no GEMM)."""
+    vals, vecs = np.linalg.eigh(e.cov)
+    inv_root = (vecs / np.sqrt(vals)) @ vecs.T
+    yd = (e.data - e.mean) @ inv_root.T
+    yp = (pts - e.mean) @ inv_root.T
+    q_d = np.minimum(np.sum(yd * yd, axis=1), e.clip**2)
+    q_p = np.minimum(np.sum(yp * yp, axis=1), e.clip**2)
+    sq = np.sum((yp[:, None, :] - yd[None, :, :]) ** 2, axis=-1)
+    d = e.data.shape[1]
+    kern = np.exp(-0.5 * sq / e.h**2) / (2.0 * np.pi * e.h**2) ** (d / 2.0)
+    kern = kern / np.sqrt(np.linalg.det(e.cov))
+    return np.mean(kern * np.exp(-0.5 * q_p[:, None] + 0.5 * q_d[None, :]), axis=1)
+
+
+@pytest.mark.parametrize("n, side", [
+    (BLOCK_ELEMENTS + 7, 3),  # one row per block
+    (2000, 23),               # 16 rows per block, 529 points: 1 left over
+])
+def test_blocked_mv_estimate_matches_full_sum(n, side):
+    data = rng_data(11, n, 2, mix=True)
+    e = MvEstimate.fit(data, h=0.3)
+    g = np.linspace(-4.0, 4.0, side)
+    xx, yy = np.meshgrid(g, g)
+    pts = e.mean + np.column_stack([xx.ravel(), yy.ravel()])
+    want = _full_mv_estimate(e, pts)
+    got = mv_estimate(e, pts)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+    assert mv_estimate(e, pts[4]) == pytest.approx(want[4], rel=1e-14)
+    kde = mv_kernel_estimate(data, [0.5, 0.7], pts)
+    hs = np.array([0.5, 0.7])
+    sq = np.sum(((pts[:, None, :] - data[None, :, :]) / hs) ** 2, axis=-1)
+    want_kde = np.mean(np.exp(-0.5 * sq), axis=1) / (2.0 * np.pi * hs.prod())
+    assert np.max(np.abs(kde - want_kde)) <= 1e-14 * np.max(want_kde)
+
+
+def test_mv_grid_evaluation_memory_is_bounded():
+    # the working set is a fixed block, not the (1681 x 1e4) matrices (about 130 MB each)
+    data = rng_data(12, 10_000, 2)
+    e = MvEstimate.fit(data, h=0.4)
+    g = np.linspace(-3.0, 3.0, 41)
+    xx, yy = np.meshgrid(g, g)
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    tracemalloc.start()
+    try:
+        mv_estimate(e, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semistart.kernels import kernel_props
+from semistart.kernels import BLOCK_ELEMENTS, eval_scaled, kernel_props
 from semistart.regression import (RegressionFit, fit_mean_start, gnw_estimate,
                                   nw_estimate)
 
@@ -97,3 +97,27 @@ def test_exponential_truth_bias_reduction(h):
         cv[r] = nw_estimate(fit, 0.5)
     se_pair = (gv - cv).std(ddof=1) / np.sqrt(reps)
     assert abs(gv.mean() - target) < abs(cv.mean() - target) - 3.0 * se_pair
+
+
+@pytest.mark.parametrize("n, x", [
+    (BLOCK_ELEMENTS + 7, np.linspace(0.05, 0.95, 9)),  # one row per block
+    (1000, np.linspace(0.0, 1.0, 101)),                # 32 rows per block, 5 left over
+    (1000, np.float64(0.37)),                          # scalar
+])
+def test_blocked_smoothers_are_bit_identical(n, x):
+    rng = np.random.default_rng(41)
+    xs = rng.uniform(0, 1, n)
+    ys = 3.0 + xs + np.sin(5 * xs) + rng.normal(0, 0.2, n)
+    fit = RegressionFit.fit(xs, ys, G, 0.08, kind="linear")
+    # the fitted line stays near 3..4, far above the small-mean floor, so the
+    # literal expression may use it unclipped
+    assert np.abs(fit.mean_start(xs)).min() > 2.0
+    pts = np.atleast_1d(x)
+    w = eval_scaled(G, 0.08, pts[:, None] - xs[None, :])
+    ratio = fit.mean_start(pts)[:, None] / fit.mean_start(xs)[None, :]
+    want_g = (w * ratio * ys[None, :]).sum(axis=1) / w.sum(axis=1)
+    want_nw = (w * ys[None, :]).sum(axis=1) / w.sum(axis=1)
+    got_g, got_nw = gnw_estimate(fit, x), nw_estimate(fit, x)
+    assert np.shape(got_g) == np.shape(got_nw) == np.shape(x)
+    assert np.array_equal(np.ravel(got_g), want_g)
+    assert np.array_equal(np.ravel(got_nw), want_nw)
