@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import hermite
-from .kernels import KernelSpec, eval_scaled
+from .kernels import KernelSpec, eval_scaled, row_blocks
 from .starts import FittedStart, eval_start, fit_start
 
 __all__ = [
@@ -107,6 +107,27 @@ def rule_delta(data, kernel: KernelSpec) -> BandwidthChoice:
     return _moment_rule(data, kernel, hermite.robust_coeffs(data, max_j=5), "rule_delta")
 
 
+def _pair_sum(n: int, block, symmetric: bool) -> float:
+    """Sum of an n x n pair matrix, filled one row block at a time.
+
+    block(rows, cols) returns the matrix entries for two index slices.  The
+    blocks land in one preallocated n x n buffer that a single np.sum
+    reduces, so the result is bit-identical to summing the matrix built in
+    one piece, while the temporaries of each block stay small.  A symmetric
+    matrix is filled from its upper block triangle and mirrored, which halves
+    the work; its entries must then be exactly symmetric in floating point.
+    """
+    buf = np.empty((n, n))
+    for rows in row_blocks(n, n):
+        if symmetric:
+            part = block(rows, slice(rows.start, n))
+            buf[rows, rows.start:] = part
+            buf[rows.stop:, rows] = part[:, rows.stop - rows.start:].T
+        else:
+            buf[rows] = block(rows, slice(0, n))
+    return float(np.sum(buf))
+
+
 def _plugin_normal_closed(x: np.ndarray, mu: float, sd: float, h: float) -> float:
     """Closed-form double sum for a normal start and gaussian kernel.
 
@@ -118,25 +139,38 @@ def _plugin_normal_closed(x: np.ndarray, mu: float, sd: float, h: float) -> floa
     n = x.size
     u = x - mu
     tau2 = 1.0 / (2.0 / sd**2 + 2.0 / h**2)
-    # product-gaussian centre relative to mu, then offsets to the two data points
-    mloc = tau2 * (u[:, None] + u[None, :]) / h**2
-    a = mloc - u[:, None]
-    b = mloc - u[None, :]
-    poly = (3.0 * tau2**2 + tau2 * (a * a + b * b + 4.0 * a * b - 2.0 * h * h)
-            + (a * a - h * h) * (b * b - h * h))
     log_rat = np.log(sd / h) - 0.5 * u * u * (1.0 / h**2 - 1.0 / sd**2)
-    expo = (log_rat[:, None] + log_rat[None, :]
-            + 0.5 * tau2 * ((u[:, None] + u[None, :]) / h**2) ** 2)
-    total = float(np.sum(poly * np.exp(expo)))
+
+    def block(r, c):
+        # product-gaussian centre relative to mu, then offsets to the two data points
+        mloc = tau2 * (u[r, None] + u[None, c]) / h**2
+        a = mloc - u[r, None]
+        b = mloc - u[None, c]
+        poly = (3.0 * tau2**2 + tau2 * (a * a + b * b + 4.0 * a * b - 2.0 * h * h)
+                + (a * a - h * h) * (b * b - h * h))
+        expo = (log_rat[r, None] + log_rat[None, c]
+                + 0.5 * tau2 * ((u[r, None] + u[None, c]) / h**2) ** 2)
+        return poly * np.exp(expo)
+
+    total = _pair_sum(n, block, symmetric=True)
     return np.sqrt(tau2) / (SQRT_2PI * sd * sd) * total / (n * n * h**8)
 
 
 def _plugin_constant_closed(x: np.ndarray, h: float) -> float:
-    """Curvature statistic for the flat start: pairwise phi_sqrt2 4th derivative."""
+    """Curvature statistic for the flat start: pairwise phi_sqrt2 4th derivative.
+
+    The matrix is filled in full, not mirrored: NumPy's vectorised power
+    does not always give pow(-t, 4) == pow(t, 4), so mirroring would change
+    the sum in its last bits.
+    """
     n = x.size
-    t = (x[:, None] - x[None, :]) / (h * np.sqrt(2.0))
-    val = (t**4 - 6.0 * t**2 + 3.0) * np.exp(-0.5 * t * t) / SQRT_2PI
-    return float(np.sum(val)) / (4.0 * np.sqrt(2.0) * n * n * h**5)
+    scale = h * np.sqrt(2.0)
+
+    def block(r, c):
+        t = (x[r, None] - x[None, c]) / scale
+        return (t**4 - 6.0 * t**2 + 3.0) * np.exp(-0.5 * t * t) / SQRT_2PI
+
+    return _pair_sum(n, block, symmetric=False) / (4.0 * np.sqrt(2.0) * n * n * h**5)
 
 
 def plugin_roughness(data, start: FittedStart, kernel: KernelSpec,
@@ -178,7 +212,7 @@ def _plugin_quadrature(x: np.ndarray, start: FittedStart, h: float) -> float:
     def integrand(t):
         z = (t - x) / h
         rpp = np.sum((z * z - 1.0) * np.exp(-0.5 * z * z) / SQRT_2PI / den) / (x.size * h**3)
-        return (float(np.atleast_1d(eval_start(f0, t))[0]) * rpp) ** 2
+        return (eval_start(f0, t) * rpp) ** 2
 
     lo = float(x.min()) - 10.0 * h
     hi = float(x.max()) + 10.0 * h
@@ -238,16 +272,23 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
     n = x.size
     if start.family == "constant":
         # (1/n^2) sum_ij phi_{sqrt(2) h}(X_i - X_j)
-        pair = np.exp(-0.25 * ((x[:, None] - x[None, :]) / h) ** 2)
-        return float(pair.sum()) / (SQRT_2PI * np.sqrt(2.0) * h * n * n)
+        def block(r, c):
+            return np.exp(-0.25 * ((x[r, None] - x[None, c]) / h) ** 2)
+
+        total = _pair_sum(n, block, symmetric=True)
+        return total / (SQRT_2PI * np.sqrt(2.0) * h * n * n)
     if start.family == "normal":
         mu, sd = start.params["mu"], start.params["sd"]
         u = x - mu
         st2 = 0.5 * sd * sd * h * h / (sd * sd + h * h)
         log_rat = np.log(sd / h) - 0.5 * u * u * (1.0 / h**2 - 1.0 / sd**2)
-        expo = (log_rat[:, None] + log_rat[None, :]
-                + 0.5 * st2 * ((u[:, None] + u[None, :]) / h**2) ** 2)
-        return float(np.sqrt(st2) / (SQRT_2PI * sd * sd) * np.sum(np.exp(expo))) / n**2
+
+        def block(r, c):
+            return np.exp(log_rat[r, None] + log_rat[None, c]
+                          + 0.5 * st2 * ((u[r, None] + u[None, c]) / h**2) ** 2)
+
+        total = _pair_sum(n, block, symmetric=True)
+        return float(np.sqrt(st2) / (SQRT_2PI * sd * sd) * total) / n**2
     # generic: numeric integral of the squared estimate with the raw start
     from .estimator import DensityEstimate, estimate_semiparametric
     from .kernels import kernel_props
@@ -255,6 +296,47 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
     lo, hi = float(x.min()) - 10 * h, float(x.max()) + 10 * h
     val, _ = quad(lambda t: estimate_semiparametric(est, t) ** 2, lo, hi, limit=400)
     return float(val)
+
+
+def _loo_ratio(x: np.ndarray, start: FittedStart) -> np.ndarray | None:
+    """Leave-one-out start ratios fbar_(i)(X_i) / fbar_(i)(X_j), row i.
+
+    Built one row block at a time, so no n x n log-density temporaries are
+    kept; None for the constant start, whose ratio is 1.
+    """
+    if start.family == "constant":
+        return None
+    n = x.size
+    mu_i, var_i = _loo_params(x, start.family)
+    log_var = np.log(var_i)
+    if start.family == "normal":
+        log_num = -0.5 * (x - mu_i) ** 2 / var_i - 0.5 * log_var
+
+        def log_den(r):
+            return -0.5 * (x[None, :] - mu_i[r, None]) ** 2 / var_i[r, None] \
+                - 0.5 * log_var[r, None]
+    elif start.family == "lognormal":
+        lx = np.log(x)
+        log_num = -0.5 * (lx - mu_i) ** 2 / var_i - 0.5 * log_var - lx
+
+        def log_den(r):
+            return (-0.5 * (lx[None, :] - mu_i[r, None]) ** 2 / var_i[r, None]
+                    - 0.5 * log_var[r, None] - lx[None, :])
+    else:  # gamma by moments
+        from scipy.special import gammaln
+        a_i = mu_i**2 / var_i
+        b_i = mu_i / var_i
+        log_b, log_x, lg_a = np.log(b_i), np.log(x), gammaln(a_i)
+        log_num = a_i * log_b + (a_i - 1.0) * log_x - b_i * x - lg_a
+
+        def log_den(r):
+            return (a_i[r, None] * log_b[r, None]
+                    + (a_i[r, None] - 1.0) * log_x[None, :]
+                    - b_i[r, None] * x[None, :] - lg_a[r, None])
+    ratio = np.empty((n, n))
+    for r in row_blocks(n, n):
+        ratio[r] = np.exp(log_num[r, None] - log_den(r))
+    return ratio
 
 
 def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice:
@@ -276,37 +358,16 @@ def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
     if np.any(h_grid <= 0):
         raise ValueError("bandwidth grid must be positive")
 
-    if start.family == "constant":
-        log_ratio = np.zeros((n, n))
-    else:
-        mu_i, var_i = _loo_params(x, start.family)
-        if start.family == "normal":
-            log_num = -0.5 * (x - mu_i) ** 2 / var_i - 0.5 * np.log(var_i)
-            log_den = -0.5 * (x[None, :] - mu_i[:, None]) ** 2 / var_i[:, None] \
-                - 0.5 * np.log(var_i)[:, None]
-        elif start.family == "lognormal":
-            lx = np.log(x)
-            log_num = -0.5 * (lx - mu_i) ** 2 / var_i - 0.5 * np.log(var_i) - lx
-            log_den = (-0.5 * (lx[None, :] - mu_i[:, None]) ** 2 / var_i[:, None]
-                       - 0.5 * np.log(var_i)[:, None] - lx[None, :])
-        else:  # gamma by moments
-            a_i = mu_i**2 / var_i
-            b_i = mu_i / var_i
-            from scipy.special import gammaln
-            log_num = (a_i * np.log(b_i) + (a_i - 1.0) * np.log(x) - b_i * x
-                       - gammaln(a_i))
-            log_den = (a_i[:, None] * np.log(b_i)[:, None]
-                       + (a_i[:, None] - 1.0) * np.log(x)[None, :]
-                       - b_i[:, None] * x[None, :] - gammaln(a_i)[:, None])
-        log_ratio = log_num[:, None] - log_den
-
-    dist = x[None, :] - x[:, None]
+    ratio = _loo_ratio(x, start)  # the same for every h
+    loo = np.empty(n)
     curve = np.empty_like(h_grid)
     for idx, h in enumerate(h_grid):
-        K = eval_scaled(kernel, h, dist)
-        W = K * np.exp(log_ratio)
-        np.fill_diagonal(W, 0.0)
-        loo = W.sum(axis=1) / (n - 1)
+        for r in row_blocks(n, n):
+            W = eval_scaled(kernel, h, x[None, :] - x[r, None])
+            if ratio is not None:
+                W *= ratio[r]
+            W[np.arange(r.stop - r.start), np.arange(r.start, r.stop)] = 0.0
+            loo[r] = W.sum(axis=1) / (n - 1)
         curve[idx] = _ucv_integral_term(x, start, h) - 2.0 * float(loo.mean())
     h_best, k = _grid_pick(h_grid, curve)
     return BandwidthChoice(h_best, "ucv",

@@ -63,6 +63,11 @@ class DensityEstimate:
         return estimate_semiparametric(self, x)
 
 
+def _kernel_mean(data: np.ndarray, kernel: KernelSpec, h: float, pts):
+    """(1/n) sum K_h(X_i - x) for one float x or a column of points."""
+    return np.mean(eval_scaled(kernel, h, data - pts), axis=-1)
+
+
 def estimate_kernel(data, kernel: KernelSpec, h: float, x):
     """Plain kernel density estimate (1/n) sum K_h(X_i - x)."""
     data = np.asarray(data, dtype=float).ravel()
@@ -70,12 +75,13 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
         raise ValueError("data must be nonempty")
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
+    if isinstance(x, float):
+        return float(_kernel_mean(data, kernel, h, x))
     x = np.asarray(x, dtype=float)
     pts = x.ravel()
     out = np.empty(pts.size)
     for rows in row_blocks(pts.size, data.size):
-        vals = eval_scaled(kernel, h, data - pts[rows, None])
-        out[rows] = np.mean(vals, axis=-1)
+        out[rows] = _kernel_mean(data, kernel, h, pts[rows, None])
     out = out.reshape(x.shape)
     return out if out.ndim else float(out)
 
@@ -93,13 +99,18 @@ def _denominators(e: DensityEstimate) -> np.ndarray:
     return den
 
 
+def _correction_sum(e: DensityEstimate, den: np.ndarray, pts):
+    """(1/n) sum K_h(X_i - x)/fbar(X_i) for one float x or a column of points."""
+    vals = eval_scaled(e.kernel, e.h, e.data - pts)
+    return np.sum(vals / den, axis=-1) / e.n
+
+
 def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
     den = _denominators(e)
     pts = x.ravel()
     out = np.empty(pts.size)
     for rows in row_blocks(pts.size, e.n):
-        vals = eval_scaled(e.kernel, e.h, e.data - pts[rows, None])
-        out[rows] = np.sum(vals / den, axis=-1) / e.n
+        out[rows] = _correction_sum(e, den, pts[rows, None])
     return out.reshape(x.shape)
 
 
@@ -114,7 +125,17 @@ def _normalizing_mass(e: DensityEstimate) -> float:
 
 
 def estimate_semiparametric(e: DensityEstimate, x):
-    """Start-times-correction estimate at x (vectorised)."""
+    """Start-times-correction estimate at x (vectorised).
+
+    One float, as quadrature asks for, skips the array handling and gives
+    the same bits as that point inside an array.
+    """
+    if isinstance(x, float):
+        if e.start.family == "constant":
+            out = estimate_kernel(e.data, e.kernel, e.h, x)
+        else:
+            out = eval_start(e.start, x) * float(_correction_sum(e, _denominators(e), x))
+        return float(out / _normalizing_mass(e)) if e.normalize else out
     x = np.asarray(x, dtype=float)
     if e.start.family == "constant":
         out = np.asarray(estimate_kernel(e.data, e.kernel, e.h, x))

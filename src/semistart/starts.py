@@ -110,7 +110,13 @@ def fit_start(family: str, data) -> FittedStart:
 
 
 def _em_once(x: np.ndarray, k: int, rng: np.random.Generator,
-             max_iter: int, tol: float):
+             max_iter: int, tol: float) -> tuple[NormalMixture | None, bool]:
+    """One seeded EM run: (mixture, decreased).
+
+    The mixture is None when a component collapsed, or when the
+    log-likelihood decreased between iterations, which EM never does in
+    exact arithmetic; decreased tells the two apart.
+    """
     n = x.size
     sd_all = x.std()
     # k-means++-style spread of initial centers
@@ -134,23 +140,22 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator,
         lse = m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))
         ll = float(lse.sum())
         if ll + 1e-9 < last_ll:
-            raise AssertionError("EM log-likelihood decreased")
+            return None, True
         resp = np.exp(logp - lse[:, None])
         nk = resp.sum(axis=0)
         if np.any(nk <= 0):
-            return None, ll
+            return None, False
         w = nk / n
         mu = resp.T @ x / nk
         var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
         sd = np.sqrt(var)
         if np.any(sd < floor):
-            return None, ll
+            return None, False
         if ll - last_ll < tol and np.isfinite(last_ll):
             last_ll = ll
             break
         last_ll = ll
-    mix = NormalMixture(weights=w / w.sum(), means=mu, sds=sd)
-    return mix, last_ll
+    return NormalMixture(weights=w / w.sum(), means=mu, sds=sd), False
 
 
 def em_fit_mixture(data, k: int, seed: int, *, max_iter: int = 200,
@@ -170,34 +175,52 @@ def em_fit_mixture(data, k: int, seed: int, *, max_iter: int = 200,
         raise ValueError("sample variance is zero")
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(restarts):
-        mix, _ = _em_once(x, k, rng, max_iter, tol)
+        mix, decreased = _em_once(x, k, rng, max_iter, tol)
+        if decreased:
+            raise RuntimeError("EM log-likelihood decreased between iterations; "
+                               "the fit is numerically unstable for this sample")
         if mix is not None:
             return FittedStart("normal_mixture", {"mixture": mix})
     raise RuntimeError(f"EM produced a degenerate component in {restarts} restarts")
 
 
-def _raw_pdf(s: FittedStart, x: np.ndarray) -> np.ndarray:
+def _positive_part(pdf, x):
+    """pdf on x > 0 and 0 elsewhere, for one float or an array of points."""
+    if isinstance(x, float):
+        return pdf(x) if x > 0 else 0.0
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = pdf(x[pos])
+    return out
+
+
+def _raw_pdf(s: FittedStart, x):
+    """Family density at one float or at an array of points.
+
+    Squares are written z * z: on a NumPy scalar ** 2 calls pow, which can
+    round differently from the array square, and one point must give the
+    same bits as the same point inside an array.
+    """
     if s.family == "constant":
-        return np.ones_like(x)
+        return 1.0 if isinstance(x, float) else np.ones_like(x)
     if s.family == "normal":
         mu, sd = s.params["mu"], s.params["sd"]
-        return np.exp(-0.5 * ((x - mu) / sd) ** 2) / (SQRT_2PI * sd)
+        z = (x - mu) / sd
+        return np.exp(-0.5 * (z * z)) / (SQRT_2PI * sd)
     if s.family == "lognormal":
         mu, sd = s.params["mu"], s.params["sd"]
-        out = np.zeros_like(x)
-        pos = x > 0
-        xp = x[pos]
-        out[pos] = np.exp(-0.5 * ((np.log(xp) - mu) / sd) ** 2) / (SQRT_2PI * sd * xp)
-        return out
+
+        def pdf(xp):
+            z = (np.log(xp) - mu) / sd
+            return np.exp(-0.5 * (z * z)) / (SQRT_2PI * sd * xp)
+        return _positive_part(pdf, x)
     if s.family == "gamma":
         a, b = s.params["alpha"], s.params["beta"]
-        out = np.zeros_like(x)
-        pos = x > 0
-        xp = x[pos]
-        out[pos] = np.exp(a * np.log(b) + (a - 1.0) * np.log(xp) - b * xp - special.gammaln(a))
-        return out
+        return _positive_part(lambda xp: np.exp(
+            a * np.log(b) + (a - 1.0) * np.log(xp) - b * xp - special.gammaln(a)), x)
     if s.family == "normal_mixture":
-        return np.atleast_1d(mixture_pdf(s.params["mixture"], x))
+        out = mixture_pdf(s.params["mixture"], x)
+        return out if isinstance(x, float) else np.atleast_1d(out)
     raise ValueError(f"unsupported start family: {s.family!r}")
 
 
@@ -223,23 +246,43 @@ def _clip_edges(s: FittedStart) -> tuple[float, float]:
     raise ValueError(f"clipping undefined for family {s.family!r}")
 
 
+def _clip_floor(s: FittedStart) -> tuple[float, float, float, float]:
+    """Clip edges and the density there, cached on the (frozen) start."""
+    cached = s.__dict__.get("_floor")
+    if cached is None:
+        lo, hi = _clip_edges(s)
+        cached = (lo, hi, float(_raw_pdf(s, np.array([lo]))[0]),
+                  float(_raw_pdf(s, np.array([hi]))[0]))
+        object.__setattr__(s, "_floor", cached)
+    return cached
+
+
 def eval_start(s: FittedStart, x):
     """Start density with the clip floor applied outside the central region.
 
     With clip=None the raw family density is returned; for the positive
     families that raw density is 0 at x <= 0, which the corrected estimator
-    treats as a domain error.
+    treats as a domain error.  One float, as quadrature asks for, skips the
+    array handling and gives the same bits as that point inside an array.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    one = isinstance(x, float)
+    if not one:
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
     out = _raw_pdf(s, x)
     if s.clip is not None and s.family != "constant":
-        lo, hi = _clip_edges(s)
-        flo = float(_raw_pdf(s, np.array([lo]))[0])
-        fhi = float(_raw_pdf(s, np.array([hi]))[0])
-        out = np.where(x < lo, np.maximum(out, flo), out)
-        out = np.where(x > hi, np.maximum(out, fhi), out)
+        lo, hi, flo, fhi = _clip_floor(s)
+        if one:
+            if x < lo:
+                out = max(out, flo)
+            elif x > hi:
+                out = max(out, fhi)
+        else:
+            out = np.where(x < lo, np.maximum(out, flo), out)
+            out = np.where(x > hi, np.maximum(out, fhi), out)
+    if one:
+        return float(out)
     return float(out[0]) if scalar else out
 
 

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import gammaln
 
-from semistart.bandwidth import (DegenerateRoughness, amise_h, bcv, h_oversmoothed,
-                                 plugin_roughness, rule_delta, rule_gamma,
-                                 rule_plugin, ucv)
+from semistart.bandwidth import (DegenerateRoughness, _loo_params, amise_h, bcv,
+                                 h_oversmoothed, plugin_roughness, rule_delta,
+                                 rule_gamma, rule_plugin, ucv)
 from semistart.densities import marron_wand, mixture_sample
+from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
-from semistart.kernels import kernel_props
-from semistart.starts import FittedStart, fit_start
+from semistart.kernels import eval_scaled, kernel_props, row_blocks
+from semistart.starts import FittedStart, eval_start, fit_start
 
 from conftest import phi, phi_scaled
 
@@ -219,3 +224,149 @@ def test_data_driven_rules_scale_equivariant(method):
         return ucv(data, st, G, grid).h
 
     assert run(c * x) == pytest.approx(c * run(x), rel=1e-9)
+
+
+# Full-matrix oracles: the unblocked expressions the selectors used before
+# their pair sums were filled in row blocks.  Blocking must not change a bit.
+
+SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _full_plugin_raw(x, start, h):
+    n = x.size
+    if start.family == "constant":
+        t = (x[:, None] - x[None, :]) / (h * np.sqrt(2.0))
+        val = (t**4 - 6.0 * t**2 + 3.0) * np.exp(-0.5 * t * t) / SQRT_2PI
+        return float(np.sum(val)) / (4.0 * np.sqrt(2.0) * n * n * h**5)
+    if start.family == "normal":
+        mu, sd = start.params["mu"], start.params["sd"]
+        u = x - mu
+        tau2 = 1.0 / (2.0 / sd**2 + 2.0 / h**2)
+        mloc = tau2 * (u[:, None] + u[None, :]) / h**2
+        a = mloc - u[:, None]
+        b = mloc - u[None, :]
+        poly = (3.0 * tau2**2 + tau2 * (a * a + b * b + 4.0 * a * b - 2.0 * h * h)
+                + (a * a - h * h) * (b * b - h * h))
+        log_rat = np.log(sd / h) - 0.5 * u * u * (1.0 / h**2 - 1.0 / sd**2)
+        expo = (log_rat[:, None] + log_rat[None, :]
+                + 0.5 * tau2 * ((u[:, None] + u[None, :]) / h**2) ** 2)
+        total = float(np.sum(poly * np.exp(expo)))
+        return np.sqrt(tau2) / (SQRT_2PI * sd * sd) * total / (n * n * h**8)
+    f0 = start.unclipped()
+    den = eval_start(f0, x)
+
+    def integrand(t):
+        z = (t - x) / h
+        rpp = np.sum((z * z - 1.0) * np.exp(-0.5 * z * z) / SQRT_2PI / den) / (n * h**3)
+        return (float(eval_start(f0, np.array([t]))[0]) * rpp) ** 2
+
+    return float(quad(integrand, float(x.min()) - 10.0 * h,
+                      float(x.max()) + 10.0 * h, limit=400)[0])
+
+
+def _full_ucv_integral(x, start, h):
+    n = x.size
+    if start.family == "constant":
+        pair = np.exp(-0.25 * ((x[:, None] - x[None, :]) / h) ** 2)
+        return float(pair.sum()) / (SQRT_2PI * np.sqrt(2.0) * h * n * n)
+    if start.family == "normal":
+        mu, sd = start.params["mu"], start.params["sd"]
+        u = x - mu
+        st2 = 0.5 * sd * sd * h * h / (sd * sd + h * h)
+        log_rat = np.log(sd / h) - 0.5 * u * u * (1.0 / h**2 - 1.0 / sd**2)
+        expo = (log_rat[:, None] + log_rat[None, :]
+                + 0.5 * st2 * ((u[:, None] + u[None, :]) / h**2) ** 2)
+        return float(np.sqrt(st2) / (SQRT_2PI * sd * sd) * np.sum(np.exp(expo))) / n**2
+    est = DensityEstimate(x, G, h, start.unclipped())
+    lo, hi = float(x.min()) - 10 * h, float(x.max()) + 10 * h
+    return float(quad(lambda t: float(estimate_semiparametric(est, np.array([t]))[0]) ** 2,
+                      lo, hi, limit=400)[0])
+
+
+def _full_ucv_curve(x, start, h_grid):
+    n = x.size
+    if start.family == "constant":
+        log_ratio = np.zeros((n, n))
+    else:
+        mu_i, var_i = _loo_params(x, start.family)
+        if start.family == "normal":
+            log_num = -0.5 * (x - mu_i) ** 2 / var_i - 0.5 * np.log(var_i)
+            log_den = -0.5 * (x[None, :] - mu_i[:, None]) ** 2 / var_i[:, None] \
+                - 0.5 * np.log(var_i)[:, None]
+        elif start.family == "lognormal":
+            lx = np.log(x)
+            log_num = -0.5 * (lx - mu_i) ** 2 / var_i - 0.5 * np.log(var_i) - lx
+            log_den = (-0.5 * (lx[None, :] - mu_i[:, None]) ** 2 / var_i[:, None]
+                       - 0.5 * np.log(var_i)[:, None] - lx[None, :])
+        else:
+            a_i = mu_i**2 / var_i
+            b_i = mu_i / var_i
+            log_num = (a_i * np.log(b_i) + (a_i - 1.0) * np.log(x) - b_i * x
+                       - gammaln(a_i))
+            log_den = (a_i[:, None] * np.log(b_i)[:, None]
+                       + (a_i[:, None] - 1.0) * np.log(x)[None, :]
+                       - b_i[:, None] * x[None, :] - gammaln(a_i)[:, None])
+        log_ratio = log_num[:, None] - log_den
+    dist = x[None, :] - x[:, None]
+    curve = np.empty_like(h_grid)
+    for idx, h in enumerate(h_grid):
+        W = eval_scaled(G, h, dist) * np.exp(log_ratio)
+        np.fill_diagonal(W, 0.0)
+        loo = W.sum(axis=1) / (n - 1)
+        curve[idx] = _full_ucv_integral(x, start, h) - 2.0 * float(loo.mean())
+    return curve
+
+
+def _sample_and_start(family, n):
+    rng = np.random.default_rng(4000 + n)
+    if family in ("constant", "normal"):
+        x = rng.normal(0.3, 1.2, n)
+    else:
+        x = np.exp(rng.normal(0.2, 0.5, n))
+    start = FittedStart("constant") if family == "constant" else fit_start(family, x)
+    return x, start
+
+
+BLOCK_ROWS = {1000: [32] * 31 + [8], 3: [3]}  # a partial last block; one block
+
+
+@pytest.mark.parametrize("n", sorted(BLOCK_ROWS))
+@pytest.mark.parametrize("family", ["constant", "normal", "lognormal", "gamma"])
+def test_pair_sums_bit_identical_to_full_matrix(family, n):
+    assert [r.stop - r.start for r in row_blocks(n, n)] == BLOCK_ROWS[n]
+    x, start = _sample_and_start(family, n)
+    quad_path = family in ("lognormal", "gamma")
+    # at n = 1000 and h = 0.05 a constant-start matrix mirrored from one
+    # triangle sums differently, so the grid reaches that far down
+    h_grid = np.array([0.25, 0.6]) if quad_path else np.geomspace(0.05, 0.8, 5)
+    ch = bcv(x, start, G, h_grid)
+    want = np.empty_like(h_grid)
+    for i, h in enumerate(h_grid):
+        raw = _full_plugin_raw(x, start, h)
+        want[i] = (0.25 * G.sigma2_K**2 * h**4 * (raw - G.rough_Kpp / (n * h**5))
+                   + G.rough_K / (n * h))
+        got_raw, got_deb = plugin_roughness(x, start, G, h)
+        assert got_raw == raw
+        assert got_deb == max(n / (n - 1.0) * (raw - G.rough_Kpp / (n * h**5)), 0.0)
+    assert np.array_equal(ch.diagnostics["curve"], want)
+    assert np.array_equal(ucv(x, start, G, h_grid).diagnostics["curve"],
+                          _full_ucv_curve(x, start, h_grid))
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_selector_memory_is_one_or_two_pair_buffers():
+    # n = 2000: one n x n float64 buffer is 30.5 MB; the full-matrix
+    # expressions peaked at about 214 (bcv) and 244 MB (ucv)
+    x = mixture_sample(marron_wand(2), 2000, seed=41)
+    st = fit_start("normal", x)
+    grid = np.array([0.2, 0.4])
+    assert _peak_mb(lambda: bcv(x, st, G, grid)) <= 40.0
+    assert _peak_mb(lambda: ucv(x, st, G, grid)) <= 72.0

@@ -208,3 +208,13 @@ def test_non_finite_input_exits_1_naming_the_row(tmp_path, capsys, bad):
         err = capsys.readouterr().err
         assert "data row 7 is not finite" in err and bad.lstrip("-") in err
         assert not out.exists()
+
+
+def test_em_likelihood_decrease_exits_1(tmp_path, monkeypatch, capsys):
+    from semistart import starts
+    monkeypatch.setattr(starts, "_em_once", lambda *args: (None, True))
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(str(v) for v in np.linspace(-2.0, 2.0, 60)) + "\n")
+    assert run(["bandwidth", "--input", str(data), "--start", "normal_mixture",
+                "--method", "plugin"]) == 1
+    assert "log-likelihood decreased" in capsys.readouterr().err

@@ -241,3 +241,23 @@ def test_grid_evaluation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("family", ["constant", "normal", "lognormal", "gamma",
+                                    "normal_mixture"])
+def test_one_point_estimate_is_bit_identical(family, normalize):
+    from semistart.densities import NormalMixture
+    rng = np.random.default_rng(52)
+    data = rng.gamma(3.0, 1.0, 300)
+    mix = NormalMixture(weights=[0.4, 0.6], means=[1.5, 4.0], sds=[0.8, 1.5])
+    st = (FittedStart("normal_mixture", {"mixture": mix}) if family == "normal_mixture"
+          else FittedStart("constant") if family == "constant"
+          else fit_start(family, data))
+    ts = np.linspace(-3.0, 20.0, 1501)  # x <= 0 and both clip tails
+    for s in (st, st.unclipped()):
+        est = DensityEstimate(data, G, 0.5, s, normalize=normalize)
+        want = estimate_semiparametric(est, ts)
+        got = [estimate_semiparametric(est, float(t)) for t in ts]
+        assert all(type(g) is float for g in got)
+        assert np.array_equal(got, want)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from semistart.densities import NormalMixture, mixture_sample
-from semistart.starts import (FittedStart, em_fit_mixture, eval_start, fit_start,
-                              score)
+from semistart.starts import (FittedStart, _clip_edges, em_fit_mixture, eval_start,
+                              fit_start, score)
 
 from conftest import phi
 
@@ -160,3 +161,47 @@ def test_start_json_round_trip():
     sm = FittedStart("normal_mixture", {"mixture": mix})
     sm2 = FittedStart.from_json_dict(sm.to_json_dict())
     np.testing.assert_allclose(sm2.params["mixture"].means, mix.means)
+
+
+def _one_point_starts():
+    mix = NormalMixture(weights=[0.3, 0.7], means=[-1.0, 2.0], sds=[0.5, 1.0])
+    fitted = [FittedStart("constant"),
+              FittedStart("normal", {"mu": 0.3, "sd": 1.4}),
+              FittedStart("lognormal", {"mu": 0.1, "sd": 0.6}),
+              FittedStart("gamma", {"alpha": 3.0, "beta": 1.5}),
+              FittedStart("normal_mixture", {"mixture": mix})]
+    return fitted + [s.unclipped() for s in fitted]
+
+
+@pytest.mark.parametrize("s", _one_point_starts(),
+                         ids=lambda s: f"{s.family}-{'clip' if s.clip else 'raw'}")
+def test_one_point_eval_start_is_bit_identical(s):
+    # x <= 0, the central region and beyond both clip edges
+    ts = np.linspace(-8.0, 30.0, 20001)
+    if s.clip is not None and s.family != "constant":
+        lo, hi = _clip_edges(s)
+        assert ts[0] < lo < hi < ts[-1]
+        ts = np.concatenate([ts, [0.0, lo, hi]])
+    want = eval_start(s, ts)
+    got = [eval_start(s, float(t)) for t in ts]
+    assert all(type(g) is float for g in got)
+    assert np.array_equal(got, want)
+
+
+def test_clip_edges_are_computed_once_per_start(monkeypatch):
+    calls = []
+    ppf = stats.gamma.ppf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ppf(*args, **kwargs)
+
+    monkeypatch.setattr(stats.gamma, "ppf", counted)
+    s = FittedStart("gamma", {"alpha": 3.0, "beta": 1.5})
+    first = [eval_start(s, t) for t in (0.5, 2.0, 9.0)]
+    grid = eval_start(s, np.array([0.5, 2.0, 9.0]))
+    assert len(calls) == 2  # the two quantiles, on the first call only
+    assert np.array_equal(first, grid)
+    eval_start(s.unclipped(), 2.0)
+    eval_start(FittedStart("gamma", {"alpha": 3.0, "beta": 1.5}), 2.0)
+    assert len(calls) == 4  # a new start computes its own edges
