@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import hermite
-from .kernels import KernelSpec, eval_scaled, row_blocks
+from .kernels import SQRT_2PI, KernelSpec, eval_scaled, row_blocks
 from .starts import FittedStart, eval_start, fit_start
 
 __all__ = [
@@ -39,9 +39,8 @@ __all__ = [
     "rule_plugin",
     "bcv",
     "ucv",
+    "select",
 ]
-
-SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 class DegenerateRoughness(ValueError):
@@ -128,6 +127,34 @@ def _pair_sum(n: int, block, symmetric: bool) -> float:
     return float(np.sum(buf))
 
 
+def _normal_log_ratio(u: np.ndarray, sd: float, h: float) -> np.ndarray:
+    """log{phi_h(u) / phi_sd(u)}, with u = X_i - mu for a normal start.
+
+    It is each data point's factor in the pair integrals of the normal-start,
+    gaussian-kernel estimate.
+    """
+    return np.log(sd / h) - 0.5 * u * u * (1.0 / h**2 - 1.0 / sd**2)
+
+
+def _normal_square_integral(x: np.ndarray, mu: float, sd: float, h: float) -> float:
+    """int fhat_h^2 for the unclipped normal start and gaussian kernel, exactly.
+
+    Each pair (i, j) contributes a gaussian product integral, so the value
+    is a symmetric pair sum over the data.
+    """
+    n = x.size
+    u = x - mu
+    st2 = 0.5 * sd * sd * h * h / (sd * sd + h * h)
+    log_rat = _normal_log_ratio(u, sd, h)
+
+    def block(r, c):
+        return np.exp(log_rat[r, None] + log_rat[None, c]
+                      + 0.5 * st2 * ((u[r, None] + u[None, c]) / h**2) ** 2)
+
+    total = _pair_sum(n, block, symmetric=True)
+    return float(np.sqrt(st2) / (SQRT_2PI * sd * sd) * total) / n**2
+
+
 def _plugin_normal_closed(x: np.ndarray, mu: float, sd: float, h: float) -> float:
     """Closed-form double sum for a normal start and gaussian kernel.
 
@@ -139,7 +166,7 @@ def _plugin_normal_closed(x: np.ndarray, mu: float, sd: float, h: float) -> floa
     n = x.size
     u = x - mu
     tau2 = 1.0 / (2.0 / sd**2 + 2.0 / h**2)
-    log_rat = np.log(sd / h) - 0.5 * u * u * (1.0 / h**2 - 1.0 / sd**2)
+    log_rat = _normal_log_ratio(u, sd, h)
 
     def block(r, c):
         # product-gaussian centre relative to mu, then offsets to the two data points
@@ -278,17 +305,7 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
         total = _pair_sum(n, block, symmetric=True)
         return total / (SQRT_2PI * np.sqrt(2.0) * h * n * n)
     if start.family == "normal":
-        mu, sd = start.params["mu"], start.params["sd"]
-        u = x - mu
-        st2 = 0.5 * sd * sd * h * h / (sd * sd + h * h)
-        log_rat = np.log(sd / h) - 0.5 * u * u * (1.0 / h**2 - 1.0 / sd**2)
-
-        def block(r, c):
-            return np.exp(log_rat[r, None] + log_rat[None, c]
-                          + 0.5 * st2 * ((u[r, None] + u[None, c]) / h**2) ** 2)
-
-        total = _pair_sum(n, block, symmetric=True)
-        return float(np.sqrt(st2) / (SQRT_2PI * sd * sd) * total) / n**2
+        return _normal_square_integral(x, start.params["mu"], start.params["sd"], h)
     # generic: numeric integral of the squared estimate with the raw start
     from .estimator import DensityEstimate, estimate_semiparametric
     from .kernels import kernel_props
@@ -374,13 +391,12 @@ def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
                            {"h_grid": h_grid, "curve": curve, "index": k})
 
 
-def rule_plugin(data, start: FittedStart | None, kernel: KernelSpec,
-                h_pilot: float | None = None, iterations: int = 1) -> BandwidthChoice:
-    """Pilot-then-correct plug-in rule, optionally iterated.
+def rule_plugin(data, start: FittedStart | None, kernel: KernelSpec) -> BandwidthChoice:
+    """Pilot-then-correct plug-in rule.
 
-    Starts from the robust moment rule, estimates the debiased roughness at
-    the pilot, and inserts it into the optimal-h formula.  A nonpositive
-    debiased estimate falls back to the moment rule (flagged).
+    Takes the robust moment rule's bandwidth as the pilot, estimates the
+    debiased roughness there, and inserts it into the optimal-h formula.  A
+    nonpositive debiased estimate falls back to the moment rule (flagged).
     """
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
@@ -388,18 +404,35 @@ def rule_plugin(data, start: FittedStart | None, kernel: KernelSpec,
         start = fit_start("normal", x)
     delta_choice = rule_delta(x, kernel)
     h_os = delta_choice.diagnostics["h_os"]
-    h_cur = h_pilot if h_pilot is not None else delta_choice.h
-    diag: dict[str, Any] = {"h_pilot": h_cur, "h_os": h_os,
-                            "clamped": False, "fallback": False}
-    for _ in range(max(iterations, 1)):
-        raw, debiased = plugin_roughness(x, start, kernel, h_cur)
-        diag["roughness_raw"] = raw
-        diag["roughness_debiased"] = debiased
-        if debiased <= 0.0:
-            diag["fallback"] = True
-            return BandwidthChoice(delta_choice.h, "plugin", diag)
-        h_cur, _ = amise_h(kernel, debiased, n)
-        if h_cur >= h_os:
-            h_cur = h_os
-            diag["clamped"] = True
-    return BandwidthChoice(float(h_cur), "plugin", diag)
+    raw, debiased = plugin_roughness(x, start, kernel, delta_choice.h)
+    diag: dict[str, Any] = {"h_pilot": delta_choice.h, "h_os": h_os,
+                            "clamped": False, "fallback": False,
+                            "roughness_raw": raw, "roughness_debiased": debiased}
+    if debiased <= 0.0:
+        diag["fallback"] = True
+        return BandwidthChoice(delta_choice.h, "plugin", diag)
+    h, _ = amise_h(kernel, debiased, n)
+    if h >= h_os:
+        h = h_os
+        diag["clamped"] = True
+    return BandwidthChoice(float(h), "plugin", diag)
+
+
+def select(method: str | None, data, start: FittedStart, kernel: KernelSpec) -> BandwidthChoice:
+    """Bandwidth by name: rule_delta (also for None), rule_gamma, plugin, bcv or ucv.
+
+    bcv and ucv search the 32-point grid from 0.05 h_os to h_os, with h_os
+    the oversmoothed bound at the sample standard deviation.
+    """
+    if method is None or method == "rule_delta":
+        return rule_delta(data, kernel)
+    if method == "rule_gamma":
+        return rule_gamma(data, kernel)
+    if method == "plugin":
+        return rule_plugin(data, start, kernel)
+    if method in ("bcv", "ucv"):
+        x = np.asarray(data, dtype=float).ravel()
+        h_os = h_oversmoothed(float(np.std(x)), x.size, kernel)
+        grid = np.linspace(0.05 * h_os, h_os, 32)
+        return (bcv if method == "bcv" else ucv)(x, start, kernel, grid)
+    raise ValueError(f"unknown bandwidth method {method!r}")

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import bandwidth as bw
 from . import densities, estimator, exact_mise, regression
-from .kernels import kernel_props
-from .starts import FittedStart, em_fit_mixture, fit_start
+from .kernels import SHAPES, kernel_props
+from .starts import FAMILIES, FittedStart, em_fit_mixture, fit_start
 
 __all__ = ["main", "run"]
 
@@ -99,20 +99,7 @@ def _choose_h(args, data: np.ndarray, start: FittedStart, kernel) -> float:
         if args.h <= 0:
             raise ValueError("bandwidth h must be positive")
         return args.h
-    method = args.method or "rule_delta"
-    if method == "rule_delta":
-        return bw.rule_delta(data, kernel).h
-    if method == "rule_gamma":
-        return bw.rule_gamma(data, kernel).h
-    if method == "plugin":
-        return bw.rule_plugin(data, start, kernel).h
-    if method in ("bcv", "ucv"):
-        sd = float(np.std(data))
-        h_os = bw.h_oversmoothed(sd, data.size, kernel)
-        grid = np.linspace(0.05 * h_os, h_os, 32)
-        fn = bw.bcv if method == "bcv" else bw.ucv
-        return fn(data, start, kernel, grid).h
-    raise _Usage(f"unknown bandwidth method {method!r}")
+    return bw.select(args.method, data, start, kernel).h
 
 
 def _cmd_estimate(args) -> None:
@@ -138,20 +125,7 @@ def _cmd_bandwidth(args) -> None:
     data = _read_column(args.input, args.header)
     kernel = kernel_props(args.kernel)
     start = _build_start(args, data)
-    method = args.method or "rule_delta"
-    if method == "rule_delta":
-        choice = bw.rule_delta(data, kernel)
-    elif method == "rule_gamma":
-        choice = bw.rule_gamma(data, kernel)
-    elif method == "plugin":
-        choice = bw.rule_plugin(data, start, kernel)
-    elif method in ("bcv", "ucv"):
-        sd = float(np.std(data))
-        h_os = bw.h_oversmoothed(sd, data.size, kernel)
-        grid = np.linspace(0.05 * h_os, h_os, 32)
-        choice = (bw.bcv if method == "bcv" else bw.ucv)(data, start, kernel, grid)
-    else:
-        raise _Usage(f"unknown bandwidth method {method!r}")
+    choice = bw.select(args.method, data, start, kernel)
     diag = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
             for k, v in choice.diagnostics.items()}
     doc = {"method": choice.method, "h": choice.h, "diagnostics": diag}
@@ -232,18 +206,21 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--precision", type=int, default=_DEF_PRECISION,
                         help="significant digits in output")
 
+    def estimator_flags(sp, with_h=True):
+        """Kernel, start and bandwidth choice, shared by estimate, bandwidth and gof."""
+        sp.add_argument("--kernel", default="gaussian", choices=list(SHAPES))
+        sp.add_argument("--start", default="normal", choices=list(FAMILIES))
+        sp.add_argument("--mixture-k", type=int, default=2)
+        if with_h:
+            sp.add_argument("--h", type=float, default=None)
+        sp.add_argument("--method", default=None,
+                        choices=["rule_delta", "rule_gamma", "plugin", "bcv", "ucv"])
+        sp.add_argument("--seed", type=int, default=0)
+
     sp = sub.add_parser("estimate", help="density estimate on a grid")
     common(sp)
-    sp.add_argument("--kernel", default="gaussian",
-                    choices=["gaussian", "epanechnikov", "uniform"])
-    sp.add_argument("--start", default="normal",
-                    choices=["constant", "normal", "lognormal", "gamma", "normal_mixture"])
-    sp.add_argument("--mixture-k", type=int, default=2)
-    sp.add_argument("--h", type=float, default=None)
-    sp.add_argument("--method", default=None,
-                    choices=["rule_delta", "rule_gamma", "plugin", "bcv", "ucv"])
+    estimator_flags(sp)
     sp.add_argument("--grid", required=True, help="lo,hi,count")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--normalize", action="store_true")
     sp.add_argument("--compare", action="store_true",
                     help="also output the plain kernel estimate")
@@ -251,14 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bandwidth", help="select a bandwidth, report JSON")
     common(sp)
-    sp.add_argument("--kernel", default="gaussian",
-                    choices=["gaussian", "epanechnikov", "uniform"])
-    sp.add_argument("--start", default="normal",
-                    choices=["constant", "normal", "lognormal", "gamma", "normal_mixture"])
-    sp.add_argument("--mixture-k", type=int, default=2)
-    sp.add_argument("--method", default="rule_delta",
-                    choices=["rule_delta", "rule_gamma", "plugin", "bcv", "ucv"])
-    sp.add_argument("--seed", type=int, default=0)
+    estimator_flags(sp, with_h=False)
     sp.set_defaults(func=_cmd_bandwidth)
 
     sp = sub.add_parser("bench-amise", help="roughness-score table for the test densities")
@@ -274,16 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gof", help="correction curve and z-scores on a grid")
     common(sp)
-    sp.add_argument("--kernel", default="gaussian",
-                    choices=["gaussian", "epanechnikov", "uniform"])
-    sp.add_argument("--start", default="normal",
-                    choices=["normal", "lognormal", "gamma", "normal_mixture", "constant"])
-    sp.add_argument("--mixture-k", type=int, default=2)
-    sp.add_argument("--h", type=float, default=None)
-    sp.add_argument("--method", default=None,
-                    choices=["rule_delta", "rule_gamma", "plugin", "bcv", "ucv"])
+    estimator_flags(sp)
     sp.add_argument("--grid", required=True, help="lo,hi,count")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_gof)
 
     sp = sub.add_parser("sample", help="draw from a mixture JSON document")
@@ -296,8 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("regress", help="start-corrected kernel regression")
     common(sp)
-    sp.add_argument("--kernel", default="gaussian",
-                    choices=["gaussian", "epanechnikov", "uniform"])
+    sp.add_argument("--kernel", default="gaussian", choices=list(SHAPES))
     sp.add_argument("--mean-start", default="linear", choices=["constant", "linear"])
     sp.add_argument("--h", type=float, default=None)
     sp.add_argument("--grid", required=True, help="lo,hi,count")

@@ -21,6 +21,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from .kernels import SQRT_2PI
+
 __all__ = [
     "NormalMixture",
     "RoughnessReport",
@@ -36,7 +38,6 @@ __all__ = [
     "mixture_from_json",
 ]
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 _WEIGHT_TOL_BUILD = 1e-12
 _WEIGHT_TOL_LOAD = 1e-9

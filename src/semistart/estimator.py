@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .kernels import KernelSpec, eval_scaled, row_blocks
-from .starts import FittedStart, eval_start
+from .starts import FittedStart, _require_finite, eval_start
 
 __all__ = [
     "DensityEstimate",
@@ -33,8 +33,6 @@ __all__ = [
     "correction_curve",
     "integral_of_estimate",
 ]
-
-SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +49,7 @@ class DensityEstimate:
         x = np.asarray(self.data, dtype=float).ravel()
         if x.size == 0:
             raise ValueError("data must be nonempty")
+        _require_finite(x)
         if self.h <= 0:
             raise ValueError("bandwidth h must be positive")
         object.__setattr__(self, "data", x)
@@ -73,6 +72,7 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
     data = np.asarray(data, dtype=float).ravel()
     if data.size == 0:
         raise ValueError("data must be nonempty")
+    _require_finite(data)
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
     if isinstance(x, float):

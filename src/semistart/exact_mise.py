@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .bandwidth import _normal_log_ratio, _normal_square_integral
 from .densities import NormalMixture, marron_wand, mixture_moments
+from .kernels import SQRT_2PI, SQRT_PI
 
 __all__ = [
     "MiseDomainError",
@@ -45,9 +45,7 @@ __all__ = [
     "reports_to_csv",
 ]
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
-SQRT_PI = np.sqrt(np.pi)
-LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -57,7 +55,7 @@ class MiseDomainError(ValueError):
 
 def _log_phi_scaled(sd, u):
     """log of phi_sd(u) = phi(u/sd)/sd."""
-    return -LOG_SQRT_2PI - np.log(sd) - 0.5 * (u / sd) ** 2
+    return -HALF_LOG_2PI - np.log(sd) - 0.5 * (u / sd) ** 2
 
 
 def gaussian_product_integral(factors: Sequence[tuple[float, float]], a: float = 0.0) -> float:
@@ -75,7 +73,7 @@ def gaussian_product_integral(factors: Sequence[tuple[float, float]], a: float =
         raise ValueError("scales must be positive")
     inv = float(np.sum(1.0 / sd**2))
     st2 = 1.0 / inv
-    log_val = (LOG_SQRT_2PI + 0.5 * np.log(st2)
+    log_val = (HALF_LOG_2PI + 0.5 * np.log(st2)
                + float(np.sum(_log_phi_scaled(sd, mu - a)))
                + 0.5 * st2 * float(np.sum((mu - a) / sd**2)) ** 2)
     return float(np.exp(log_val))
@@ -177,7 +175,7 @@ def mise_new(inputs: NewMiseInputs, n: int) -> float:
     d = (ma[:, None] + ma[None, :]
          - (al[:, None] - be) * ma[:, None] * h2 / b2[:, None]
          - (al[None, :] - be) * ma[None, :] * h2 / b2[None, :])
-    log_t = (LOG_SQRT_2PI + np.log(p)[:, None] + np.log(p)[None, :]
+    log_t = (HALF_LOG_2PI + np.log(p)[:, None] + np.log(p)[None, :]
              - 0.5 * np.log(b2)[:, None] - 0.5 * np.log(b2)[None, :]
              + log_phi_i[:, None] + log_phi_i[None, :]
              - 0.5 * np.log(c2) + 0.5 * d * d / c2
@@ -186,14 +184,14 @@ def mise_new(inputs: NewMiseInputs, n: int) -> float:
 
     # diagonal part of E int fhat^2
     g = 2.0 * ma / e2
-    log_t2 = (np.log(p) - np.log(h) - LOG_SQRT_2PI - np.log(sd)
+    log_t2 = (np.log(p) - np.log(h) - HALF_LOG_2PI - np.log(sd)
               - 0.5 * np.log(e2 * f2) + 0.5 * g * g / f2
               - 0.5 * mm * mm * al + 0.5 * ma**2 * h2 / e2)
     ea2 = float(np.sum(np.exp(log_t2)))
 
     # cross term E int f fhat (start index i, truth index j)
     l = ma[:, None] + ma[None, :] - (al[:, None] - be) * ma[:, None] * h2 / b2[:, None]
-    log_tb = (LOG_SQRT_2PI + np.log(p)[:, None] + np.log(p)[None, :]
+    log_tb = (HALF_LOG_2PI + np.log(p)[:, None] + np.log(p)[None, :]
               + log_phi_i[:, None] + log_phi_i[None, :]
               - 0.5 * np.log(b2)[:, None] - 0.5 * np.log(k2)
               + boost[:, None] + 0.5 * l * l / k2)
@@ -244,18 +242,13 @@ def ise_new(data, mu_hat: float, sd_hat: float, h: float, m: NormalMixture) -> f
     n = x.size
     if n == 0:
         raise ValueError("data must be nonempty")
+    a_term = _normal_square_integral(x, mu_hat, sd_hat, h)
+
+    # int f fhat: mixture component x data point sum
     u = x - mu_hat
     h2 = h * h
     sd2 = sd_hat * sd_hat
-
-    # int fhat^2: pair sum over data points
-    st2 = 0.5 * sd2 * h2 / (sd2 + h2)
-    log_rat = np.log(sd_hat / h) - 0.5 * u * u * (1.0 / h2 - 1.0 / sd2)
-    expo = (log_rat[:, None] + log_rat[None, :]
-            + 0.5 * st2 * ((u[:, None] + u[None, :]) / h2) ** 2)
-    a_term = float(np.sqrt(st2) / (SQRT_2PI * sd2) * np.sum(np.exp(expo))) / n**2
-
-    # int f fhat: mixture component x data point sum
+    log_rat = _normal_log_ratio(u, sd_hat, h)
     sj2 = m.sds**2
     stj2 = sd2 * sj2 * h2 / (sd2 * sj2 + h2 * (sd2 + sj2))
     mu_off = m.means - mu_hat
@@ -338,28 +331,16 @@ def _benchmark_row(case: int, n: int) -> MiseReport:
     return MiseReport(str(case), n, h_new, mise_n, h_trad, mise_t, mise_n / mise_t)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("SEMISTART_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def benchmark_table(cases: Iterable[int] = range(1, 16),
                     ns: Iterable[int] = (25, 50, 100, 200, 1000)) -> list[MiseReport]:
-    """Best-case-vs-best-case table rows, one per (test density, n).
-
-    Rows are independent and evaluated on a thread pool (size capped by the
-    SEMISTART_THREADS environment variable); output order is deterministic.
-    """
+    """Best-case-vs-best-case table rows, one per (test density, n)."""
     jobs = [(int(c), int(n)) for c in cases for n in ns]
     for c, n in jobs:
         if not 1 <= c <= 15:
             raise ValueError(f"test density case must be in 1..15, got {c}")
         if n < 1:
             raise ValueError("sample sizes must be positive")
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(lambda cn: _benchmark_row(*cn), jobs))
+    return [_benchmark_row(c, n) for c, n in jobs]
 
 
 def reports_to_csv(reports: Sequence[MiseReport], precision: int = 6) -> str:

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .kernels import SQRT_PI
+
 __all__ = [
     "HermiteCoeffs",
     "hermite_poly",
@@ -24,10 +26,7 @@ __all__ = [
     "classic_coeffs",
     "robust_coeffs",
     "roughness_from_coeffs",
-    "roughness_pair_from_gamma",
 ]
-
-SQRT_PI = np.sqrt(np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,25 +134,3 @@ def roughness_from_coeffs(c: HermiteCoeffs) -> float:
     fact = np.array([float(math.factorial(j)) for j in js])
     return c.scale**-5 * (2.0 / SQRT_PI) * float(np.sum(v[2:] ** 2 / fact))
 
-
-def roughness_pair_from_gamma(gammas, scale: float = 1.0) -> tuple[float, float]:
-    """General overlap-table roughness sums for a classic expansion.
-
-    Given gamma_0..gamma_m, returns (R_trad, R_new):
-        R_trad = scale^-5 sum_{j,k<=m} (g_j/j!)(g_k/k!) A_{j+2,k+2}
-        R_new  = scale^-5 sum_{2<=j,k<=m} g_j/(j-2)! g_k/(k-2)! A_{j-2,k-2}
-
-    Mainly an independent cross-check of the printed degree-5 closed form.
-    """
-    g = np.asarray(gammas, dtype=float)
-    m = g.size - 1
-    r_trad = 0.0
-    r_new = 0.0
-    for j in range(m + 1):
-        for k in range(m + 1):
-            r_trad += (g[j] / math.factorial(j)) * (g[k] / math.factorial(k)) \
-                * hermite_overlap(j + 2, k + 2)
-            if j >= 2 and k >= 2:
-                r_new += g[j] / math.factorial(j - 2) * g[k] / math.factorial(k - 2) \
-                    * hermite_overlap(j - 2, k - 2)
-    return scale**-5 * r_trad, scale**-5 * r_new

@@ -18,19 +18,11 @@ import numpy as np
 
 from .bandwidth import BandwidthChoice
 from .hermite import hermite_poly
-from .kernels import row_blocks
+from .kernels import SQRT_2PI, row_blocks
 
-__all__ = ["MvEstimate", "mv_kernel_estimate", "mv_estimate", "sphere",
-           "mv_bandwidth", "load_matrix"]
+__all__ = ["MvEstimate", "mv_kernel_estimate", "mv_estimate", "sphere", "mv_bandwidth"]
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
 _MIN_COND = 1e-10
-
-
-def load_matrix(path, header: bool = False) -> np.ndarray:
-    """Read an n x d comma-separated matrix of observations."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    return data
 
 
 def _as_matrix(data) -> np.ndarray:

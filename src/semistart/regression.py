@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, eval_scaled, row_blocks
+from .starts import _require_finite
 
 __all__ = ["MeanStart", "RegressionFit", "fit_mean_start", "gnw_estimate", "nw_estimate"]
 
@@ -47,6 +48,8 @@ def fit_mean_start(x, y, kind: str = "linear") -> MeanStart:
     y = np.asarray(y, dtype=float).ravel()
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least 2 (x, y) pairs")
+    _require_finite(x)
+    _require_finite(y)
     if kind == "constant":
         return MeanStart("constant", np.array([float(y.mean())]))
     if np.ptp(x) == 0.0:
@@ -69,6 +72,8 @@ class RegressionFit:
         y = np.asarray(self.y, dtype=float).ravel()
         if x.size != y.size or x.size == 0:
             raise ValueError("x and y must be equal-length and nonempty")
+        _require_finite(x)
+        _require_finite(y)
         if self.h <= 0:
             raise ValueError("bandwidth h must be positive")
         object.__setattr__(self, "x", x)

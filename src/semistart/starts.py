@@ -20,10 +20,10 @@ import numpy as np
 from scipy import special, stats
 
 from .densities import NormalMixture, mixture_pdf
+from .kernels import SQRT_2PI
 
 __all__ = ["FittedStart", "fit_start", "em_fit_mixture", "eval_start", "score", "FAMILIES"]
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
 FAMILIES = ("constant", "normal", "lognormal", "gamma", "normal_mixture")
 
 
@@ -68,8 +68,17 @@ class FittedStart:
         return FittedStart(doc["family"], params, doc.get("clip"))
 
 
+def _require_finite(x: np.ndarray) -> None:
+    """Reject NaN and infinite values, naming the first one's index."""
+    bad = ~np.isfinite(x)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"data value at index {i} is not finite ({float(x[i])!r})")
+
+
 def _as_clean_sample(data, positive: bool = False) -> np.ndarray:
     x = np.asarray(data, dtype=float).ravel()
+    _require_finite(x)
     if x.size < 2:
         raise ValueError("need at least 2 observations to fit a start")
     if positive and np.any(x <= 0):

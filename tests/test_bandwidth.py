@@ -7,7 +7,7 @@ from scipy.special import gammaln
 
 from semistart.bandwidth import (DegenerateRoughness, _loo_params, amise_h, bcv,
                                  h_oversmoothed, plugin_roughness, rule_delta,
-                                 rule_gamma, rule_plugin, ucv)
+                                 rule_gamma, rule_plugin, select, ucv)
 from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
@@ -204,8 +204,31 @@ def test_rule_plugin_runs_and_caps():
     ch = rule_plugin(x, fit_start("normal", x), G)
     h_os = h_oversmoothed(float(np.std(x)), 400, G)
     assert 0.0 < ch.h <= h_os + 1e-15
-    two = rule_plugin(x, fit_start("normal", x), G, iterations=2)
-    assert 0.0 < two.h <= h_os + 1e-15
+
+
+@pytest.mark.parametrize("method", [None, "rule_delta", "rule_gamma", "plugin", "bcv", "ucv"])
+def test_select_matches_the_direct_rule(method):
+    x = mixture_sample(marron_wand(2), 200, seed=42)
+    st = fit_start("normal", x)
+    h_os = h_oversmoothed(float(np.std(x)), x.size, G)
+    grid = np.linspace(0.05 * h_os, h_os, 32)
+    direct = {None: lambda: rule_delta(x, G),
+              "rule_delta": lambda: rule_delta(x, G),
+              "rule_gamma": lambda: rule_gamma(x, G),
+              "plugin": lambda: rule_plugin(x, st, G),
+              "bcv": lambda: bcv(x, st, G, grid),
+              "ucv": lambda: ucv(x, st, G, grid)}[method]()
+    got = select(method, x, st, G)
+    assert (got.h, got.method) == (direct.h, direct.method)
+    assert got.diagnostics.keys() == direct.diagnostics.keys()
+    for key, want in direct.diagnostics.items():
+        assert np.array_equal(got.diagnostics[key], want), key
+
+
+def test_select_rejects_an_unknown_method():
+    x = mixture_sample(marron_wand(2), 50, seed=43)
+    with pytest.raises(ValueError, match="'lscv'"):
+        select("lscv", x, fit_start("normal", x), G)
 
 
 @pytest.mark.parametrize("method", ["plugin", "bcv", "ucv"])

@@ -131,6 +131,11 @@ def test_usage_and_domain_exit_codes(tmp_path, capsys):
     # mutually exclusive flags: usage error
     assert run(["estimate", "--input", str(data), "--h", "1", "--method",
                 "rule_delta", "--grid", "-1,1,3"]) == 2
+    assert run(["estimate", "--input", str(data), "--h", "0.3", "--method",
+                "bcv", "--grid", "-1,1,3"]) == 2
+    # the correction curve has nothing to correct under a constant start
+    assert run(["gof", "--input", str(data), "--start", "constant", "--h", "1",
+                "--grid", "-1,1,3"]) == 2
     # bad grid spec: usage error
     assert run(["estimate", "--input", str(data), "--h", "1", "--grid", "-1,1"]) == 2
     # numeric domain error: exit 1 and the message names the invariant
@@ -152,6 +157,9 @@ def test_bandwidth_method_paths(tmp_path):
         doc = json.loads(out.read_text())
         assert doc["method"] in (method, "rule_delta", "plugin")
         assert doc["h"] > 0
+    out = tmp_path / "default.json"
+    assert run(["bandwidth", "--input", str(data), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["method"] == "rule_delta"
 
 
 def test_estimate_with_method_and_positive_family(tmp_path):
@@ -166,13 +174,16 @@ def test_estimate_with_method_and_positive_family(tmp_path):
     assert all(float(r[1]) >= 0.0 for r in rows)
 
 
-def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    ref = tmp_path / "ref.csv"
-    assert run(["bench-mise", "--cases", "1,6", "--n", "25,100", "--out", str(ref)]) == 0
-    monkeypatch.setenv("SEMISTART_THREADS", "1")
-    one = tmp_path / "one.csv"
-    assert run(["bench-mise", "--cases", "1,6", "--n", "25,100", "--out", str(one)]) == 0
-    assert ref.read_bytes() == one.read_bytes()
+def test_bench_mise_output_is_pinned(tmp_path):
+    # the bytes the table wrote when its rows still ran on a thread pool
+    out = tmp_path / "mise.csv"
+    assert run(["bench-mise", "--cases", "1,6", "--n", "25,100", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "case,n,h_new,mise_new,h_trad,mise_trad,ratio\n"
+        "1,25,0.707107,0.0112838,0.609382,0.0137329,0.821664\n"
+        "1,100,0.707107,0.00282095,0.445472,0.00540973,0.521458\n"
+        "6,25,0.556813,0.0196898,0.602755,0.018244,1.07925\n"
+        "6,100,0.382328,0.00750005,0.385378,0.00745053,1.00665\n")
 
 
 def test_precision_flag(tmp_path):

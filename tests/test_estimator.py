@@ -186,6 +186,17 @@ def test_validation():
             estimate_semiparametric(est, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected_naming_the_index(bad):
+    data = np.linspace(-1.0, 1.0, 9)
+    data[4] = bad
+    msg = r"index 4 is not finite"
+    with pytest.raises(ValueError, match=msg):
+        DensityEstimate(data, G, 0.5, FittedStart("normal", {"mu": 0.0, "sd": 1.0}))
+    with pytest.raises(ValueError, match=msg):
+        estimate_kernel(data, G, 0.5, [0.0, 1.0])
+
+
 def _full_estimate(st, data, h, x):
     """Unblocked (grid x data) expression of the corrected estimate."""
     x = np.asarray(x, dtype=float)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -140,6 +142,51 @@ def test_ise_new_trapezoid_oracle():
 def test_ise_new_positive_degenerate_case():
     m = NormalMixture(weights=[1.0], means=[0.3], sds=[0.9])
     assert ise_new([0.3], 0.3, 0.9, 0.5, m) > 0.0
+
+
+def _full_ise_new(x, mu_hat, sd_hat, h, m):
+    """ise_new with its squared term summed over the full n x n matrix."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    u = x - mu_hat
+    h2 = h * h
+    sd2 = sd_hat * sd_hat
+    st2 = 0.5 * sd2 * h2 / (sd2 + h2)
+    log_rat = np.log(sd_hat / h) - 0.5 * u * u * (1.0 / h2 - 1.0 / sd2)
+    expo = (log_rat[:, None] + log_rat[None, :]
+            + 0.5 * st2 * ((u[:, None] + u[None, :]) / h2) ** 2)
+    a_term = float(np.sqrt(st2) / (np.sqrt(2.0 * np.pi) * sd2) * np.sum(np.exp(expo))) / n**2
+    sj2 = m.sds**2
+    stj2 = sd2 * sj2 * h2 / (sd2 * sj2 + h2 * (sd2 + sj2))
+    mu_off = m.means - mu_hat
+    log_row = (np.log(m.weights) + 0.5 * np.log(stj2) - np.log(sd_hat)
+               - 0.5 * np.log(2.0 * np.pi) - np.log(m.sds) - 0.5 * (mu_off / m.sds) ** 2)
+    inner = (log_rat[None, :] + log_row[:, None]
+             + 0.5 * stj2[:, None] * (u[None, :] / h2 + (mu_off / sj2)[:, None]) ** 2)
+    return a_term - 2.0 * float(np.sum(np.exp(inner))) / n + r_f(m)
+
+
+def test_ise_new_matches_the_full_matrix_expression():
+    m6 = marron_wand(6)
+    x = mixture_sample(m6, 10, seed=5)
+    big = mixture_sample(m6, 1000, seed=6)  # 31 row blocks of 32 and one of 8
+    one = NormalMixture(weights=[1.0], means=[0.3], sds=[0.9])
+    for args in ((x, float(x.mean()), float(x.std()), 0.45, m6),
+                 ([0.3], 0.3, 0.9, 0.5, one),
+                 (big, float(big.mean()), float(big.std()), 0.3, m6)):
+        assert ise_new(*args) == pytest.approx(_full_ise_new(*args), rel=1e-12, abs=0)
+
+
+def test_ise_new_memory_is_one_pair_buffer():
+    # n = 4000: one n x n float64 buffer is 122 MB; the full matrix took 244
+    x = mixture_sample(marron_wand(6), 4000, seed=7)
+    tracemalloc.start()
+    try:
+        ise_new(x, float(x.mean()), float(x.std()), 0.3, marron_wand(6))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 140.0
 
 
 def test_optimal_h_quadratic():

@@ -7,8 +7,7 @@ from scipy.integrate import quad
 
 from semistart.densities import mixture_sample, marron_wand
 from semistart.hermite import (classic_coeffs, hermite_overlap, hermite_poly,
-                               robust_coeffs, roughness_from_coeffs,
-                               roughness_pair_from_gamma, HermiteCoeffs)
+                               robust_coeffs, roughness_from_coeffs, HermiteCoeffs)
 
 from conftest import phi, SQRT_PI
 
@@ -107,12 +106,25 @@ def test_roughness_from_coeffs_values():
     assert roughness_from_coeffs(rob) == pytest.approx(0.0112838, abs=5e-8)
 
 
+def roughness_new_from_gamma(gammas, scale):
+    """Overlap-table sum for a classic expansion with coefficients g_0..g_m:
+
+        scale^-5 sum_{2<=j,k<=m} g_j/(j-2)! g_k/(k-2)! A_{j-2,k-2}
+    """
+    total = 0.0
+    for j in range(2, len(gammas)):
+        for k in range(2, len(gammas)):
+            total += (gammas[j] / math.factorial(j - 2) * gammas[k] / math.factorial(k - 2)
+                      * hermite_overlap(j - 2, k - 2))
+    return scale**-5 * total
+
+
 def test_degree5_closed_form_matches_overlap_sums():
     rng = np.random.default_rng(13)
     for _ in range(10):
         g3, g4, g5 = rng.uniform(-1.5, 1.5, 3)
         sigma = rng.uniform(0.5, 2.0)
-        _, r_new = roughness_pair_from_gamma([1, 0, 0, g3, g4, g5], scale=sigma)
+        r_new = roughness_new_from_gamma([1, 0, 0, g3, g4, g5], sigma)
         closed = roughness_from_coeffs(
             HermiteCoeffs("classic_gamma", [1, 0, 0, g3, g4, g5], 0.0, sigma))
         assert closed == pytest.approx(r_new, rel=1e-12, abs=1e-300)

@@ -7,8 +7,8 @@ from semistart.bandwidth import rule_delta
 from semistart.densities import NormalMixture, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_kernel, estimate_semiparametric
 from semistart.kernels import BLOCK_ELEMENTS, kernel_props
-from semistart.multivariate import (MvEstimate, load_matrix, mv_bandwidth,
-                                    mv_estimate, mv_kernel_estimate, sphere)
+from semistart.multivariate import (MvEstimate, mv_bandwidth, mv_estimate,
+                                    mv_kernel_estimate, sphere)
 from semistart.starts import FittedStart
 
 G = kernel_props("gaussian")
@@ -144,16 +144,6 @@ def test_mv_bandwidth_mixture_data_in_range():
     ch = mv_bandwidth(rng_data(12, 2000, 2, mix=True), max_degree=4)
     assert 0.0 < ch.h <= 1.144 * 2000 ** (-1.0 / 6.0) + 1e-15
     assert np.isfinite(ch.h)
-
-
-def test_load_matrix(tmp_path):
-    p = tmp_path / "m.csv"
-    p.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
-    got = load_matrix(p, header=True)
-    np.testing.assert_array_equal(got, [[1.0, 2.0], [3.0, 4.0]])
-    q = tmp_path / "one.csv"
-    q.write_text("1.5\n2.5\n")
-    assert load_matrix(q).shape == (2, 1)
 
 
 def _full_mv_estimate(e, pts):

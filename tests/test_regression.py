@@ -8,6 +8,21 @@ from semistart.regression import (RegressionFit, fit_mean_start, gnw_estimate,
 G = kernel_props("gaussian")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pairs_are_rejected_naming_the_index(bad, capfd):
+    x = np.linspace(0.0, 1.0, 12)
+    y = 1.0 + x
+    bad_x, bad_y = x.copy(), y.copy()
+    bad_x[5] = bad
+    bad_y[7] = bad
+    for xs, ys, i in ((bad_x, y, 5), (x, bad_y, 7)):
+        with pytest.raises(ValueError, match=rf"index {i} is not finite"):
+            RegressionFit.fit(xs, ys, G, 0.2)
+        with pytest.raises(ValueError, match=rf"index {i} is not finite"):
+            RegressionFit(xs, ys, G, 0.2, fit_mean_start(x, y))
+    assert capfd.readouterr().err == ""  # LAPACK never sees the bad value
+
+
 def test_fit_exact_line():
     x = np.linspace(0, 1, 20)
     ms = fit_mean_start(x, 2.0 * x + 1.0, "linear")

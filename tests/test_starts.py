@@ -38,6 +38,15 @@ def test_fit_errors():
         fit_start("normal", [2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_data_naming_the_index(bad):
+    x = [1.0, 2.0, 0.5, bad, 3.0, np.nan]
+    for fit in (lambda: fit_start("normal", x), lambda: fit_start("gamma", x),
+                lambda: em_fit_mixture(x * 10, k=1, seed=0)):
+        with pytest.raises(ValueError, match=r"index 3 is not finite \(-?(nan|inf)\)"):
+            fit()
+
+
 def test_fit_normal_equivariance():
     rng = np.random.default_rng(0)
     x = rng.normal(1.3, 0.7, 200)
