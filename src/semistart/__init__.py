@@ -10,8 +10,8 @@ from .estimator import (CorrectionCurve, DensityEstimate, correction_curve,
 from .exact_mise import (MiseDomainError, MiseReport, NewMiseInputs, benchmark_table,
                          gaussian_product_integral, h_domain_cap, ise_new, mise_kernel,
                          mise_new, optimal_h, r_f, reports_to_csv)
-from .hermite import (HermiteCoeffs, classic_coeffs, hermite_overlap, hermite_poly,
-                      robust_coeffs, roughness_from_coeffs)
+from .hermite import (HermiteCoeffs, classic_coeffs, hermite_poly, robust_coeffs,
+                      roughness_from_coeffs)
 from .kernels import KernelSpec, eval_scaled, kernel_props
 from .multivariate import MvEstimate, mv_bandwidth, mv_estimate, mv_kernel_estimate, sphere
 from .regression import MeanStart, RegressionFit, fit_mean_start, gnw_estimate, nw_estimate

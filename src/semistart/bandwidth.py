@@ -26,7 +26,7 @@ from scipy.integrate import quad
 
 from . import hermite
 from .kernels import SQRT_2PI, KernelSpec, eval_scaled, row_blocks
-from .starts import FittedStart, eval_start, fit_start
+from .starts import FittedStart, _require_finite, eval_start, fit_start
 
 __all__ = [
     "BandwidthChoice",
@@ -217,6 +217,7 @@ def plugin_roughness(data, start: FittedStart, kernel: KernelSpec,
     if h_pilot <= 0:
         raise ValueError("pilot bandwidth must be positive")
     x = np.asarray(data, dtype=float).ravel()
+    _require_finite(x)
     n = x.size
     if n < 2:
         raise ValueError("need at least 2 observations")
@@ -257,6 +258,7 @@ def _grid_pick(h_grid, values) -> tuple[float, int]:
 def bcv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice:
     """Estimated-amise curve (biased cross validation) and its grid minimiser."""
     x = np.asarray(data, dtype=float).ravel()
+    _require_finite(x)
     h_grid = np.asarray(h_grid, dtype=float).ravel()
     if h_grid.size == 0:
         raise ValueError("bandwidth grid must be nonempty")
@@ -277,12 +279,10 @@ def bcv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
 def _loo_params(x: np.ndarray, family: str):
     """O(1)-per-point leave-one-out refits from downdated running sums."""
     n = x.size
-    if family in ("normal", "constant"):
+    if family in ("normal", "gamma"):
         base = x
     elif family == "lognormal":
         base = np.log(x)
-    elif family == "gamma":
-        base = x
     else:
         raise NotImplementedError(
             f"no O(1) leave-one-out refit for the {family!r} start")
@@ -366,6 +366,7 @@ def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
     if kernel.shape != "gaussian":
         raise ValueError("ucv is implemented for the gaussian kernel")
     x = np.asarray(data, dtype=float).ravel()
+    _require_finite(x)
     n = x.size
     if n < 3:
         raise ValueError("need at least 3 observations for cross validation")
@@ -432,6 +433,7 @@ def select(method: str | None, data, start: FittedStart, kernel: KernelSpec) -> 
         return rule_plugin(data, start, kernel)
     if method in ("bcv", "ucv"):
         x = np.asarray(data, dtype=float).ravel()
+        _require_finite(x)  # before the grid's sd, which inf would turn into nan
         h_os = h_oversmoothed(float(np.std(x)), x.size, kernel)
         grid = np.linspace(0.05 * h_os, h_os, 32)
         return (bcv if method == "bcv" else ucv)(x, start, kernel, grid)

@@ -85,8 +85,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _build_start(args, data: np.ndarray) -> FittedStart:
-    if args.start == "constant":
-        return FittedStart("constant")
     if args.start == "normal_mixture":
         return em_fit_mixture(data, k=args.mixture_k, seed=args.seed)
     return fit_start(args.start, data)

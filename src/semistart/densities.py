@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -47,7 +46,7 @@ def _phi(z):
     return np.exp(-0.5 * np.square(z)) / SQRT_2PI
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class NormalMixture:
     """Weights, locations and scales of sum(p_i * N(mu_i, sd_i^2))."""
 
@@ -55,15 +54,10 @@ class NormalMixture:
     means: np.ndarray
     sds: np.ndarray
 
-    def __init__(self, components: Sequence[tuple[float, float, float]] | None = None,
-                 *, weights=None, means=None, sds=None):
-        if components is not None:
-            weights = [c[0] for c in components]
-            means = [c[1] for c in components]
-            sds = [c[2] for c in components]
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        mu = np.atleast_1d(np.asarray(means, dtype=float))
-        sd = np.atleast_1d(np.asarray(sds, dtype=float))
+    def __post_init__(self):
+        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        mu = np.atleast_1d(np.asarray(self.means, dtype=float))
+        sd = np.atleast_1d(np.asarray(self.sds, dtype=float))
         if not (w.shape == mu.shape == sd.shape) or w.ndim != 1 or w.size == 0:
             raise ValueError("weights, means, sds must be equal-length 1-d sequences")
         if np.any(w <= 0):
@@ -81,9 +75,6 @@ class NormalMixture:
     @property
     def n_components(self) -> int:
         return self.weights.size
-
-    def pdf(self, x):
-        return mixture_pdf(self, x)
 
     def support_window(self, pad: float = 12.0) -> tuple[float, float]:
         """An interval carrying all but ~exp(-pad^2/2) of every component."""

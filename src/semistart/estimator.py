@@ -62,32 +62,19 @@ class DensityEstimate:
         return estimate_semiparametric(self, x)
 
 
-def _kernel_mean(data: np.ndarray, kernel: KernelSpec, h: float, pts):
-    """(1/n) sum K_h(X_i - x) for one float x or a column of points."""
-    return np.mean(eval_scaled(kernel, h, data - pts), axis=-1)
-
-
 def estimate_kernel(data, kernel: KernelSpec, h: float, x):
-    """Plain kernel density estimate (1/n) sum K_h(X_i - x)."""
-    data = np.asarray(data, dtype=float).ravel()
-    if data.size == 0:
-        raise ValueError("data must be nonempty")
-    _require_finite(data)
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
-    if isinstance(x, float):
-        return float(_kernel_mean(data, kernel, h, x))
-    x = np.asarray(x, dtype=float)
-    pts = x.ravel()
-    out = np.empty(pts.size)
-    for rows in row_blocks(pts.size, data.size):
-        out[rows] = _kernel_mean(data, kernel, h, pts[rows, None])
-    out = out.reshape(x.shape)
-    return out if out.ndim else float(out)
+    """Plain kernel density estimate (1/n) sum K_h(X_i - x): the constant start."""
+    flat = FittedStart("constant")
+    return estimate_semiparametric(DensityEstimate(data, kernel, h, flat), x)
 
 
-def _denominators(e: DensityEstimate) -> np.ndarray:
-    """Start density at the data, cached on the (frozen) estimate."""
+def _denominators(e: DensityEstimate) -> np.ndarray | None:
+    """Start density at the data, cached on the (frozen) estimate.
+
+    None for the constant start, whose ratio is 1: nothing is divided.
+    """
+    if e.start.family == "constant":
+        return None
     den = e.__dict__.get("_den")
     if den is None:
         den = np.atleast_1d(eval_start(e.start, e.data))
@@ -99,10 +86,12 @@ def _denominators(e: DensityEstimate) -> np.ndarray:
     return den
 
 
-def _correction_sum(e: DensityEstimate, den: np.ndarray, pts):
+def _correction_sum(e: DensityEstimate, den: np.ndarray | None, pts):
     """(1/n) sum K_h(X_i - x)/fbar(X_i) for one float x or a column of points."""
     vals = eval_scaled(e.kernel, e.h, e.data - pts)
-    return np.sum(vals / den, axis=-1) / e.n
+    if den is not None:
+        vals = vals / den
+    return np.sum(vals, axis=-1) / e.n
 
 
 def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
@@ -131,18 +120,12 @@ def estimate_semiparametric(e: DensityEstimate, x):
     the same bits as that point inside an array.
     """
     if isinstance(x, float):
-        if e.start.family == "constant":
-            out = estimate_kernel(e.data, e.kernel, e.h, x)
-        else:
-            out = eval_start(e.start, x) * float(_correction_sum(e, _denominators(e), x))
+        out = eval_start(e.start, x) * float(_correction_sum(e, _denominators(e), x))
         return float(out / _normalizing_mass(e)) if e.normalize else out
     x = np.asarray(x, dtype=float)
-    if e.start.family == "constant":
-        out = np.asarray(estimate_kernel(e.data, e.kernel, e.h, x))
-    else:
-        out = np.atleast_1d(eval_start(e.start, x)) * _correction_at(e, np.atleast_1d(x))
-        if x.ndim == 0:
-            out = out[0]
+    out = np.atleast_1d(eval_start(e.start, x)) * _correction_at(e, np.atleast_1d(x))
+    if x.ndim == 0:
+        out = out[0]
     if e.normalize:
         out = out / _normalizing_mass(e)
     return out if np.ndim(out) else float(out)

@@ -79,12 +79,20 @@ def gaussian_product_integral(factors: Sequence[tuple[float, float]], a: float =
     return float(np.exp(log_val))
 
 
+def _overlap(m: NormalMixture, extra: float) -> float:
+    """sum_ij p_i p_j phi_s(mu_i - mu_j) with s^2 = sd_i^2 + sd_j^2 + extra.
+
+    It is int (f * phi_h)(f * phi_h') for extra = h^2 + h'^2.
+    """
+    s = np.sqrt(m.sds[:, None] ** 2 + m.sds[None, :] ** 2 + extra)
+    d = m.means[None, :] - m.means[:, None]
+    pij = m.weights[:, None] * m.weights[None, :]
+    return float(np.sum(pij * np.exp(-0.5 * (d / s) ** 2) / (SQRT_2PI * s)))
+
+
 def r_f(m: NormalMixture) -> float:
     """int f^2 for a normal mixture (pairwise gaussian overlaps)."""
-    sij = np.sqrt(m.sds[:, None] ** 2 + m.sds[None, :] ** 2)
-    dij = (m.means[None, :] - m.means[:, None]) / sij
-    pij = m.weights[:, None] * m.weights[None, :]
-    return float(np.sum(pij * np.exp(-0.5 * dij**2) / (SQRT_2PI * sij)))
+    return _overlap(m, 0.0)
 
 
 def mise_kernel(m: NormalMixture, h: float, n: int) -> float:
@@ -93,18 +101,10 @@ def mise_kernel(m: NormalMixture, h: float, n: int) -> float:
         raise ValueError("bandwidth h must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    s2 = m.sds[:, None] ** 2 + m.sds[None, :] ** 2
-    d = m.means[None, :] - m.means[:, None]
-    pij = m.weights[:, None] * m.weights[None, :]
-
-    def overlap(extra):
-        s = np.sqrt(s2 + extra)
-        return float(np.sum(pij * np.exp(-0.5 * (d / s) ** 2) / (SQRT_2PI * s)))
-
-    return ((1.0 - 1.0 / n) * overlap(2.0 * h * h)
+    return ((1.0 - 1.0 / n) * _overlap(m, 2.0 * h * h)
             + 1.0 / (2.0 * SQRT_PI * n * h)
-            - 2.0 * overlap(h * h)
-            + overlap(0.0))
+            - 2.0 * _overlap(m, h * h)
+            + r_f(m))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,11 +18,11 @@ import math
 import numpy as np
 
 from .kernels import SQRT_PI
+from .starts import _require_finite
 
 __all__ = [
     "HermiteCoeffs",
     "hermite_poly",
-    "hermite_overlap",
     "classic_coeffs",
     "robust_coeffs",
     "roughness_from_coeffs",
@@ -58,24 +58,9 @@ def hermite_poly(j: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def hermite_overlap(j: int, k: int) -> float:
-    """A_{j,k} = int H_j(y) H_k(y) phi(y)^2 dy.
-
-    Zero for odd j + k; for j + k = 2p the value is
-    (-1)^(j+p) (2 sqrt(pi))^(-1) (2p)! / (p! 2^(2p)).
-    """
-    if j < 0 or k < 0:
-        raise ValueError("degrees must be nonnegative")
-    if (j + k) % 2 == 1:
-        return 0.0
-    p = (j + k) // 2
-    sign = -1.0 if (j + p) % 2 else 1.0
-    fact = math.factorial(2 * p) / (math.factorial(p) * 2.0 ** (2 * p))
-    return sign * fact / (2.0 * SQRT_PI)
-
-
 def _standardize(data) -> tuple[np.ndarray, float, float]:
     x = np.asarray(data, dtype=float)
+    _require_finite(x)
     if x.size < 2:
         raise ValueError("need at least 2 observations")
     mu = float(x.mean())

@@ -19,6 +19,7 @@ import numpy as np
 from .bandwidth import BandwidthChoice
 from .hermite import hermite_poly
 from .kernels import SQRT_2PI, row_blocks
+from .starts import _require_finite
 
 __all__ = ["MvEstimate", "mv_kernel_estimate", "mv_estimate", "sphere", "mv_bandwidth"]
 
@@ -51,6 +52,7 @@ def sphere(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sample mean exactly 0 and sample covariance exactly the identity.
     """
     x = _as_matrix(data)
+    _require_finite(x)
     n, d = x.shape
     if n < d + 1:
         raise ValueError("need at least d + 1 observations to sphere")
@@ -103,6 +105,7 @@ class MvEstimate:
 
     def __post_init__(self):
         x = _as_matrix(self.data)
+        _require_finite(x)
         object.__setattr__(self, "data", x)
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
@@ -117,6 +120,7 @@ class MvEstimate:
     def fit(cls, data, h: float, clip: float | None = 2.5,
             normalized: bool = True) -> "MvEstimate":
         x = _as_matrix(data)
+        _require_finite(x)  # before the moments, which inf would turn into nan
         if x.shape[0] < x.shape[1] + 1:
             raise ValueError("need at least d + 1 observations to fit moments")
         mean = x.mean(axis=0)

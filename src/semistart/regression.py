@@ -15,7 +15,7 @@ fraction of sd(y), keeping their sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,20 +96,21 @@ def _clipped_mean(fit: RegressionFit, x) -> np.ndarray:
 
 
 def nw_estimate(fit: RegressionFit, x):
-    """Classic locally-weighted mean (the constant-start special case)."""
-    return _gnw(fit, x, corrected=False)
+    """Classic locally-weighted mean: the corrected smoother with a constant start."""
+    flat = MeanStart("constant", np.array([float(fit.y.mean())]))
+    return gnw_estimate(replace(fit, mean_start=flat), x)
 
 
 def gnw_estimate(fit: RegressionFit, x):
-    """Start-corrected smoother value(s) at x."""
-    return _gnw(fit, x, corrected=True)
+    """Start-corrected smoother value(s) at x.
 
-
-def _gnw(fit: RegressionFit, x, corrected: bool):
+    A constant mean start makes every ratio m(x)/m(x_i) equal to 1, so the
+    classic smoother's weighted mean is computed without the ratios.
+    """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     pts = np.atleast_1d(x)
-    corrected = corrected and fit.mean_start.kind != "constant"
+    corrected = fit.mean_start.kind != "constant"
     if corrected:
         m_pts, m_data = _clipped_mean(fit, pts), _clipped_mean(fit, fit.x)
     wsum = np.empty(pts.size)

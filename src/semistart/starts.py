@@ -19,12 +19,17 @@ from typing import Any
 import numpy as np
 from scipy import special, stats
 
-from .densities import NormalMixture, mixture_pdf
+from .densities import NormalMixture, mixture_moments, mixture_pdf
 from .kernels import SQRT_2PI
 
 __all__ = ["FittedStart", "fit_start", "em_fit_mixture", "eval_start", "score", "FAMILIES"]
 
 FAMILIES = ("constant", "normal", "lognormal", "gamma", "normal_mixture")
+
+# EM stopping rule and restart budget
+EM_MAX_ITER = 200
+EM_TOL = 1e-8
+EM_RESTARTS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,33 +52,17 @@ class FittedStart:
     def unclipped(self) -> "FittedStart":
         return replace(self, clip=None)
 
-    def to_json_dict(self) -> dict:
-        params = dict(self.params)
-        if self.family == "normal_mixture":
-            mx: NormalMixture = params.pop("mixture")
-            params["mixture"] = {"components": [
-                {"p": p, "mu": mu, "sd": sd}
-                for p, mu, sd in zip(mx.weights, mx.means, mx.sds)]}
-        return {"family": self.family, "params": params, "clip": self.clip}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "FittedStart":
-        params = dict(doc.get("params", {}))
-        if doc["family"] == "normal_mixture":
-            comps = params.pop("mixture")["components"]
-            params["mixture"] = NormalMixture(
-                weights=[c["p"] for c in comps],
-                means=[c["mu"] for c in comps],
-                sds=[c["sd"] for c in comps])
-        return FittedStart(doc["family"], params, doc.get("clip"))
-
 
 def _require_finite(x: np.ndarray) -> None:
-    """Reject NaN and infinite values, naming the first one's index."""
+    """Reject NaN and infinite values, naming the first one's index.
+
+    A matrix's index is its row and column, as in "index 3, 1".
+    """
     bad = ~np.isfinite(x)
     if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"data value at index {i} is not finite ({float(x[i])!r})")
+        at = np.unravel_index(int(np.argmax(bad)), x.shape)
+        raise ValueError(f"data value at index {', '.join(map(str, at))} "
+                         f"is not finite ({float(x[at])!r})")
 
 
 def _as_clean_sample(data, positive: bool = False) -> np.ndarray:
@@ -118,8 +107,8 @@ def fit_start(family: str, data) -> FittedStart:
     raise ValueError(f"unsupported start family: {family!r}")
 
 
-def _em_once(x: np.ndarray, k: int, rng: np.random.Generator,
-             max_iter: int, tol: float) -> tuple[NormalMixture | None, bool]:
+def _em_once(x: np.ndarray, k: int,
+             rng: np.random.Generator) -> tuple[NormalMixture | None, bool]:
     """One seeded EM run: (mixture, decreased).
 
     The mixture is None when a component collapsed, or when the
@@ -142,7 +131,7 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator,
 
     last_ll = -np.inf
     floor = 1e-6 * sd_all
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         logp = (np.log(w)[None, :] - np.log(sd)[None, :] - np.log(SQRT_2PI)
                 - 0.5 * ((x[:, None] - mu[None, :]) / sd[None, :]) ** 2)
         m = logp.max(axis=1, keepdims=True)
@@ -160,20 +149,20 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator,
         sd = np.sqrt(var)
         if np.any(sd < floor):
             return None, False
-        if ll - last_ll < tol and np.isfinite(last_ll):
+        if ll - last_ll < EM_TOL and np.isfinite(last_ll):
             last_ll = ll
             break
         last_ll = ll
     return NormalMixture(weights=w / w.sum(), means=mu, sds=sd), False
 
 
-def em_fit_mixture(data, k: int, seed: int, *, max_iter: int = 200,
-                   tol: float = 1e-8, restarts: int = 5) -> FittedStart:
+def em_fit_mixture(data, k: int, seed: int) -> FittedStart:
     """Fit a k-component normal mixture start by EM.
 
-    Deterministic for a fixed seed.  A run that collapses a component below
-    1e-6 of the sample scale is restarted (fresh seeding) up to `restarts`
-    times before giving up.
+    Deterministic for a fixed seed.  A run stops after EM_MAX_ITER
+    iterations or once the log-likelihood gains less than EM_TOL.  A run
+    that collapses a component below 1e-6 of the sample scale is restarted
+    (fresh seeding) up to EM_RESTARTS times before giving up.
     """
     x = _as_clean_sample(data)
     if k < 1:
@@ -183,14 +172,14 @@ def em_fit_mixture(data, k: int, seed: int, *, max_iter: int = 200,
     if x.std() == 0.0:
         raise ValueError("sample variance is zero")
     rng = np.random.Generator(np.random.Philox(seed))
-    for _ in range(restarts):
-        mix, decreased = _em_once(x, k, rng, max_iter, tol)
+    for _ in range(EM_RESTARTS):
+        mix, decreased = _em_once(x, k, rng)
         if decreased:
             raise RuntimeError("EM log-likelihood decreased between iterations; "
                                "the fit is numerically unstable for this sample")
         if mix is not None:
             return FittedStart("normal_mixture", {"mixture": mix})
-    raise RuntimeError(f"EM produced a degenerate component in {restarts} restarts")
+    raise RuntimeError(f"EM produced a degenerate component in {EM_RESTARTS} restarts")
 
 
 def _positive_part(pdf, x):
@@ -248,9 +237,7 @@ def _clip_edges(s: FittedStart) -> tuple[float, float]:
         return (float(stats.gamma.ppf(p_lo, a, scale=1.0 / b)),
                 float(stats.gamma.ppf(1.0 - p_lo, a, scale=1.0 / b)))
     if s.family == "normal_mixture":
-        mx: NormalMixture = s.params["mixture"]
-        mu0 = float(np.sum(mx.weights * mx.means))
-        sd0 = float(np.sqrt(np.sum(mx.weights * (mx.sds**2 + (mx.means - mu0) ** 2))))
+        mu0, sd0 = mixture_moments(s.params["mixture"])
         return mu0 - c * sd0, mu0 + c * sd0
     raise ValueError(f"clipping undefined for family {s.family!r}")
 

@@ -12,6 +12,7 @@ from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
 from semistart.kernels import eval_scaled, kernel_props, row_blocks
+from semistart.multivariate import MvEstimate, mv_bandwidth, sphere
 from semistart.starts import FittedStart, eval_start, fit_start
 
 from conftest import phi, phi_scaled
@@ -229,6 +230,46 @@ def test_select_rejects_an_unknown_method():
     x = mixture_sample(marron_wand(2), 50, seed=43)
     with pytest.raises(ValueError, match="'lscv'"):
         select("lscv", x, fit_start("normal", x), G)
+
+
+def _bad_column(bad):
+    x = np.linspace(-2.0, 2.0, 40)
+    x[7] = bad
+    return x
+
+
+def _bad_matrix(bad):
+    x = np.column_stack([np.linspace(-2.0, 2.0, 40), np.sin(np.arange(40.0))])
+    x[7, 1] = bad
+    return x
+
+
+NORMAL = FittedStart("normal", {"mu": 0.0, "sd": 1.0})
+SELECTOR_CALLS = {
+    "rule_delta": lambda x: rule_delta(x, G),
+    "rule_gamma": lambda x: rule_gamma(x, G),
+    "select_bcv": lambda x: select("bcv", x, NORMAL, G),
+    "bcv": lambda x: bcv(x, NORMAL, G, [0.3, 0.6]),
+    "ucv": lambda x: ucv(x, NORMAL, G, [0.3, 0.6]),
+    "plugin_roughness": lambda x: plugin_roughness(x, NORMAL, G, 0.3),
+}
+MATRIX_CALLS = {
+    "sphere": sphere,
+    "mv_bandwidth": mv_bandwidth,
+    "MvEstimate": lambda x: MvEstimate(x, np.zeros(2), np.eye(2), 0.4),
+    "MvEstimate.fit": lambda x: MvEstimate.fit(x, 0.4),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", list(SELECTOR_CALLS) + list(MATRIX_CALLS))
+def test_selectors_and_mv_path_reject_non_finite_data(name, bad):
+    if name in SELECTOR_CALLS:
+        call, data, where = SELECTOR_CALLS[name], _bad_column(bad), "7"
+    else:
+        call, data, where = MATRIX_CALLS[name], _bad_matrix(bad), "7, 1"
+    with pytest.raises(ValueError, match=rf"index {where} is not finite"):
+        call(data)
 
 
 @pytest.mark.parametrize("method", ["plugin", "bcv", "ucv"])

@@ -240,6 +240,21 @@ def test_blocked_evaluation_is_bit_identical(case):
     assert np.array_equal(correction_curve(est, np.ravel(x)).r_hat, r_want.ravel())
 
 
+@pytest.mark.parametrize("shape", ["gaussian", "epanechnikov", "uniform"])
+@pytest.mark.parametrize("x", [0.3, np.array(0.3), np.linspace(-3.0, 3.0, 12).reshape(3, 4)],
+                         ids=["float", "zero_d", "shaped"])
+def test_kernel_estimate_is_the_literal_mean(shape, x):
+    # n above the block size: one grid row per block
+    K = kernel_props(shape)
+    data = np.random.default_rng(33).normal(0.0, 1.0, BLOCK_ELEMENTS + 5)
+    got = estimate_kernel(data, K, 0.4, x)
+    want = np.mean(eval_scaled(K, 0.4, data - np.asarray(x)[..., None]), axis=-1)
+    assert np.shape(got) == np.shape(x)
+    assert np.array_equal(got, want)
+    if np.ndim(x) == 0:
+        assert type(got) is float
+
+
 def test_grid_evaluation_memory_is_bounded():
     # the working set is a fixed block, not the (161 x 5e4) matrix (about 64 MB)
     x = mixture_sample(marron_wand(2), 50_000, seed=10)

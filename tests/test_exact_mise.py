@@ -11,7 +11,7 @@ from semistart.exact_mise import (MiseDomainError, NewMiseInputs, benchmark_tabl
                                   mise_kernel, mise_new, optimal_h, r_f,
                                   reports_to_csv)
 
-from conftest import phi, phi_scaled
+from conftest import SQRT_2PI, SQRT_PI, phi, phi_scaled
 
 
 def test_gaussian_product_single_factor():
@@ -42,6 +42,27 @@ def test_r_f_quadrature_all_cases():
         lo, hi = m.support_window()
         val, _ = quad(lambda x: mixture_pdf(m, x) ** 2, lo, hi, limit=800, epsabs=1e-12)
         assert r_f(m) == pytest.approx(val, abs=1e-10, rel=1e-9)
+
+
+def test_r_f_is_the_overlap_of_mise_kernel():
+    # both equal the two inline formulas they replaced, bit for bit
+    for case in range(1, 16):
+        m = marron_wand(case)
+        sij = np.sqrt(m.sds[:, None] ** 2 + m.sds[None, :] ** 2)
+        dij = (m.means[None, :] - m.means[:, None]) / sij
+        pij = m.weights[:, None] * m.weights[None, :]
+        assert r_f(m) == float(np.sum(pij * np.exp(-0.5 * dij**2) / (SQRT_2PI * sij)))
+        s2 = m.sds[:, None] ** 2 + m.sds[None, :] ** 2
+        d = m.means[None, :] - m.means[:, None]
+
+        def overlap(extra):
+            s = np.sqrt(s2 + extra)
+            return float(np.sum(pij * np.exp(-0.5 * (d / s) ** 2) / (SQRT_2PI * s)))
+
+        for h, n in [(0.05, 25), (0.3, 100), (1.2, 1000)]:
+            want = ((1.0 - 1.0 / n) * overlap(2.0 * h * h) + 1.0 / (2.0 * SQRT_PI * n * h)
+                    - 2.0 * overlap(h * h) + overlap(0.0))
+            assert mise_kernel(m, h, n) == want
 
 
 def test_mise_kernel_table_value():

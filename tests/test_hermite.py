@@ -6,10 +6,24 @@ import pytest
 from scipy.integrate import quad
 
 from semistart.densities import mixture_sample, marron_wand
-from semistart.hermite import (classic_coeffs, hermite_overlap, hermite_poly,
-                               robust_coeffs, roughness_from_coeffs, HermiteCoeffs)
+from semistart.hermite import (classic_coeffs, hermite_poly, robust_coeffs,
+                               roughness_from_coeffs, HermiteCoeffs)
 
 from conftest import phi, SQRT_PI
+
+
+def hermite_overlap(j: int, k: int) -> float:
+    """A_{j,k} = int H_j(y) H_k(y) phi(y)^2 dy.
+
+    Zero for odd j + k; for j + k = 2p the value is
+    (-1)^(j+p) (2 sqrt(pi))^(-1) (2p)! / (p! 2^(2p)).
+    """
+    if (j + k) % 2 == 1:
+        return 0.0
+    p = (j + k) // 2
+    sign = -1.0 if (j + p) % 2 else 1.0
+    fact = math.factorial(2 * p) / (math.factorial(p) * 2.0 ** (2 * p))
+    return sign * fact / (2.0 * SQRT_PI)
 
 
 def test_polynomial_values():

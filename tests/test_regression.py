@@ -56,6 +56,12 @@ def test_constant_start_equals_classic():
     np.testing.assert_array_equal(gnw_estimate(fit, grid), nw_estimate(fit, grid))
 
 
+def test_classic_smoother_at_one_pair():
+    fit = RegressionFit([0.5], [2.0], G, 0.2, fit_mean_start([0.0, 1.0], [1.0, 3.0]))
+    assert nw_estimate(fit, 0.6) == 2.0
+    assert gnw_estimate(fit, 0.5) == 2.0
+
+
 def test_exact_mean_responses_are_reproduced():
     # when responses already equal the fitted line, the ratios collapse
     x = np.linspace(0.5, 2.5, 40)

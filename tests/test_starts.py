@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from semistart.densities import NormalMixture, mixture_sample
+from semistart.densities import NormalMixture, marron_wand, mixture_sample
 from semistart.starts import (FittedStart, _clip_edges, em_fit_mixture, eval_start,
                               fit_start, score)
 
@@ -161,15 +161,14 @@ def test_em_deterministic_and_validated():
         em_fit_mixture(x[:15], k=2, seed=0)  # fewer than 10 per component
 
 
-def test_start_json_round_trip():
-    s = fit_start("gamma", [1.0, 2.0, 3.0, 4.0])
-    s2 = FittedStart.from_json_dict(s.to_json_dict())
-    assert s2.family == "gamma"
-    assert s2.params == pytest.approx(s.params)
-    mix = NormalMixture(weights=[0.3, 0.7], means=[0.0, 1.0], sds=[1.0, 2.0])
-    sm = FittedStart("normal_mixture", {"mixture": mix})
-    sm2 = FittedStart.from_json_dict(sm.to_json_dict())
-    np.testing.assert_allclose(sm2.params["mixture"].means, mix.means)
+def test_mixture_clip_edges_use_the_mixture_moments():
+    # the edges equal the inline moment formula they replaced, bit for bit
+    for case in range(1, 16):
+        mx = marron_wand(case)
+        mu0 = float(np.sum(mx.weights * mx.means))
+        sd0 = float(np.sqrt(np.sum(mx.weights * (mx.sds**2 + (mx.means - mu0) ** 2))))
+        s = FittedStart("normal_mixture", {"mixture": mx})
+        assert _clip_edges(s) == (mu0 - 2.5 * sd0, mu0 + 2.5 * sd0)
 
 
 def _one_point_starts():
