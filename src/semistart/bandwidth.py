@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import hermite
 from .kernels import SQRT_2PI, KernelSpec, eval_scaled, row_blocks
@@ -106,15 +105,15 @@ def rule_delta(data, kernel: KernelSpec) -> BandwidthChoice:
     return _moment_rule(data, kernel, hermite.robust_coeffs(data, max_j=5), "rule_delta")
 
 
-def _pair_sum(n: int, block, symmetric: bool) -> float:
-    """Sum of an n x n pair matrix, filled one row block at a time.
+def _pair_matrix(n: int, block, symmetric: bool) -> np.ndarray:
+    """An n x n pair matrix, filled one row block at a time.
 
     block(rows, cols) returns the matrix entries for two index slices.  The
-    blocks land in one preallocated n x n buffer that a single np.sum
-    reduces, so the result is bit-identical to summing the matrix built in
-    one piece, while the temporaries of each block stay small.  A symmetric
-    matrix is filled from its upper block triangle and mirrored, which halves
-    the work; its entries must then be exactly symmetric in floating point.
+    blocks land in one preallocated n x n buffer, so the matrix is the one
+    built in one piece, while the temporaries of each block stay small.  A
+    symmetric matrix is filled from its upper block triangle and mirrored,
+    which halves the work; its entries must then be exactly symmetric in
+    floating point.
     """
     buf = np.empty((n, n))
     for rows in row_blocks(n, n):
@@ -124,7 +123,16 @@ def _pair_sum(n: int, block, symmetric: bool) -> float:
             buf[rows.stop:, rows] = part[:, rows.stop - rows.start:].T
         else:
             buf[rows] = block(rows, slice(0, n))
-    return float(np.sum(buf))
+    return buf
+
+
+def _pair_sum(n: int, block, symmetric: bool) -> float:
+    """Sum of the pair matrix of _pair_matrix.
+
+    A single np.sum reduces the whole buffer, so the result is bit-identical
+    to summing the matrix built in one piece.
+    """
+    return float(np.sum(_pair_matrix(n, block, symmetric)))
 
 
 def _normal_log_ratio(u: np.ndarray, sd: float, h: float) -> np.ndarray:
@@ -237,11 +245,15 @@ def _plugin_quadrature(x: np.ndarray, start: FittedStart, h: float) -> float:
     if np.any(den <= 0):
         raise ValueError("start density vanishes at a data point")
 
+    norm = x.size * h**3
+
     def integrand(t):
         z = (t - x) / h
-        rpp = np.sum((z * z - 1.0) * np.exp(-0.5 * z * z) / SQRT_2PI / den) / (x.size * h**3)
+        zz = z * z  # -0.5 * zz is -0.5 * z * z to the bit: scaling by 0.5 is exact
+        rpp = ((zz - 1.0) * np.exp(-0.5 * zz) / SQRT_2PI / den).sum() / norm
         return (eval_start(f0, t) * rpp) ** 2
 
+    from scipy.integrate import quad
     lo = float(x.min()) - 10.0 * h
     hi = float(x.max()) + 10.0 * h
     val, _ = quad(integrand, lo, hi, limit=400)
@@ -307,6 +319,8 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
     if start.family == "normal":
         return _normal_square_integral(x, start.params["mu"], start.params["sd"], h)
     # generic: numeric integral of the squared estimate with the raw start
+    from scipy.integrate import quad
+
     from .estimator import DensityEstimate, estimate_semiparametric
     from .kernels import kernel_props
     est = DensityEstimate(x, kernel_props("gaussian"), h, start.unclipped())
@@ -377,16 +391,21 @@ def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
         raise ValueError("bandwidth grid must be positive")
 
     ratio = _loo_ratio(x, start)  # the same for every h
-    loo = np.empty(n)
     curve = np.empty_like(h_grid)
     for idx, h in enumerate(h_grid):
-        for r in row_blocks(n, n):
-            W = eval_scaled(kernel, h, x[None, :] - x[r, None])
-            if ratio is not None:
-                W *= ratio[r]
-            W[np.arange(r.stop - r.start), np.arange(r.start, r.stop)] = 0.0
-            loo[r] = W.sum(axis=1) / (n - 1)
-        curve[idx] = _ucv_integral_term(x, start, h) - 2.0 * float(loo.mean())
+        # the integral term first: its own pair buffer is freed before W is
+        # built, so at most two n x n buffers (ratio and W) are alive at once
+        term = _ucv_integral_term(x, start, h)
+        # the kernel matrix is exactly symmetric: x_j - x_i == -(x_i - x_j)
+        # and (-0.5 * z) * z is even in z, so mirroring changes no bit
+        W = _pair_matrix(n, lambda r, c: eval_scaled(kernel, h, x[None, c] - x[r, None]),
+                         symmetric=True)
+        if ratio is not None:
+            W *= ratio
+        np.fill_diagonal(W, 0.0)
+        loo = W.sum(axis=1) / (n - 1)
+        del W
+        curve[idx] = term - 2.0 * float(loo.mean())
     h_best, k = _grid_pick(h_grid, curve)
     return BandwidthChoice(h_best, "ucv",
                            {"h_grid": h_grid, "curve": curve, "index": k})

@@ -17,8 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .kernels import SQRT_2PI
 
@@ -212,6 +210,9 @@ def _integrate_abs(g, lo: float, hi: float, scan: int = 4096) -> float:
     Plain adaptive quadrature stalls on the kinks of |g|; between two sign
     changes g is smooth and int |g| = |int g|.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     xs = np.linspace(lo, hi, scan + 1)
     vals = g(xs)
     sgn = np.sign(vals)
@@ -235,6 +236,8 @@ def l1_measures(m: NormalMixture) -> L1Report:
     overall-moment window alone truncates mixtures with one wide and one
     narrow component.
     """
+    from scipy.integrate import quad
+
     lo, hi = m.support_window()
     iab_trad = _integrate_abs(lambda x: bias_factors(m, x)[0], lo, hi)
     iab_new = _integrate_abs(lambda x: bias_factors(m, x)[1], lo, hi)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernels import KernelSpec, eval_scaled, row_blocks
 from .starts import FittedStart, _require_finite, eval_start
@@ -178,6 +177,7 @@ def integral_of_estimate(e: DensityEstimate) -> tuple[float, float | None]:
             val = float(np.mean(np.exp(0.5 * h2 * (e.data - mu) ** 2 /
                                        (sd * sd * (sd * sd + h2)))))
             return val / np.sqrt(1.0 + h2 / (sd * sd)), approx
+    from scipy.integrate import quad
     lo = float(e.data.min()) - 12.0 * e.h
     hi = float(e.data.max()) + 12.0 * e.h
     est = e if not e.normalize else DensityEstimate(e.data, e.kernel, e.h, e.start)

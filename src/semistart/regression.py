@@ -41,17 +41,22 @@ class MeanStart:
 
 
 def fit_mean_start(x, y, kind: str = "linear") -> MeanStart:
-    """Least-squares constant or straight-line mean fit."""
+    """Least-squares constant or straight-line mean fit.
+
+    The constant fit needs one (x, y) pair, the straight line two.
+    """
     if kind not in MEAN_KINDS:
         raise ValueError(f"mean start kind must be one of {MEAN_KINDS}")
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size or x.size < 2:
-        raise ValueError("need at least 2 (x, y) pairs")
+    if x.size != y.size or x.size == 0:
+        raise ValueError("x and y must be equal-length and nonempty")
     _require_finite(x)
     _require_finite(y)
     if kind == "constant":
         return MeanStart("constant", np.array([float(y.mean())]))
+    if x.size < 2:
+        raise ValueError("the linear mean start needs at least 2 (x, y) pairs")
     if np.ptp(x) == 0.0:
         raise ValueError("all x equal: the linear fit is degenerate")
     design = np.column_stack([np.ones_like(x), x])

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
-from scipy import special, stats
 
 from .densities import NormalMixture, mixture_moments, mixture_pdf
 from .kernels import SQRT_2PI
@@ -213,9 +212,10 @@ def _raw_pdf(s: FittedStart, x):
             return np.exp(-0.5 * (z * z)) / (SQRT_2PI * sd * xp)
         return _positive_part(pdf, x)
     if s.family == "gamma":
+        from scipy.special import gammaln
         a, b = s.params["alpha"], s.params["beta"]
         return _positive_part(lambda xp: np.exp(
-            a * np.log(b) + (a - 1.0) * np.log(xp) - b * xp - special.gammaln(a)), x)
+            a * np.log(b) + (a - 1.0) * np.log(xp) - b * xp - gammaln(a)), x)
     if s.family == "normal_mixture":
         out = mixture_pdf(s.params["mixture"], x)
         return out if isinstance(x, float) else np.atleast_1d(out)
@@ -232,6 +232,7 @@ def _clip_edges(s: FittedStart) -> tuple[float, float]:
         mu, sd = s.params["mu"], s.params["sd"]
         return float(np.exp(mu - c * sd)), float(np.exp(mu + c * sd))
     if s.family == "gamma":
+        from scipy import stats
         a, b = s.params["alpha"], s.params["beta"]
         p_lo = stats.norm.cdf(-c)
         return (float(stats.gamma.ppf(p_lo, a, scale=1.0 / b)),
@@ -300,8 +301,9 @@ def score(s: FittedStart, x):
         lx = np.log(x)
         return np.stack([(lx - mu) / sd**2, ((lx - mu) ** 2 - sd**2) / sd**3], axis=-1)
     if s.family == "gamma":
+        from scipy.special import digamma
         a, b = s.params["alpha"], s.params["beta"]
-        return np.stack([np.log(b) + np.log(x) - special.digamma(a),
+        return np.stack([np.log(b) + np.log(x) - digamma(a),
                          np.full_like(x, a / b) - x], axis=-1)
     if s.family == "normal_mixture":
         mx: NormalMixture = s.params["mixture"]

@@ -13,7 +13,7 @@ from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
 from semistart.kernels import eval_scaled, kernel_props, row_blocks
 from semistart.multivariate import MvEstimate, mv_bandwidth, sphere
-from semistart.starts import FittedStart, eval_start, fit_start
+from semistart.starts import FittedStart, em_fit_mixture, eval_start, fit_start
 
 from conftest import phi, phi_scaled
 
@@ -415,6 +415,17 @@ def test_pair_sums_bit_identical_to_full_matrix(family, n):
     assert np.array_equal(ch.diagnostics["curve"], want)
     assert np.array_equal(ucv(x, start, G, h_grid).diagnostics["curve"],
                           _full_ucv_curve(x, start, h_grid))
+
+
+@pytest.mark.parametrize("family", ["lognormal", "gamma", "normal_mixture"])
+def test_plugin_quadrature_matches_the_untrimmed_integrand(family):
+    # _full_plugin_raw integrates the plug-in statistic as written before its
+    # integrand computed z * z once and hoisted n h^3: not a bit may move
+    x = np.exp(np.random.default_rng(77).normal(0.1, 0.6, 300))
+    start = (em_fit_mixture(x, 2, seed=3) if family == "normal_mixture"
+             else fit_start(family, x))
+    for h in (0.08, 0.3, 0.9):
+        assert plugin_roughness(x, start, G, h)[0] == _full_plugin_raw(x, start, h)
 
 
 def _peak_mb(fn):

@@ -108,6 +108,17 @@ def test_regress_roundtrip(tmp_path):
         assert float(row[1]) == pytest.approx(2 * float(row[0]) + 1, abs=0.15)
 
 
+def test_regress_at_one_pair(tmp_path, capsys):
+    pairs = tmp_path / "one.csv"
+    pairs.write_text("0.5,2.0\n")
+    out = tmp_path / "reg.csv"
+    argv = ["regress", "--input", str(pairs), "--h", "0.2", "--grid", "0,1,3"]
+    assert run(argv + ["--mean-start", "constant", "--out", str(out)]) == 0
+    assert out.read_text() == "x,m_hat,m_classic\n0,2,2\n0.5,2,2\n1,2,2\n"
+    assert run(argv + ["--mean-start", "linear", "--out", str(out)]) == 1
+    assert "linear mean start needs at least 2" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     mix = tmp_path / "mix.json"
     mix.write_text(mixture_to_json(marron_wand(6)))

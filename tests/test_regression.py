@@ -62,6 +62,13 @@ def test_classic_smoother_at_one_pair():
     assert gnw_estimate(fit, 0.5) == 2.0
 
 
+def test_constant_mean_start_fits_one_pair():
+    fit = RegressionFit.fit([0.5], [2.0], G, 0.2, kind="constant")
+    assert gnw_estimate(fit, 0.6) == nw_estimate(fit, 0.6) == 2.0
+    with pytest.raises(ValueError, match="linear mean start needs at least 2"):
+        RegressionFit.fit([0.5], [2.0], G, 0.2, kind="linear")
+
+
 def test_exact_mean_responses_are_reproduced():
     # when responses already equal the fitted line, the ratios collapse
     x = np.linspace(0.5, 2.5, 40)
