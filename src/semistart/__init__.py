@@ -7,7 +7,7 @@ from .densities import (L1Report, NormalMixture, RoughnessReport, bias_factors,
                         mixture_pdf, mixture_sample, mixture_to_json, roughness)
 from .estimator import (CorrectionCurve, DensityEstimate, correction_curve,
                         estimate_kernel, estimate_semiparametric, integral_of_estimate)
-from .exact_mise import (MiseDomainError, MiseReport, NewMiseInputs, benchmark_table,
+from .exact_mise import (MiseDomainError, MiseReport, benchmark_table,
                          gaussian_product_integral, h_domain_cap, ise_new, mise_kernel,
                          mise_new, optimal_h, r_f, reports_to_csv)
 from .hermite import (HermiteCoeffs, classic_coeffs, hermite_poly, robust_coeffs,

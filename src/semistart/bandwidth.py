@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hermite
 from .kernels import SQRT_2PI, KernelSpec, eval_scaled, row_blocks
-from .starts import FittedStart, _require_finite, eval_start, fit_start
+from .starts import FittedStart, _require_finite, eval_start
 
 __all__ = [
     "BandwidthChoice",
@@ -102,7 +102,7 @@ def rule_gamma(data, kernel: KernelSpec) -> BandwidthChoice:
 
 def rule_delta(data, kernel: KernelSpec) -> BandwidthChoice:
     """Plug-in via the bounded robust coefficients (degrees 2..5)."""
-    return _moment_rule(data, kernel, hermite.robust_coeffs(data, max_j=5), "rule_delta")
+    return _moment_rule(data, kernel, hermite.robust_coeffs(data), "rule_delta")
 
 
 def _pair_matrix(n: int, block, symmetric: bool) -> np.ndarray:
@@ -411,7 +411,7 @@ def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
                            {"h_grid": h_grid, "curve": curve, "index": k})
 
 
-def rule_plugin(data, start: FittedStart | None, kernel: KernelSpec) -> BandwidthChoice:
+def rule_plugin(data, start: FittedStart, kernel: KernelSpec) -> BandwidthChoice:
     """Pilot-then-correct plug-in rule.
 
     Takes the robust moment rule's bandwidth as the pilot, estimates the
@@ -420,8 +420,6 @@ def rule_plugin(data, start: FittedStart | None, kernel: KernelSpec) -> Bandwidt
     """
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
-    if start is None:
-        start = fit_start("normal", x)
     delta_choice = rule_delta(x, kernel)
     h_os = delta_choice.diagnostics["h_os"]
     raw, debiased = plugin_roughness(x, start, kernel, delta_choice.h)

@@ -57,9 +57,6 @@ class DensityEstimate:
     def n(self) -> int:
         return self.data.size
 
-    def __call__(self, x):
-        return estimate_semiparametric(self, x)
-
 
 def estimate_kernel(data, kernel: KernelSpec, h: float, x):
     """Plain kernel density estimate (1/n) sum K_h(X_i - x): the constant start."""
@@ -106,8 +103,7 @@ def _normalizing_mass(e: DensityEstimate) -> float:
     """Raw total mass, cached on the (frozen) estimate after the first use."""
     cached = e.__dict__.get("_mass")
     if cached is None:
-        cached = integral_of_estimate(
-            DensityEstimate(e.data, e.kernel, e.h, e.start))[0]
+        cached = integral_of_estimate(e)[0]
         object.__setattr__(e, "_mass", cached)
     return cached
 

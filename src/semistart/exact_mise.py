@@ -32,7 +32,6 @@ from .kernels import SQRT_2PI, SQRT_PI
 
 __all__ = [
     "MiseDomainError",
-    "NewMiseInputs",
     "MiseReport",
     "gaussian_product_integral",
     "r_f",
@@ -47,6 +46,9 @@ __all__ = [
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# optimal_h: points of the coarse scan, and the width at which refining stops
+SCAN_POINTS = 128
+TOL = 1e-9
 
 
 class MiseDomainError(ValueError):
@@ -107,65 +109,51 @@ def mise_kernel(m: NormalMixture, h: float, n: int) -> float:
             + r_f(m))
 
 
-@dataclass(frozen=True, eq=False)
-class NewMiseInputs:
-    """Mixture truth plus the start parameters used by the exact formula."""
-
-    mixture: NormalMixture
-    mu0: float
-    sd0: float
-    h: float
-
-    def __post_init__(self):
-        if self.sd0 <= 0:
-            raise ValueError("start scale must be positive")
-        if self.h <= 0:
-            raise ValueError("bandwidth h must be positive")
-
-
 def _radicands(m: NormalMixture, sd0: float, h: float):
-    """All squared helper quantities; every one must be strictly positive."""
+    """The squared helper quantities (b2, e2, c2, k2, f2) of the formula.
+
+    Raises MiseDomainError naming the first one that is not strictly
+    positive, in that order.
+    """
     al = 1.0 / m.sds**2
     be = 1.0 / sd0**2
     h2 = h * h
-    b2 = 1.0 + h2 * (al - be)
-    e2 = 2.0 + h2 * (al - 2.0 * be)
-    out = {"b": b2, "e": e2}
-    if np.all(b2 > 0):
-        c2 = (al[:, None] + al[None, :]
-              - (al[:, None] - be) ** 2 * h2 / b2[:, None]
-              - (al[None, :] - be) ** 2 * h2 / b2[None, :])
-        k2 = al[:, None] + al[None, :] - (al[:, None] - be) ** 2 * h2 / b2[:, None]
-        out["c"] = c2
-        out["k"] = k2
-    if np.all(e2 > 0):
-        out["f"] = al - (al - 2.0 * be) ** 2 * h2 / e2
-    return out
+
+    def check(name, v):
+        if not np.all(v > 0):
+            raise MiseDomainError(
+                f"mise formula domain violated: term {name}^2 <= 0 at h={h!r}")
+        return v
+
+    b2 = check("b", 1.0 + h2 * (al - be))
+    e2 = check("e", 2.0 + h2 * (al - 2.0 * be))
+    k2 = al[:, None] + al[None, :] - (al[:, None] - be) ** 2 * h2 / b2[:, None]
+    c2 = check("c", k2 - (al[None, :] - be) ** 2 * h2 / b2[None, :])
+    check("k", k2)
+    f2 = check("f", al - (al - 2.0 * be) ** 2 * h2 / e2)
+    return b2, e2, c2, k2, f2
 
 
-def mise_new(inputs: NewMiseInputs, n: int) -> float:
-    """Exact mise(h) of the true-parameter corrected estimator.
+def mise_new(m: NormalMixture, mu0: float, sd0: float, h: float, n: int) -> float:
+    """Exact mise(h) of the corrected estimator with the N(mu0, sd0^2) start.
 
     Internally the problem is translated so the start is centred at 0; the
     value is translation invariant and the exponentials stay balanced.
     """
+    if sd0 <= 0:
+        raise ValueError("start scale must be positive")
+    if h <= 0:
+        raise ValueError("bandwidth h must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    m = inputs.mixture
-    h, sd0 = inputs.h, inputs.sd0
-    rad = _radicands(m, sd0, h)
-    for name in ("b", "e", "c", "k", "f"):
-        if name not in rad or not np.all(rad[name] > 0):
-            raise MiseDomainError(
-                f"mise formula domain violated: term {name}^2 <= 0 at h={h!r}")
+    b2, e2, c2, k2, f2 = _radicands(m, sd0, h)
 
     p = m.weights
-    mm = m.means - inputs.mu0  # centred component locations
+    mm = m.means - mu0  # centred component locations
     sd = m.sds
     al = 1.0 / sd**2
     be = 1.0 / sd0**2
     h2 = h * h
-    b2, e2, c2, k2, f2 = rad["b"], rad["e"], rad["c"], rad["k"], rad["f"]
 
     log_phi_i = _log_phi_scaled(sd, mm)  # log phi_{sd_i}(mm_i)
     ma = mm * al
@@ -208,9 +196,11 @@ def h_domain_cap(m: NormalMixture, sd0: float, h_max: float = np.inf) -> float:
     """
 
     def ok(h):
-        rad = _radicands(m, sd0, h)
-        return all(name in rad and np.all(rad[name] > 0)
-                   for name in ("b", "e", "c", "k", "f"))
+        try:
+            _radicands(m, sd0, h)
+        except MiseDomainError:
+            return False
+        return True
 
     hi = min(h_max, 1e6 * sd0)
     if ok(hi):
@@ -261,8 +251,8 @@ def ise_new(data, mu_hat: float, sd_hat: float, h: float, m: NormalMixture) -> f
     return a_term - 2.0 * b_term + r_f(m)
 
 
-def optimal_h(curve: Callable[[float], float], bracket: tuple[float, float],
-              scan_points: int = 64, tol: float = 1e-8) -> tuple[float, float]:
+def optimal_h(curve: Callable[[float], float],
+              bracket: tuple[float, float]) -> tuple[float, float]:
     """Minimise a bandwidth curve: coarse scan, then golden-section refine.
 
     The scan guards against multimodal curves (comb-like truths produce two
@@ -274,15 +264,15 @@ def optimal_h(curve: Callable[[float], float], bracket: tuple[float, float],
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
 
-    def scan(k):
+    def scan_curve(k):
         hs = np.linspace(lo, hi, k)
         vals = np.array([curve(h) for h in hs])
         interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
         return hs, vals, int(np.count_nonzero(interior))
 
-    hs, vals, n_min = scan(scan_points)
+    hs, vals, n_min = scan_curve(SCAN_POINTS)
     if n_min > 1:
-        hs, vals, _ = scan(4 * scan_points)
+        hs, vals, _ = scan_curve(4 * SCAN_POINTS)
     k = int(np.argmin(vals))
     a = hs[max(k - 1, 0)]
     b = hs[min(k + 1, hs.size - 1)]
@@ -291,7 +281,7 @@ def optimal_h(curve: Callable[[float], float], bracket: tuple[float, float],
     c = b - INV_GOLDEN * (b - a)
     d = a + INV_GOLDEN * (b - a)
     fc, fd = curve(c), curve(d)
-    while b - a > tol:
+    while b - a > TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - INV_GOLDEN * (b - a)
@@ -320,14 +310,13 @@ def _benchmark_row(case: int, n: int) -> MiseReport:
     mu0, sd0 = mixture_moments(m)
     cap = h_domain_cap(m, sd0, h_max=3.0 * sd0)
     hi = min(3.0 * sd0, 0.98 * cap)
-    curve_new = lambda h: mise_new(NewMiseInputs(m, mu0, sd0, h), n)
-    h_new, mise_n = optimal_h(curve_new, (0.01 * sd0, hi), scan_points=128, tol=1e-9)
+    curve_new = lambda h: mise_new(m, mu0, sd0, h, n)
+    h_new, mise_n = optimal_h(curve_new, (0.01 * sd0, hi))
     if hi < 3.0 * sd0 and hi - h_new < 1e-3 * sd0:
         raise MiseDomainError(
             f"case {case}, n={n}: optimum pinned at the formula's domain cap")
     curve_trad = lambda h: mise_kernel(m, h, n)
-    h_trad, mise_t = optimal_h(curve_trad, (0.01 * sd0, 3.0 * sd0),
-                               scan_points=128, tol=1e-9)
+    h_trad, mise_t = optimal_h(curve_trad, (0.01 * sd0, 3.0 * sd0))
     return MiseReport(str(case), n, h_new, mise_n, h_trad, mise_t, mise_n / mise_t)
 
 

@@ -31,11 +31,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class HermiteCoeffs:
-    """Expansion coefficients around N(center, scale^2), indexed from 0."""
+    """Expansion coefficients around a normal of scale `scale`, indexed from 0."""
 
     kind: str  # "classic_gamma" | "robust_delta"
     values: np.ndarray
-    center: float
     scale: float
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ def hermite_poly(j: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def _standardize(data) -> tuple[np.ndarray, float, float]:
+def _standardize(data) -> tuple[np.ndarray, float]:
     x = np.asarray(data, dtype=float)
     _require_finite(x)
     if x.size < 2:
@@ -67,7 +66,7 @@ def _standardize(data) -> tuple[np.ndarray, float, float]:
     sd = float(x.std())  # maximum-likelihood scale (n denominator)
     if sd == 0.0:
         raise ValueError("sample variance is zero")
-    return (x - mu) / sd, mu, sd
+    return (x - mu) / sd, sd
 
 
 def classic_coeffs(data) -> HermiteCoeffs:
@@ -77,25 +76,23 @@ def classic_coeffs(data) -> HermiteCoeffs:
     sample moment; all three vanish for normal data.  (g4 is the excess
     kurtosis: the Hermite coefficient E H_4, not the raw fourth moment.)
     """
-    z, mu, sd = _standardize(data)
+    z, sd = _standardize(data)
     if z.size < 5:
         raise ValueError("need at least 5 observations for moment coefficients")
     m3 = float(np.mean(z**3))
     m4 = float(np.mean(z**4))
     m5 = float(np.mean(z**5))
     vals = np.array([1.0, 0.0, 0.0, m3, m4 - 3.0, m5 - 10.0 * m3])
-    return HermiteCoeffs("classic_gamma", vals, mu, sd)
+    return HermiteCoeffs("classic_gamma", vals, sd)
 
 
-def robust_coeffs(data, max_j: int = 5) -> HermiteCoeffs:
-    """Bounded-summand coefficients d_j = mean of sqrt(2) H_j(sqrt(2) z) exp(-z^2/2)."""
-    if max_j < 2:
-        raise ValueError("max_j must be at least 2")
-    z, mu, sd = _standardize(data)
+def robust_coeffs(data) -> HermiteCoeffs:
+    """Bounded-summand coefficients d_j = mean of sqrt(2) H_j(sqrt(2) z) exp(-z^2/2), j = 0..5."""
+    z, sd = _standardize(data)
     w = np.sqrt(2.0) * np.exp(-0.5 * z * z)
     vals = np.array([float(np.mean(w * hermite_poly(j, np.sqrt(2.0) * z)))
-                     for j in range(max_j + 1)])
-    return HermiteCoeffs("robust_delta", vals, mu, sd)
+                     for j in range(6)])
+    return HermiteCoeffs("robust_delta", vals, sd)
 
 
 def roughness_from_coeffs(c: HermiteCoeffs) -> float:

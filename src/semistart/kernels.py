@@ -75,13 +75,12 @@ def _base_pdf(shape: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported kernel shape: {shape!r}")
 
 
-def eval_scaled(kernel: KernelSpec | str, h: float, z):
+def eval_scaled(kernel: KernelSpec, h: float, z):
     """K_h(z) = K(z/h)/h, vectorised over z.  Requires h > 0."""
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
-    shape = kernel.shape if isinstance(kernel, KernelSpec) else kernel
     z = np.asarray(z, dtype=float)
-    out = _base_pdf(shape, z / h) / h
+    out = _base_pdf(kernel.shape, z / h) / h
     return out if out.ndim else float(out)
 
 

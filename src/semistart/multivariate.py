@@ -4,8 +4,7 @@ Data are sphered (affinely mapped to zero mean and identity covariance), a
 single bandwidth smooths the sphered variables with a gaussian product
 kernel, and the standard multinormal acts as the start in sphered space.
 Mapping back multiplies by |cov|^(-1/2), which keeps the estimator an
-(approximate) density and makes it exactly affine equivariant.  A switch
-reproduces the same estimator without that determinant factor.
+(approximate) density and makes it exactly affine equivariant.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ from .starts import _require_finite
 __all__ = ["MvEstimate", "mv_kernel_estimate", "mv_estimate", "sphere", "mv_bandwidth"]
 
 _MIN_COND = 1e-10
+# Hermite expansion degree of the d-dimensional rule: multi-indices |J| <= 4
+MV_MAX_DEGREE = 4
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -101,7 +102,6 @@ class MvEstimate:
     cov: np.ndarray
     h: float
     clip: float | None = 2.5
-    normalized: bool = True  # include the |cov|^(-1/2) kernel factor
 
     def __post_init__(self):
         x = _as_matrix(self.data)
@@ -117,15 +117,14 @@ class MvEstimate:
             raise ValueError("covariance must be symmetric positive definite")
 
     @classmethod
-    def fit(cls, data, h: float, clip: float | None = 2.5,
-            normalized: bool = True) -> "MvEstimate":
+    def fit(cls, data, h: float, clip: float | None = 2.5) -> "MvEstimate":
         x = _as_matrix(data)
         _require_finite(x)  # before the moments, which inf would turn into nan
         if x.shape[0] < x.shape[1] + 1:
             raise ValueError("need at least d + 1 observations to fit moments")
         mean = x.mean(axis=0)
         xc = x - mean
-        return cls(x, mean, xc.T @ xc / x.shape[0], h, clip, normalized)
+        return cls(x, mean, xc.T @ xc / x.shape[0], h, clip)
 
 
 def mv_estimate(e: MvEstimate, x):
@@ -153,9 +152,7 @@ def mv_estimate(e: MvEstimate, x):
     half_logdet = 0.5 * float(np.linalg.slogdet(e.cov)[1])
     out = np.empty(yp.shape[0])
     for rows, sq in _pairwise_sq_blocks(yp, yd):
-        log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h)
-        if e.normalized:
-            log_kern = log_kern - half_logdet
+        log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - half_logdet
         log_ratio = -0.5 * q_pts[rows, None] + 0.5 * q_data[None, :]
         out[rows] = np.exp(log_kern + log_ratio).mean(axis=1)
     return float(out[0]) if single else out
@@ -167,22 +164,22 @@ def _multi_indices(d: int, total: int):
             yield j
 
 
-def mv_bandwidth(data, max_degree: int = 4) -> BandwidthChoice:
+def mv_bandwidth(data) -> BandwidthChoice:
     """Single sphered-space bandwidth from a robust product-Hermite expansion.
 
     Estimates the correction-factor roughness through the coefficients
     d_J = 2^(d/2) mean[ exp(-|Y_i|^2/2) prod_k H_{j_k}(sqrt(2) Y_{i,k}) ]
-    over multi-indices J with |J| <= max_degree, and plugs it into the
+    over multi-indices J with |J| <= MV_MAX_DEGREE, and plugs it into the
     d-dimensional optimal-h formula.  Degenerate (multinormal-looking) data
     clamp to the oversmoothing cap, flagged in the diagnostics.
     """
     y, mean, root = sphere(data)
     n, d = y.shape
     w = np.exp(-0.5 * np.sum(y * y, axis=1))
-    # per-axis Hermite values up to max_degree + 2
-    H = np.empty((d, max_degree + 3, n))
+    # per-axis Hermite values up to MV_MAX_DEGREE + 2
+    H = np.empty((d, MV_MAX_DEGREE + 3, n))
     for k in range(d):
-        for j in range(max_degree + 3):
+        for j in range(MV_MAX_DEGREE + 3):
             H[k, j] = hermite_poly(j, np.sqrt(2.0) * y[:, k])
 
     def delta(J):
@@ -192,13 +189,13 @@ def mv_bandwidth(data, max_degree: int = 4) -> BandwidthChoice:
         return 2.0 ** (d / 2.0) * float(prod_h.mean())
 
     brace = 0.0
-    for J in _multi_indices(d, max_degree):
+    for J in _multi_indices(d, MV_MAX_DEGREE):
         bumped = sum(delta(J[:k] + (J[k] + 2,) + J[k + 1:]) for k in range(d))
         fact = math.prod(math.factorial(jk) for jk in J)
         brace += bumped**2 / fact
 
     h_os = 1.144 * n ** (-1.0 / (d + 4.0))
-    diag = {"brace": brace, "h_os": h_os, "clamped": False, "max_degree": max_degree}
+    diag = {"brace": brace, "h_os": h_os, "clamped": False}
     if brace <= 1e-12:
         return BandwidthChoice(h_os, "mv_delta", {**diag, "clamped": True})
     h = (d / 4.0) ** (1.0 / (d + 4.0)) * brace ** (-1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0))

@@ -232,11 +232,11 @@ def _clip_edges(s: FittedStart) -> tuple[float, float]:
         mu, sd = s.params["mu"], s.params["sd"]
         return float(np.exp(mu - c * sd)), float(np.exp(mu + c * sd))
     if s.family == "gamma":
-        from scipy import stats
+        from scipy.special import gammaincinv, ndtr
         a, b = s.params["alpha"], s.params["beta"]
-        p_lo = stats.norm.cdf(-c)
-        return (float(stats.gamma.ppf(p_lo, a, scale=1.0 / b)),
-                float(stats.gamma.ppf(1.0 - p_lo, a, scale=1.0 / b)))
+        p_lo = ndtr(-c)
+        return (float(gammaincinv(a, p_lo) * (1.0 / b)),
+                float(gammaincinv(a, 1.0 - p_lo) * (1.0 / b)))
     if s.family == "normal_mixture":
         mu0, sd0 = mixture_moments(s.params["mixture"])
         return mu0 - c * sd0, mu0 + c * sd0

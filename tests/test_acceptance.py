@@ -101,8 +101,8 @@ def test_criterion_3_home_turf(capsys):
         cap = ss.h_domain_cap(m, sd, h_max=3.0 * sd)
         for n in (25, 1000):
             h_star, mise_star = ss.optimal_h(
-                lambda t: ss.mise_new(ss.NewMiseInputs(m, 0.0, sd, t), n),
-                (0.01 * sd, 0.98 * cap), scan_points=128, tol=1e-9)
+                lambda t: ss.mise_new(m, 0.0, sd, t, n),
+                (0.01 * sd, 0.98 * cap))
             worst_h = max(worst_h, abs(h_star - sd / np.sqrt(2.0)))
             target = 1.0 / (2.0 * SQRT_PI * sd * n)
             worst_rel = max(worst_rel, abs(mise_star - target) / target)
@@ -119,7 +119,7 @@ def test_criterion_4_flat_start_limit(capsys):
         m = ss.marron_wand(case)
         mu0, _ = ss.mixture_moments(m)
         for h in (0.2, 0.5, 1.0):
-            diff = abs(ss.mise_new(ss.NewMiseInputs(m, mu0, 1e4, h), 100)
+            diff = abs(ss.mise_new(m, mu0, 1e4, h, 100)
                        - ss.mise_kernel(m, h, 100))
             worst = max(worst, diff)
     ok = worst < 1e-6
@@ -136,7 +136,7 @@ def test_criterion_5_mise_formula_monte_carlo(capsys):
     for r in range(reps):
         x = ss.mixture_sample(m, n, seed=11_000 + r)
         vals[r] = ss.ise_new(x, mu0, sd0, h, m)
-    target = ss.mise_new(ss.NewMiseInputs(m, mu0, sd0, h), n)
+    target = ss.mise_new(m, mu0, sd0, h, n)
     se = vals.std(ddof=1) / np.sqrt(reps)
     z = (vals.mean() - target) / se
     elapsed = time.perf_counter() - t0
@@ -361,7 +361,7 @@ def test_criterion_9_cross_validation_near_unbiasedness(capsys):
         x = ss.mixture_sample(m, n, seed=6000 + r)
         ch = ss.ucv(x, fit_start("normal", x), G, [h])
         vals[r] = ch.diagnostics["curve"][0]
-    target = ss.mise_new(ss.NewMiseInputs(m, 0.0, 1.0, h), n)
+    target = ss.mise_new(m, 0.0, 1.0, h, n)
     se = vals.std(ddof=1) / np.sqrt(reps)
     z = (vals.mean() + ss.r_f(m) - target) / se
     ok = abs(z) <= 3.0

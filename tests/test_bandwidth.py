@@ -52,14 +52,14 @@ def test_amise_h_minimises_the_curve():
 
 def test_rule_gamma_substitution():
     # pure-kurtosis coefficients, unit scale, n = 100
-    cf = HermiteCoeffs("classic_gamma", [1, 0, 0, 0.0, 1.0, 0.0], 0.0, 1.0)
+    cf = HermiteCoeffs("classic_gamma", [1, 0, 0, 0.0, 1.0, 0.0], 1.0)
     h, _ = amise_h(G, roughness_from_coeffs(cf), 100)
     assert h == pytest.approx((4.0 / 3.0) ** 0.2 * 4.0**0.2 * 100**-0.2, rel=1e-12)
     assert h == pytest.approx(0.5564162, abs=5e-7)
 
 
 def test_rule_delta_substitution():
-    cf = HermiteCoeffs("robust_delta", [0.0, 0.0, 0.1, 0.0, 0.0, 0.0], 0.0, 1.0)
+    cf = HermiteCoeffs("robust_delta", [0.0, 0.0, 0.1, 0.0, 0.0, 0.0], 1.0)
     h, _ = amise_h(G, roughness_from_coeffs(cf), 100)
     assert h == pytest.approx(0.25**0.2 * 0.01**-0.2 * 100**-0.2, rel=1e-12)
     assert h == pytest.approx(0.7578583, abs=5e-7)

@@ -86,6 +86,19 @@ def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
     assert json.loads(proc.stdout) == []
 
 
+def test_gamma_start_loads_no_scipy_stats(tmp_path, inputs):
+    # the gamma clip edges come from scipy.special, not scipy.stats
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); import semistart.cli; "
+             "code = semistart.cli.run(sys.argv[2:]); "
+             "print(json.dumps([code] + sorted(m for m in sys.modules "
+             "if m.startswith('scipy.stats'))))")
+    argv = ["estimate", "--input", inputs["data"], "--start", "gamma",
+            "--grid", "0.2,4,25", "--out", inputs["out"]]
+    proc = _fresh(child, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0]
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--start", "gamma", "--grid", "0.2,4,25"],
     ["estimate", "--normalize", "--grid", "0.2,4,25"],

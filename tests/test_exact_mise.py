@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from semistart.densities import (NormalMixture, marron_wand, mixture_moments,
                                  mixture_pdf, mixture_sample)
-from semistart.exact_mise import (MiseDomainError, NewMiseInputs, benchmark_table,
+from semistart.exact_mise import (MiseDomainError, benchmark_table,
                                   gaussian_product_integral, h_domain_cap, ise_new,
                                   mise_kernel, mise_new, optimal_h, r_f,
                                   reports_to_csv)
@@ -95,7 +95,7 @@ def test_mise_kernel_monte_carlo():
 
 def test_mise_new_home_turf_value():
     m = marron_wand(1)
-    got = mise_new(NewMiseInputs(m, 0.0, 1.0, 1.0 / np.sqrt(2.0)), 100)
+    got = mise_new(m, 0.0, 1.0, 1.0 / np.sqrt(2.0), 100)
     assert got == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi) * 100), rel=1e-12)
     assert got == pytest.approx(0.0028209, abs=5e-8)
 
@@ -104,7 +104,7 @@ def test_mise_new_flat_start_limit_case6():
     m = marron_wand(6)
     mu0, _ = mixture_moments(m)
     for h in (0.2, 0.5, 1.0):
-        a = mise_new(NewMiseInputs(m, mu0, 1e4, h), 100)
+        a = mise_new(m, mu0, 1e4, h, 100)
         b = mise_kernel(m, h, 100)
         assert abs(a - b) < 1e-6
 
@@ -113,11 +113,11 @@ def test_mise_new_domain_error_names_term():
     # a narrow start under a wide component breaks the diagonal radicand first
     m = NormalMixture(weights=[1.0], means=[0.0], sds=[1.0])
     with pytest.raises(MiseDomainError, match="mise formula domain violated"):
-        mise_new(NewMiseInputs(m, 0.0, 1.0, 1.2), 100)
+        mise_new(m, 0.0, 1.0, 1.2, 100)
     cap = h_domain_cap(m, 1.0, h_max=3.0)
-    assert mise_new(NewMiseInputs(m, 0.0, 1.0, 0.99 * cap), 100) > 0.0
+    assert mise_new(m, 0.0, 1.0, 0.99 * cap, 100) > 0.0
     with pytest.raises(MiseDomainError):
-        mise_new(NewMiseInputs(m, 0.0, 1.0, 1.01 * cap), 100)
+        mise_new(m, 0.0, 1.0, 1.01 * cap, 100)
 
 
 def test_mise_new_quadrature_assembled_oracle():
@@ -141,7 +141,7 @@ def test_mise_new_quadrature_assembled_oracle():
                   * phi_scaled(s_eff, y - mu0) / phi_scaled(sd0, y - mu0) ** 2,
                   lo, hi, limit=300)
     assembled = (1 - 1 / n) * ea1 + ea2 / n - 2 * eb + r_f(m)
-    got = mise_new(NewMiseInputs(m, mu0, sd0, h), n)
+    got = mise_new(m, mu0, sd0, h, n)
     assert got == pytest.approx(assembled, rel=1e-8)
 
 
@@ -211,7 +211,7 @@ def test_ise_new_memory_is_one_pair_buffer():
 
 
 def test_optimal_h_quadratic():
-    h, v = optimal_h(lambda t: (t - 2.0) ** 2 + 1.0, (0.5, 4.0), tol=1e-9)
+    h, v = optimal_h(lambda t: (t - 2.0) ** 2 + 1.0, (0.5, 4.0))
     assert h == pytest.approx(2.0, abs=1e-6)
     assert v == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
@@ -220,11 +220,10 @@ def test_optimal_h_quadratic():
 
 def test_optimal_h_table_spot_values():
     m = marron_wand(1)
-    h, v = optimal_h(lambda t: mise_new(NewMiseInputs(m, 0.0, 1.0, t), 100),
-                     (0.01, 0.97), scan_points=128, tol=1e-9)
+    h, v = optimal_h(lambda t: mise_new(m, 0.0, 1.0, t, 100),
+                     (0.01, 0.97))
     assert h == pytest.approx(0.7071, abs=5e-4)
-    ht, vt = optimal_h(lambda t: mise_kernel(m, t, 1000), (0.01, 3.0),
-                       scan_points=128, tol=1e-9)
+    ht, vt = optimal_h(lambda t: mise_kernel(m, t, 1000), (0.01, 3.0))
     assert ht == pytest.approx(0.2723, abs=5e-4)
     assert vt == pytest.approx(0.0010, abs=5e-5)
 
@@ -233,9 +232,28 @@ def test_optimal_h_handles_two_basins():
     # comb-like truth at a size where the error curve has two local minima
     m = marron_wand(10)
     mu0, sd0 = mixture_moments(m)
-    h, _ = optimal_h(lambda t: mise_kernel(m, t, 100), (0.01 * sd0, 3.0 * sd0),
-                     scan_points=64, tol=1e-9)
+    h, _ = optimal_h(lambda t: mise_kernel(m, t, 100), (0.01 * sd0, 3.0 * sd0))
     assert h == pytest.approx(0.0959, abs=1e-3)
+
+
+def test_optimal_h_rescans_when_the_scan_sees_several_minima():
+    # at n = 50 the claw's 128-point scan shows more than one local minimum,
+    # so the search rescans at 512 points before the golden section
+    m = marron_wand(10)
+    mu0, sd0 = mixture_moments(m)
+    calls = []
+
+    def curve(t):
+        calls.append(t)
+        return mise_kernel(m, t, 50)
+
+    h, v = optimal_h(curve, (0.01 * sd0, 3.0 * sd0))
+    assert len(calls) == 677  # 128 + 512 + 37 golden-section evaluations
+    fine = np.linspace(0.01 * sd0, 3.0 * sd0, 30001)
+    vals = np.array([mise_kernel(m, t, 50) for t in fine])
+    k = int(np.argmin(vals))
+    assert abs(h - fine[k]) <= fine[1] - fine[0]
+    assert v <= vals[k]
 
 
 def test_benchmark_rows_match_reference():

@@ -93,7 +93,7 @@ def test_robust_coeffs_population_oracle():
         assert pop_delta(j) == pytest.approx(0.0, abs=1e-10)
 
     x = mixture_sample(marron_wand(1), 100_000, seed=11)
-    d = robust_coeffs(x, max_j=5)
+    d = robust_coeffs(x)
     for j in (2, 3, 4):
         assert abs(d.values[j]) < 0.02
 
@@ -110,12 +110,12 @@ def test_robust_summands_bounded():
 
 
 def test_roughness_from_coeffs_values():
-    zero = HermiteCoeffs("classic_gamma", [1, 0, 0, 0.0, 0.0, 0.0], 0.0, 1.0)
+    zero = HermiteCoeffs("classic_gamma", [1, 0, 0, 0.0, 0.0, 0.0], 1.0)
     assert roughness_from_coeffs(zero) == 0.0
-    kurt = HermiteCoeffs("classic_gamma", [1, 0, 0, 0.0, 1.0, 0.0], 0.0, 1.0)
+    kurt = HermiteCoeffs("classic_gamma", [1, 0, 0, 0.0, 1.0, 0.0], 1.0)
     assert roughness_from_coeffs(kurt) == pytest.approx(3.0 / (32.0 * SQRT_PI), abs=1e-15)
     assert roughness_from_coeffs(kurt) == pytest.approx(0.0528928, abs=5e-8)
-    rob = HermiteCoeffs("robust_delta", [0, 0, 0.1], 0.0, 1.0)
+    rob = HermiteCoeffs("robust_delta", [0, 0, 0.1], 1.0)
     assert roughness_from_coeffs(rob) == pytest.approx(0.02 / SQRT_PI, abs=1e-15)
     assert roughness_from_coeffs(rob) == pytest.approx(0.0112838, abs=5e-8)
 
@@ -140,5 +140,5 @@ def test_degree5_closed_form_matches_overlap_sums():
         sigma = rng.uniform(0.5, 2.0)
         r_new = roughness_new_from_gamma([1, 0, 0, g3, g4, g5], sigma)
         closed = roughness_from_coeffs(
-            HermiteCoeffs("classic_gamma", [1, 0, 0, g3, g4, g5], 0.0, sigma))
+            HermiteCoeffs("classic_gamma", [1, 0, 0, g3, g4, g5], sigma))
         assert closed == pytest.approx(r_new, rel=1e-12, abs=1e-300)

@@ -57,7 +57,7 @@ def test_eval_scaled_values():
 @pytest.mark.parametrize("h", [0.1, 1.0, 5.0])
 def test_unit_mass_any_bandwidth(shape, h):
     lo, hi = SUPPORT[shape]
-    val, _ = quad(lambda z: eval_scaled(shape, h, z), lo * h, hi * h,
+    val, _ = quad(lambda z: eval_scaled(kernel_props(shape), h, z), lo * h, hi * h,
                   limit=400, epsabs=1e-12)
     assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -66,13 +66,14 @@ def test_unit_mass_any_bandwidth(shape, h):
 def test_symmetry(shape):
     rng = np.random.default_rng(0)
     z = rng.uniform(-3, 3, 100)
-    np.testing.assert_array_equal(eval_scaled(shape, 1.3, z), eval_scaled(shape, 1.3, -z))
+    k = kernel_props(shape)
+    np.testing.assert_array_equal(eval_scaled(k, 1.3, z), eval_scaled(k, 1.3, -z))
 
 
 def test_errors():
     with pytest.raises(ValueError):
-        eval_scaled("gaussian", 0.0, 1.0)
+        eval_scaled(kernel_props("gaussian"), 0.0, 1.0)
     with pytest.raises(ValueError):
-        eval_scaled("gaussian", -1.0, 1.0)
+        eval_scaled(kernel_props("gaussian"), -1.0, 1.0)
     with pytest.raises(ValueError):
         kernel_props("triangular")

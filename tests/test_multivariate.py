@@ -79,16 +79,6 @@ def test_mv_estimate_total_mass():
     assert np.all(vals >= 0.0)
 
 
-def test_unnormalized_variant_drops_determinant():
-    data = rng_data(5, 50, 2) @ np.array([[1.5, 0.2], [0.2, 0.6]])
-    e1 = MvEstimate.fit(data, h=0.6)
-    e2 = MvEstimate.fit(data, h=0.6, normalized=False)
-    det = float(np.linalg.det(e1.cov))
-    pts = rng_data(6, 4, 2)
-    np.testing.assert_allclose(mv_estimate(e2, pts),
-                               mv_estimate(e1, pts) * np.sqrt(det), rtol=1e-12)
-
-
 def test_sphere_round_trip_and_identity():
     data = rng_data(7, 200, 3)
     y, mean, root = sphere(data)
@@ -116,11 +106,17 @@ def test_affine_equivariance():
 def test_mv_bandwidth_reduces_to_robust_rule_in_1d():
     x = mixture_sample(NormalMixture(weights=[0.5, 0.5], means=[-2.0, 2.0],
                                      sds=[1.0, 1.0]), 400, seed=10)
-    ch = mv_bandwidth(x[:, None], max_degree=3)
-    # same roughness brace as the univariate robust rule (degrees 2..5)
+    ch = mv_bandwidth(x[:, None])
+    # the univariate robust rule's brace (degrees 2..5) plus the d_6^2 / 4!
+    # term that the d-dimensional rule's |J| <= 4 adds
+    from semistart.hermite import hermite_poly
     uni = rule_delta(x, G)
-    d = uni.diagnostics["roughness"] * float(np.std(x)) ** 5 * np.sqrt(np.pi) / 2.0
-    assert ch.diagnostics["brace"] == pytest.approx(d, rel=1e-10)
+    sd = float(np.std(x))
+    z = (x - x.mean()) / sd
+    d6 = float(np.mean(np.sqrt(2.0) * np.exp(-0.5 * z * z) * hermite_poly(6, np.sqrt(2.0) * z)))
+    brace = uni.diagnostics["roughness"] * sd**5 * np.sqrt(np.pi) / 2.0 + d6**2 / 24.0
+    assert d6**2 / 24.0 > 1e-3 * brace
+    assert ch.diagnostics["brace"] == pytest.approx(brace, rel=1e-10)
 
 
 def test_mv_bandwidth_population_degeneracy_oracle():
@@ -135,13 +131,13 @@ def test_mv_bandwidth_population_degeneracy_oracle():
               -12, 12)[0]
     assert e2 == pytest.approx(0.0, abs=1e-10)
     # sampled multinormal data: the brace degenerates and the rule clamps
-    ch = mv_bandwidth(rng_data(11, 2000, 2), max_degree=4)
+    ch = mv_bandwidth(rng_data(11, 2000, 2))
     assert ch.diagnostics["clamped"]
     assert ch.h == pytest.approx(1.144 * 2000 ** (-1.0 / 6.0), rel=1e-12)
 
 
 def test_mv_bandwidth_mixture_data_in_range():
-    ch = mv_bandwidth(rng_data(12, 2000, 2, mix=True), max_degree=4)
+    ch = mv_bandwidth(rng_data(12, 2000, 2, mix=True))
     assert 0.0 < ch.h <= 1.144 * 2000 ** (-1.0 / 6.0) + 1e-15
     assert np.isfinite(ch.h)
 

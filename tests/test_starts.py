@@ -197,14 +197,16 @@ def test_one_point_eval_start_is_bit_identical(s):
 
 
 def test_clip_edges_are_computed_once_per_start(monkeypatch):
+    import scipy.special
+
     calls = []
-    ppf = stats.gamma.ppf
+    inv = scipy.special.gammaincinv
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return ppf(*args, **kwargs)
+        return inv(*args, **kwargs)
 
-    monkeypatch.setattr(stats.gamma, "ppf", counted)
+    monkeypatch.setattr(scipy.special, "gammaincinv", counted)
     s = FittedStart("gamma", {"alpha": 3.0, "beta": 1.5})
     first = [eval_start(s, t) for t in (0.5, 2.0, 9.0)]
     grid = eval_start(s, np.array([0.5, 2.0, 9.0]))
@@ -213,3 +215,15 @@ def test_clip_edges_are_computed_once_per_start(monkeypatch):
     eval_start(s.unclipped(), 2.0)
     eval_start(FittedStart("gamma", {"alpha": 3.0, "beta": 1.5}), 2.0)
     assert len(calls) == 4  # a new start computes its own edges
+
+
+@pytest.mark.parametrize("clip", [0.5, 1.0, 2.5, 4.0])
+def test_gamma_clip_edges_match_scipy_stats_quantiles(clip):
+    # the edges are the N(0,1) tail mass quantiles of the fitted gamma
+    p_lo = stats.norm.cdf(-clip)
+    for alpha in (0.3, 1.0, 2.7, 15.0, 400.0):
+        for beta in (0.01, 0.5, 1.0, 3.0, 250.0):
+            s = FittedStart("gamma", {"alpha": alpha, "beta": beta}, clip=clip)
+            want = (stats.gamma.ppf(p_lo, alpha, scale=1.0 / beta),
+                    stats.gamma.ppf(1.0 - p_lo, alpha, scale=1.0 / beta))
+            assert _clip_edges(s) == want
