@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import hermite
-from .kernels import SQRT_2PI, KernelSpec, eval_scaled, row_blocks
+from .kernels import SQRT_2PI, KernelSpec, eval_scaled, for_blocks, require_bandwidth
 from .starts import FittedStart, _require_finite, eval_start
 
 __all__ = [
@@ -113,16 +113,20 @@ def _pair_matrix(n: int, block, symmetric: bool) -> np.ndarray:
     built in one piece, while the temporaries of each block stay small.  A
     symmetric matrix is filled from its upper block triangle and mirrored,
     which halves the work; its entries must then be exactly symmetric in
-    floating point.
+    floating point.  A block writes its rows right of the diagonal and their
+    mirror image below it, which no other block touches.
     """
     buf = np.empty((n, n))
-    for rows in row_blocks(n, n):
+
+    def fill(rows):
         if symmetric:
             part = block(rows, slice(rows.start, n))
             buf[rows, rows.start:] = part
             buf[rows.stop:, rows] = part[:, rows.stop - rows.start:].T
         else:
             buf[rows] = block(rows, slice(0, n))
+
+    for_blocks(n, n, fill)
     return buf
 
 
@@ -222,8 +226,7 @@ def plugin_roughness(data, start: FittedStart, kernel: KernelSpec,
     """
     if not kernel.is_smooth:
         raise ValueError(f"the {kernel.shape} kernel is not allowed in this operation")
-    if h_pilot <= 0:
-        raise ValueError("pilot bandwidth must be positive")
+    require_bandwidth(h_pilot)
     x = np.asarray(data, dtype=float).ravel()
     _require_finite(x)
     n = x.size
@@ -274,8 +277,7 @@ def bcv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
     h_grid = np.asarray(h_grid, dtype=float).ravel()
     if h_grid.size == 0:
         raise ValueError("bandwidth grid must be nonempty")
-    if np.any(h_grid <= 0):
-        raise ValueError("bandwidth grid must be positive")
+    require_bandwidth(h_grid)
     n = x.size
     curve = np.empty_like(h_grid)
     for i, h in enumerate(h_grid):
@@ -365,8 +367,11 @@ def _loo_ratio(x: np.ndarray, start: FittedStart) -> np.ndarray | None:
                     + (a_i[r, None] - 1.0) * log_x[None, :]
                     - b_i[r, None] * x[None, :] - lg_a[r, None])
     ratio = np.empty((n, n))
-    for r in row_blocks(n, n):
+
+    def fill(r):
         ratio[r] = np.exp(log_num[r, None] - log_den(r))
+
+    for_blocks(n, n, fill)
     return ratio
 
 
@@ -387,8 +392,7 @@ def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
     h_grid = np.asarray(h_grid, dtype=float).ravel()
     if h_grid.size == 0:
         raise ValueError("bandwidth grid must be nonempty")
-    if np.any(h_grid <= 0):
-        raise ValueError("bandwidth grid must be positive")
+    require_bandwidth(h_grid)
 
     ratio = _loo_ratio(x, start)  # the same for every h
     curve = np.empty_like(h_grid)

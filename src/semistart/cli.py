@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bandwidth as bw
 from . import densities, estimator, exact_mise, regression
-from .kernels import SHAPES, kernel_props
+from .kernels import SHAPES, kernel_props, require_bandwidth
 from .starts import FAMILIES, FittedStart, em_fit_mixture, fit_start
 
 __all__ = ["main", "run"]
@@ -37,7 +37,13 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise _Usage("--grid expects lo,hi,count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise _Usage(f"--grid expects lo,hi,count as two numbers and an integer, "
+                     f"not {text!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise _Usage("--grid bounds must be finite")
     if count < 2:
         raise _Usage("--grid count must be at least 2")
     if not hi > lo:
@@ -45,8 +51,11 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
+def _parse_int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",") if t != ""]
+    except ValueError:
+        raise _Usage(f"{flag} expects a comma list of integers, not {text!r}") from None
 
 
 class _Usage(Exception):
@@ -94,8 +103,7 @@ def _choose_h(args, data: np.ndarray, start: FittedStart, kernel) -> float:
     if args.h is not None and args.method is not None:
         raise _Usage("--h and --method are mutually exclusive")
     if args.h is not None:
-        if args.h <= 0:
-            raise ValueError("bandwidth h must be positive")
+        require_bandwidth(args.h)
         return args.h
     return bw.select(args.method, data, start, kernel).h
 
@@ -131,7 +139,7 @@ def _cmd_bandwidth(args) -> None:
 
 
 def _cmd_bench_amise(args) -> None:
-    cases = _parse_int_list(args.cases) if args.cases else list(range(1, 16))
+    cases = _parse_int_list("--cases", args.cases) if args.cases else list(range(1, 16))
     lines = ["case,rho_trad,rho_new,rho1_trad,rho1_new"]
     for c in cases:
         m = densities.marron_wand(c)
@@ -144,8 +152,8 @@ def _cmd_bench_amise(args) -> None:
 
 
 def _cmd_bench_mise(args) -> None:
-    cases = _parse_int_list(args.cases) if args.cases else list(range(1, 16))
-    ns = _parse_int_list(args.n) if args.n else [25, 50, 100, 200, 1000]
+    cases = _parse_int_list("--cases", args.cases) if args.cases else list(range(1, 16))
+    ns = _parse_int_list("--n", args.n) if args.n else [25, 50, 100, 200, 1000]
     reports = exact_mise.benchmark_table(cases, ns)
     _write_text(args.out, exact_mise.reports_to_csv(reports, args.precision))
 
@@ -294,6 +302,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
+        if args.precision < 0:
+            raise _Usage("--precision must be at least 0")
         args.func(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

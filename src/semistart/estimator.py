@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, eval_scaled, row_blocks
+from .kernels import KernelSpec, eval_scaled, for_blocks, require_bandwidth
 from .starts import FittedStart, _require_finite, eval_start
 
 __all__ = [
@@ -49,8 +49,7 @@ class DensityEstimate:
         if x.size == 0:
             raise ValueError("data must be nonempty")
         _require_finite(x)
-        if self.h <= 0:
-            raise ValueError("bandwidth h must be positive")
+        require_bandwidth(self.h)
         object.__setattr__(self, "data", x)
 
     @property
@@ -94,8 +93,11 @@ def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
     den = _denominators(e)
     pts = x.ravel()
     out = np.empty(pts.size)
-    for rows in row_blocks(pts.size, e.n):
+
+    def fill(rows):
         out[rows] = _correction_sum(e, den, pts[rows, None])
+
+    for_blocks(pts.size, e.n, fill)
     return out.reshape(x.shape)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bandwidth import _normal_log_ratio, _normal_square_integral
 from .densities import NormalMixture, marron_wand, mixture_moments
-from .kernels import SQRT_2PI, SQRT_PI
+from .kernels import SQRT_2PI, SQRT_PI, require_bandwidth
 
 __all__ = [
     "MiseDomainError",
@@ -99,8 +99,7 @@ def r_f(m: NormalMixture) -> float:
 
 def mise_kernel(m: NormalMixture, h: float, n: int) -> float:
     """Exact mise(h) of the plain kernel estimator with gaussian kernel."""
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
+    require_bandwidth(h)
     if n < 1:
         raise ValueError("n must be at least 1")
     return ((1.0 - 1.0 / n) * _overlap(m, 2.0 * h * h)
@@ -142,8 +141,7 @@ def mise_new(m: NormalMixture, mu0: float, sd0: float, h: float, n: int) -> floa
     """
     if sd0 <= 0:
         raise ValueError("start scale must be positive")
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
+    require_bandwidth(h)
     if n < 1:
         raise ValueError("n must be at least 1")
     b2, e2, c2, k2, f2 = _radicands(m, sd0, h)
@@ -224,8 +222,7 @@ def ise_new(data, mu_hat: float, sd_hat: float, h: float, m: NormalMixture) -> f
     at (mu_hat, sd_hat).  Both the squared term and the cross term reduce to
     finite gaussian-product sums.
     """
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
+    require_bandwidth(h)
     if sd_hat <= 0:
         raise ValueError("start scale must be positive")
     x = np.asarray(data, dtype=float).ravel()

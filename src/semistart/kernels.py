@@ -8,11 +8,15 @@
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "kernel_props", "eval_scaled", "row_blocks", "SHAPES"]
+__all__ = ["KernelSpec", "kernel_props", "eval_scaled", "require_bandwidth", "for_blocks",
+           "SHAPES"]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
@@ -75,10 +79,20 @@ def _base_pdf(shape: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported kernel shape: {shape!r}")
 
 
+def require_bandwidth(h) -> None:
+    """Raise ValueError unless h, or every entry of an array h, is finite and positive."""
+    if isinstance(h, float):  # NaN fails both comparisons
+        ok = 0.0 < h < math.inf
+    else:
+        h = np.asarray(h, dtype=float)
+        ok = bool(np.all((h > 0.0) & (h < math.inf)))
+    if not ok:
+        raise ValueError("bandwidth h must be finite and positive")
+
+
 def eval_scaled(kernel: KernelSpec, h: float, z):
-    """K_h(z) = K(z/h)/h, vectorised over z.  Requires h > 0."""
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
+    """K_h(z) = K(z/h)/h, vectorised over z.  Requires a finite h > 0."""
+    require_bandwidth(h)
     z = np.asarray(z, dtype=float)
     out = _base_pdf(kernel.shape, z / h) / h
     return out if out.ndim else float(out)
@@ -96,3 +110,63 @@ def row_blocks(rows: int, cols: int):
     step = max(1, BLOCK_ELEMENTS // max(cols, 1))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
+
+
+# (executor, worker count) once a block sum has run; see for_blocks
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    """One worker per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _drop_pool() -> None:
+    # a forked child has none of its parent's threads: a task queued on the
+    # inherited pool would wait forever, and the lock may be held by a thread
+    # that is gone, so the child starts afresh
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _fill_each(fill, blocks) -> None:
+    for rows in blocks:
+        fill(rows)
+
+
+def for_blocks(rows: int, cols: int, fill) -> None:
+    """Call fill(block) for every slice of row_blocks(rows, cols), in parallel.
+
+    The blocks run on a process-wide thread pool, created on first use with
+    one worker per usable CPU; they are dealt round-robin, one task per
+    worker, and NumPy releases the GIL inside its loops.  Each fill must
+    write only the rows of its own block and leave every reduction across
+    blocks to the caller, whose result then has the same bits whatever the
+    number of workers.  A fill must not call for_blocks.  An exception in a
+    fill skips the rest of its worker's share and reaches the caller once
+    every worker has stopped.
+    """
+    global _pool
+    blocks = list(row_blocks(rows, cols))
+    if not blocks:
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait
+    with _pool_lock:
+        if _pool is None:
+            workers = _worker_count()
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="semistart"), workers
+        pool, workers = _pool
+    k = min(workers, len(blocks))
+    futures = [pool.submit(_fill_each, fill, blocks[i::k]) for i in range(k)]
+    wait(futures)
+    for f in futures:
+        f.result()

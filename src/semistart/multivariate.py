@@ -17,7 +17,7 @@ import numpy as np
 
 from .bandwidth import BandwidthChoice
 from .hermite import hermite_poly
-from .kernels import SQRT_2PI, row_blocks
+from .kernels import SQRT_2PI, for_blocks, require_bandwidth
 from .starts import _require_finite
 
 __all__ = ["MvEstimate", "mv_kernel_estimate", "mv_estimate", "sphere", "mv_bandwidth"]
@@ -64,16 +64,20 @@ def sphere(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xc @ inv_root.T, mean, root
 
 
-def _pairwise_sq_blocks(a: np.ndarray, b: np.ndarray):
-    """(rows, |a_i - b_j|^2) over row blocks of a, never an (m, n, d) array.
+def _pairwise_sq_blocks(a: np.ndarray, b: np.ndarray, fill) -> None:
+    """fill(rows, |a_i - b_j|^2) over row blocks of a, never an (m, n, d) array.
 
+    The blocks run through for_blocks, so fill writes only its own rows.
     The squared norms of b are computed once and shared by every block.
     """
     b_sq = np.sum(b * b, axis=1)[None, :]
-    for rows in row_blocks(a.shape[0], b.shape[0]):
+
+    def fill_sq(rows):
         ar = a[rows]
         sq = np.sum(ar * ar, axis=1)[:, None] + b_sq - 2.0 * ar @ b.T
-        yield rows, np.maximum(sq, 0.0)
+        fill(rows, np.maximum(sq, 0.0))
+
+    for_blocks(a.shape[0], b.shape[0], fill_sq)
 
 
 def mv_kernel_estimate(data, bandwidths, x):
@@ -81,15 +85,17 @@ def mv_kernel_estimate(data, bandwidths, x):
     dat = _as_matrix(data)
     n, d = dat.shape
     h = np.broadcast_to(np.asarray(bandwidths, dtype=float), (d,))
-    if np.any(h <= 0):
-        raise ValueError("bandwidths must be positive")
+    require_bandwidth(h)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else _as_matrix(x)
     out = np.empty(pts.shape[0])
-    for rows, sq in _pairwise_sq_blocks(pts / h, dat / h):
+
+    def fill(rows, sq):
         log_k = -0.5 * sq - d * np.log(SQRT_2PI) - np.log(h).sum()
         out[rows] = np.exp(log_k).mean(axis=1)
+
+    _pairwise_sq_blocks(pts / h, dat / h, fill)
     return float(out[0]) if single else out
 
 
@@ -110,8 +116,7 @@ class MvEstimate:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
         # n >= d + 1 is only needed when the moments are estimated (see fit)
-        if self.h <= 0:
-            raise ValueError("bandwidth h must be positive")
+        require_bandwidth(self.h)
         vals = np.linalg.eigvalsh(self.cov)
         if vals.min() <= _MIN_COND * vals.max() or vals.min() <= 0:
             raise ValueError("covariance must be symmetric positive definite")
@@ -151,10 +156,13 @@ def mv_estimate(e: MvEstimate, x):
 
     half_logdet = 0.5 * float(np.linalg.slogdet(e.cov)[1])
     out = np.empty(yp.shape[0])
-    for rows, sq in _pairwise_sq_blocks(yp, yd):
+
+    def fill(rows, sq):
         log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - half_logdet
         log_ratio = -0.5 * q_pts[rows, None] + 0.5 * q_data[None, :]
         out[rows] = np.exp(log_kern + log_ratio).mean(axis=1)
+
+    _pairwise_sq_blocks(yp, yd, fill)
     return float(out[0]) if single else out
 
 

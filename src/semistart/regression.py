@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import KernelSpec, eval_scaled, row_blocks
+from .kernels import KernelSpec, eval_scaled, for_blocks, require_bandwidth
 from .starts import _require_finite
 
 __all__ = ["MeanStart", "RegressionFit", "fit_mean_start", "gnw_estimate", "nw_estimate"]
@@ -79,8 +79,7 @@ class RegressionFit:
             raise ValueError("x and y must be equal-length and nonempty")
         _require_finite(x)
         _require_finite(y)
-        if self.h <= 0:
-            raise ValueError("bandwidth h must be positive")
+        require_bandwidth(self.h)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -120,7 +119,8 @@ def gnw_estimate(fit: RegressionFit, x):
         m_pts, m_data = _clipped_mean(fit, pts), _clipped_mean(fit, fit.x)
     wsum = np.empty(pts.size)
     num = np.empty(pts.size)
-    for rows in row_blocks(pts.size, fit.x.size):
+
+    def fill(rows):
         w = eval_scaled(fit.kernel, fit.h, pts[rows, None] - fit.x[None, :])
         wsum[rows] = w.sum(axis=1)
         if corrected:
@@ -128,6 +128,8 @@ def gnw_estimate(fit: RegressionFit, x):
             num[rows] = (w * ratio * fit.y[None, :]).sum(axis=1)
         else:
             num[rows] = (w * fit.y[None, :]).sum(axis=1)
+
+    for_blocks(pts.size, fit.x.size, fill)
     if np.any(wsum < 1e-300):
         bad = pts[wsum < 1e-300][0]
         raise ValueError(f"no local data: every kernel weight vanishes at x={bad!r}")

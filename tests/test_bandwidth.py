@@ -11,7 +11,7 @@ from semistart.bandwidth import (DegenerateRoughness, _loo_params, amise_h, bcv,
 from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
-from semistart.kernels import eval_scaled, kernel_props, row_blocks
+from semistart.kernels import _worker_count, eval_scaled, kernel_props, row_blocks
 from semistart.multivariate import MvEstimate, mv_bandwidth, sphere
 from semistart.starts import FittedStart, em_fit_mixture, eval_start, fit_start
 
@@ -394,10 +394,23 @@ def _sample_and_start(family, n):
 BLOCK_ROWS = {1000: [32] * 31 + [8], 3: [3]}  # a partial last block; one block
 
 
-@pytest.mark.parametrize("n", sorted(BLOCK_ROWS))
+def _n_with_more_blocks_than(k):
+    n = 3
+    while len(list(row_blocks(n, n))) <= k:
+        n += 1
+    return n
+
+
+# more than three blocks per pool worker, so every worker fills several
+MANY_BLOCKS_N = _n_with_more_blocks_than(3 * _worker_count())
+
+
+@pytest.mark.parametrize("n", sorted(BLOCK_ROWS)
+                         + [pytest.param(MANY_BLOCKS_N, id="many_blocks")])
 @pytest.mark.parametrize("family", ["constant", "normal", "lognormal", "gamma"])
 def test_pair_sums_bit_identical_to_full_matrix(family, n):
-    assert [r.stop - r.start for r in row_blocks(n, n)] == BLOCK_ROWS[n]
+    if n in BLOCK_ROWS:
+        assert [r.stop - r.start for r in row_blocks(n, n)] == BLOCK_ROWS[n]
     x, start = _sample_and_start(family, n)
     quad_path = family in ("lognormal", "gamma")
     # at n = 1000 and h = 0.05 a constant-start matrix mirrored from one

@@ -240,3 +240,43 @@ def test_em_likelihood_decrease_exits_1(tmp_path, monkeypatch, capsys):
     assert run(["bandwidth", "--input", str(data), "--start", "normal_mixture",
                 "--method", "plugin"]) == 1
     assert "log-likelihood decreased" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "0"])
+def test_non_finite_or_nonpositive_bandwidth_exits_1(tmp_path, capsys, h):
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(str(v) for v in np.linspace(0.5, 3.0, 30)) + "\n")
+    pairs = tmp_path / "p.csv"
+    pairs.write_text("\n".join(f"{i / 30},{1.0 + i / 30}" for i in range(30)) + "\n")
+    out = tmp_path / "out"
+    for argv in (["estimate", "--input", str(data), "--h", h, "--grid", "0,1,3"],
+                 ["gof", "--input", str(data), "--h", h, "--grid", "0.5,1,3"],
+                 ["regress", "--input", str(pairs), "--h", h, "--grid", "0,1,3"]):
+        assert run(argv + ["--out", str(out)]) == 1
+        assert "bandwidth h must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["estimate", "--h", "0.5", "--grid", "0,inf,3"], "--grid bounds must be finite"),
+    (["estimate", "--h", "0.5", "--grid", "nan,1,3"], "--grid bounds must be finite"),
+    (["estimate", "--h", "0.5", "--grid", "a,1,3"], "--grid expects lo,hi,count"),
+    (["estimate", "--h", "0.5", "--grid", "0,1,x"], "--grid expects lo,hi,count"),
+    (["bench-mise", "--cases", "1,x", "--n", "50"], "--cases expects a comma list"),
+    (["bench-mise", "--cases", "1", "--n", "50,y"], "--n expects a comma list"),
+    (["bench-amise", "--cases", "z"], "--cases expects a comma list"),
+    (["estimate", "--h", "0.5", "--grid", "0,1,3", "--precision", "-1"],
+     "--precision must be at least 0"),
+], ids=["grid_inf", "grid_nan", "grid_word", "grid_count_word", "cases_word", "n_word",
+        "amise_cases_word", "negative_precision"])
+def test_bad_arguments_are_usage_errors_naming_the_flag(tmp_path, capsys, argv, flag):
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(str(v) for v in np.linspace(0.5, 3.0, 30)) + "\n")
+    if argv[0] == "estimate":
+        argv = argv + ["--input", str(data)]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+    assert "Warning" not in err
+    assert not out.exists()

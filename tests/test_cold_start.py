@@ -63,6 +63,16 @@ def test_import_loads_no_scipy(tmp_path):
     assert json.loads(proc.stdout) == []
 
 
+def test_import_starts_no_thread_pool(tmp_path):
+    # the block pool and concurrent.futures load with the first block sum
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); import semistart.cli; "
+             "from semistart import kernels; "
+             "print(json.dumps(['concurrent.futures' in sys.modules, kernels._pool is None]))")
+    proc = _fresh(child, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True]
+
+
 def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
     data, out = ["--input", inputs["data"]], ["--out", inputs["out"]]
     grid = ["--grid", "0.2,4,25"]

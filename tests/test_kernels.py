@@ -1,8 +1,19 @@
+import concurrent.futures
+import multiprocessing
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from semistart.kernels import SHAPES, eval_scaled, kernel_props
+from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, bcv,
+                       estimate_kernel, ise_new, marron_wand, mise_kernel, mise_new,
+                       mv_kernel_estimate, plugin_roughness, ucv)
+from semistart import kernels
+from semistart.kernels import (BLOCK_ELEMENTS, SHAPES, _worker_count, eval_scaled,
+                               for_blocks, kernel_props, row_blocks)
 
 from conftest import phi
 
@@ -77,3 +88,138 @@ def test_errors():
         eval_scaled(kernel_props("gaussian"), -1.0, 1.0)
     with pytest.raises(ValueError):
         kernel_props("triangular")
+
+
+G = kernel_props("gaussian")
+_X = np.linspace(-2.0, 2.0, 20)
+_FLAT = FittedStart("constant")
+BANDWIDTH_USERS = {
+    "eval_scaled": lambda h: eval_scaled(G, h, _X),
+    "DensityEstimate": lambda h: DensityEstimate(_X, G, h, _FLAT),
+    "RegressionFit": lambda h: RegressionFit.fit(_X, _X**2, G, h),
+    "MvEstimate": lambda h: MvEstimate.fit(np.column_stack([_X, np.sin(_X)]), h),
+    "mv_kernel_estimate": lambda h: mv_kernel_estimate(_X[:, None], h, [0.0]),
+    "plugin_roughness": lambda h: plugin_roughness(_X, _FLAT, G, h),
+    "bcv": lambda h: bcv(_X, _FLAT, G, [0.3, h]),
+    "ucv": lambda h: ucv(_X, _FLAT, G, [0.3, h]),
+    "mise_kernel": lambda h: mise_kernel(marron_wand(1), h, 50),
+    "mise_new": lambda h: mise_new(marron_wand(1), 0.0, 1.0, h, 50),
+    "ise_new": lambda h: ise_new(_X, 0.0, 1.0, h, marron_wand(1)),
+}
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+@pytest.mark.parametrize("user", sorted(BANDWIDTH_USERS))
+def test_every_bandwidth_must_be_finite_and_positive(user, h):
+    with pytest.raises(ValueError, match="^bandwidth h must be finite and positive$"):
+        BANDWIDTH_USERS[user](h)
+    BANDWIDTH_USERS[user](0.5)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (0, 10),                           # no block: fill is never called
+    (1, 10),
+    (1000, 1000),                      # 31 blocks of 32 rows and one of 8
+    (7, BLOCK_ELEMENTS + 1),           # one row per block
+    (64 * _worker_count() + 5, 2**9),  # four blocks per worker and a partial one
+])
+def test_for_blocks_visits_every_block_once(rows, cols):
+    seen, threads = [], set()
+
+    def fill(block):
+        seen.append(block)  # list.append is atomic
+        threads.add(threading.get_ident())
+
+    for_blocks(rows, cols, fill)
+    assert sorted(seen, key=lambda b: b.start) == list(row_blocks(rows, cols))
+    assert len(threads) <= _worker_count()
+
+
+def test_for_blocks_raises_the_fills_exception_and_keeps_working():
+    out = np.zeros(1000)
+
+    def failing(block):
+        if block.start == 64:
+            raise KeyError("block at row 64")
+        out[block] = 1.0
+
+    with pytest.raises(KeyError, match="block at row 64"):
+        for_blocks(out.size, 1000, failing)
+    assert np.all(out[64:96] == 0.0)
+
+    def fill(block):
+        out[block] = 2.0
+
+    for_blocks(out.size, 1000, fill)
+    assert np.all(out == 2.0)
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    made = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    rows, rounds = 64 * _worker_count() + 5, 20
+    outs = [np.zeros(rows) for _ in range(8)]
+
+    def caller(out, ready):
+        def fill(block):
+            out[block] += 1.0
+
+        ready.wait(timeout=60)
+        for_blocks(rows, 2**9, fill)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            monkeypatch.setattr(kernels, "_pool", None)  # the callers race to create it
+            ready = threading.Barrier(len(outs))
+            threads = [threading.Thread(target=caller, args=(out, ready)) for out in outs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown(wait=False)
+    assert len(made) == rounds  # one pool per round
+    assert all(np.all(out == rounds) for out in outs)  # each block once per call
+
+
+_FORK_DATA = np.random.default_rng(5).normal(0.0, 1.0, 1000)
+_FORK_GRID = np.linspace(-3.0, 3.0, 101)  # 4 blocks of the 1000-point data
+
+
+def _estimate_in_child(conn):
+    conn.send(estimate_kernel(_FORK_DATA, G, 0.3, _FORK_GRID).tobytes())
+    conn.close()
+
+
+def test_a_forked_child_runs_block_sums():
+    # the parent's pool is running: a child forked now has none of its
+    # worker threads and must build its own, or wait forever on the first sum
+    want = estimate_kernel(_FORK_DATA, G, 0.3, _FORK_GRID).tobytes()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_estimate_in_child, args=(send,))
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a multi-threaded process may deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    send.close()
+    try:
+        child.join(timeout=30)
+        assert child.exitcode == 0, "the forked child hung or failed"
+        assert recv.recv() == want
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+        recv.close()
