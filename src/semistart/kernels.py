@@ -112,7 +112,12 @@ def row_blocks(rows: int, cols: int):
         yield slice(start, min(start + step, rows))
 
 
-# (executor, worker count) once a block sum has run; see for_blocks
+# At most this many blocks of a sum are in flight at once, so its working
+# memory is a fixed few blocks (about 1.5 MB each with their temporaries)
+# however many CPUs the machine has.
+MAX_BLOCK_THREADS = 4
+
+# the block executor once a parallel block sum has run; see for_blocks
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -147,26 +152,31 @@ def for_blocks(rows: int, cols: int, fill) -> None:
     """Call fill(block) for every slice of row_blocks(rows, cols), in parallel.
 
     The blocks run on a process-wide thread pool, created on first use with
-    one worker per usable CPU; they are dealt round-robin, one task per
-    worker, and NumPy releases the GIL inside its loops.  Each fill must
-    write only the rows of its own block and leave every reduction across
-    blocks to the caller, whose result then has the same bits whatever the
-    number of workers.  A fill must not call for_blocks.  An exception in a
-    fill skips the rest of its worker's share and reaches the caller once
-    every worker has stopped.
+    one thread per usable CPU up to MAX_BLOCK_THREADS.  They are dealt
+    round-robin, one task per thread, each run in a copy of the caller's
+    context so that np.errstate holds; NumPy releases the GIL inside its
+    loops.  A single block, or a single CPU, runs in the calling thread.
+    Each fill must write only the rows of its own block and leave every
+    reduction across blocks to the caller, whose result then has the same
+    bits whatever the number of threads.  A fill must not call for_blocks.
+    An exception in a fill skips the rest of its thread's share and reaches
+    the caller once every thread has stopped.
     """
     global _pool
     blocks = list(row_blocks(rows, cols))
-    if not blocks:
+    threads = min(_worker_count(), MAX_BLOCK_THREADS)
+    k = min(threads, len(blocks))
+    if k <= 1:
+        _fill_each(fill, blocks)
         return
+    import contextvars
     from concurrent.futures import ThreadPoolExecutor, wait
     with _pool_lock:
         if _pool is None:
-            workers = _worker_count()
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="semistart"), workers
-        pool, workers = _pool
-    k = min(workers, len(blocks))
-    futures = [pool.submit(_fill_each, fill, blocks[i::k]) for i in range(k)]
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="semistart")
+        pool = _pool
+    futures = [pool.submit(contextvars.copy_context().run, _fill_each, fill, blocks[i::k])
+               for i in range(k)]
     wait(futures)
     for f in futures:
         f.result()

@@ -11,7 +11,7 @@ from semistart.bandwidth import (DegenerateRoughness, _loo_params, amise_h, bcv,
 from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
-from semistart.kernels import _worker_count, eval_scaled, kernel_props, row_blocks
+from semistart.kernels import MAX_BLOCK_THREADS, eval_scaled, kernel_props, row_blocks
 from semistart.multivariate import MvEstimate, mv_bandwidth, sphere
 from semistart.starts import FittedStart, em_fit_mixture, eval_start, fit_start
 
@@ -401,8 +401,8 @@ def _n_with_more_blocks_than(k):
     return n
 
 
-# more than three blocks per pool worker, so every worker fills several
-MANY_BLOCKS_N = _n_with_more_blocks_than(3 * _worker_count())
+# more than three blocks per block thread, so every thread fills several
+MANY_BLOCKS_N = _n_with_more_blocks_than(3 * MAX_BLOCK_THREADS)
 
 
 @pytest.mark.parametrize("n", sorted(BLOCK_ROWS)

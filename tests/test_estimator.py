@@ -8,7 +8,7 @@ from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import (DensityEstimate, correction_curve,
                                  estimate_kernel, estimate_semiparametric,
                                  integral_of_estimate)
-from semistart.kernels import BLOCK_ELEMENTS, _worker_count, eval_scaled, kernel_props
+from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
 from semistart.starts import FittedStart, eval_start, fit_start
 
 from conftest import phi, phi_scaled
@@ -216,8 +216,8 @@ def test_blocked_evaluation_is_bit_identical(case):
     if case == "one_row_per_block":
         n, x = BLOCK_ELEMENTS + 7, np.linspace(-4.0, 4.0, 9)
     elif case == "more_blocks_than_workers":
-        # three 32-row blocks per pool worker and a partial one
-        x = np.linspace(-4.0, 4.0, 96 * _worker_count() + 5)
+        # three 32-row blocks per block thread and a partial one
+        x = np.linspace(-4.0, 4.0, 96 * MAX_BLOCK_THREADS + 5)
     elif case == "scalar_x":
         x = np.float64(0.3)
     elif case == "shaped_x":

@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, 
                        estimate_kernel, ise_new, marron_wand, mise_kernel, mise_new,
                        mv_kernel_estimate, plugin_roughness, ucv)
 from semistart import kernels
-from semistart.kernels import (BLOCK_ELEMENTS, SHAPES, _worker_count, eval_scaled,
+from semistart.kernels import (BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SHAPES, eval_scaled,
                                for_blocks, kernel_props, row_blocks)
 
 from conftest import phi
@@ -116,26 +117,53 @@ def test_every_bandwidth_must_be_finite_and_positive(user, h):
     BANDWIDTH_USERS[user](0.5)
 
 
+@pytest.fixture
+def machine(monkeypatch):
+    """machine(cpus): no block pool yet, on a machine with that many usable CPUs."""
+    def use(cpus):
+        monkeypatch.setattr(kernels, "_worker_count", lambda: cpus)
+        monkeypatch.setattr(kernels, "_pool", None)
+
+    yield use
+    if kernels._pool is not None:  # the pool this test made
+        kernels._pool.shutdown()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("rows, cols", [
-    (0, 10),                           # no block: fill is never called
-    (1, 10),
-    (1000, 1000),                      # 31 blocks of 32 rows and one of 8
-    (7, BLOCK_ELEMENTS + 1),           # one row per block
-    (64 * _worker_count() + 5, 2**9),  # four blocks per worker and a partial one
+    (0, 10),                  # no block: fill is never called
+    (1, 10),                  # one block
+    (1000, 1000),             # 31 blocks of 32 rows and one of 8
+    (7, BLOCK_ELEMENTS + 1),  # one row per block
+    (1029, 2**9),             # four blocks per block thread and a partial one
 ])
-def test_for_blocks_visits_every_block_once(rows, cols):
-    seen, threads = [], set()
+def test_for_blocks_visits_every_block_once(rows, cols, cpus, machine):
+    machine(cpus)
+    lock = threading.Lock()
+    seen, threads, in_flight, peak = [], set(), [0], [0]
 
     def fill(block):
-        seen.append(block)  # list.append is atomic
-        threads.add(threading.get_ident())
+        with lock:
+            seen.append(block)
+            threads.add(threading.get_ident())
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+        time.sleep(1e-4)  # let the threads overlap
+        with lock:
+            in_flight[0] -= 1
 
     for_blocks(rows, cols, fill)
     assert sorted(seen, key=lambda b: b.start) == list(row_blocks(rows, cols))
-    assert len(threads) <= _worker_count()
+    # the working memory is at most MAX_BLOCK_THREADS blocks, whatever the CPU count
+    assert len(threads) <= min(cpus, MAX_BLOCK_THREADS)
+    assert peak[0] <= min(cpus, MAX_BLOCK_THREADS)
+    if cpus == 1 or len(seen) <= 1:
+        assert threads <= {threading.get_ident()}
+        assert kernels._pool is None
 
 
-def test_for_blocks_raises_the_fills_exception_and_keeps_working():
+def test_for_blocks_raises_the_fills_exception_and_keeps_working(machine):
+    machine(8)
     out = np.zeros(1000)
 
     def failing(block):
@@ -154,7 +182,22 @@ def test_for_blocks_raises_the_fills_exception_and_keeps_working():
     assert np.all(out == 2.0)
 
 
+def test_for_blocks_fills_keep_the_callers_error_state(machine):
+    machine(8)
+
+    def fill(block):
+        np.exp(np.full(block.stop - block.start, 1000.0))  # overflows
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        for_blocks(1000, 1000, fill)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for_blocks(1000, 1000, fill)
+    assert kernels._pool is not None  # the fills ran on the pool
+
+
 def test_concurrent_callers_share_one_pool(monkeypatch):
+    monkeypatch.setattr(kernels, "_worker_count", lambda: 2)
     made = []
 
     class CountingPool(concurrent.futures.ThreadPoolExecutor):
@@ -163,7 +206,7 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    rows, rounds = 64 * _worker_count() + 5, 20
+    rows, rounds = 2 * 64 + 5, 20
     outs = [np.zeros(rows) for _ in range(8)]
 
     def caller(out, ready):
@@ -202,9 +245,10 @@ def _estimate_in_child(conn):
     conn.close()
 
 
-def test_a_forked_child_runs_block_sums():
+def test_a_forked_child_runs_block_sums(machine):
     # the parent's pool is running: a child forked now has none of its
     # worker threads and must build its own, or wait forever on the first sum
+    machine(2)
     want = estimate_kernel(_FORK_DATA, G, 0.3, _FORK_GRID).tobytes()
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)

@@ -6,7 +6,7 @@ import pytest
 from semistart.bandwidth import rule_delta
 from semistart.densities import NormalMixture, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_kernel, estimate_semiparametric
-from semistart.kernels import BLOCK_ELEMENTS, _worker_count, kernel_props
+from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, kernel_props
 from semistart.multivariate import (MvEstimate, mv_bandwidth, mv_estimate,
                                     mv_kernel_estimate, sphere)
 from semistart.starts import FittedStart
@@ -160,8 +160,8 @@ def _full_mv_estimate(e, pts):
 @pytest.mark.parametrize("n, side", [
     (BLOCK_ELEMENTS + 7, 3),  # one row per block
     (2000, 23),               # 16 rows per block, 529 points: 1 left over
-    # 16 rows per block, over three blocks per pool worker
-    pytest.param(2000, int(np.sqrt(48 * _worker_count())) + 1, id="more_blocks_than_workers"),
+    # 16 rows per block, over three blocks per block thread
+    pytest.param(2000, int(np.sqrt(48 * MAX_BLOCK_THREADS)) + 1, id="more_blocks_than_workers"),
 ])
 def test_blocked_mv_estimate_matches_full_sum(n, side):
     data = rng_data(11, n, 2, mix=True)

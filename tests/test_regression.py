@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semistart.kernels import BLOCK_ELEMENTS, _worker_count, eval_scaled, kernel_props
+from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
 from semistart.regression import (RegressionFit, fit_mean_start, gnw_estimate,
                                   nw_estimate)
 
@@ -131,8 +131,8 @@ def test_exponential_truth_bias_reduction(h):
     (BLOCK_ELEMENTS + 7, np.linspace(0.05, 0.95, 9)),  # one row per block
     (1000, np.linspace(0.0, 1.0, 101)),                # 32 rows per block, 5 left over
     (1000, np.float64(0.37)),                          # scalar
-    # three 32-row blocks per pool worker and a partial one
-    pytest.param(1000, np.linspace(0.0, 1.0, 96 * _worker_count() + 5),
+    # three 32-row blocks per block thread and a partial one
+    pytest.param(1000, np.linspace(0.0, 1.0, 96 * MAX_BLOCK_THREADS + 5),
                  id="more_blocks_than_workers"),
 ])
 def test_blocked_smoothers_are_bit_identical(n, x):
