@@ -73,8 +73,8 @@ def h_oversmoothed(sd: float, n: int, kernel: KernelSpec) -> float:
 
     For the gaussian kernel the constant is 1.144.
     """
-    if sd <= 0 or n < 1:
-        raise ValueError("need positive scale and n >= 1")
+    if not (np.isfinite(sd) and sd > 0) or n < 1:
+        raise ValueError("need a finite positive scale and n >= 1")
     return 3.0 * (kernel.rough_K / (35.0 * kernel.sigma2_K**2)) ** 0.2 * sd * n**-0.2
 
 

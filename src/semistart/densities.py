@@ -58,6 +58,9 @@ class NormalMixture:
         sd = np.atleast_1d(np.asarray(self.sds, dtype=float))
         if not (w.shape == mu.shape == sd.shape) or w.ndim != 1 or w.size == 0:
             raise ValueError("weights, means, sds must be equal-length 1-d sequences")
+        for name, arr in (("weights", w), ("means", mu), ("sds", sd)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"mixture {name} must be finite, got {arr.tolist()!r}")
         if np.any(w <= 0):
             raise ValueError("mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL_BUILD:

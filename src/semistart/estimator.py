@@ -17,7 +17,7 @@ making the plot a goodness-of-fit diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DensityEstimate:
-    """Data, kernel, bandwidth and start defining a fitted estimator."""
+    """Data, kernel, bandwidth and start defining a fitted estimator.
+
+    Built with it: den, the start density at the data (None for the constant
+    start, whose ratio is 1), and divisor, the raw total mass when normalize
+    is set and 1.0 otherwise.
+    """
 
     data: np.ndarray
     kernel: KernelSpec
     h: float
     start: FittedStart
     normalize: bool = False
+    den: np.ndarray | None = field(init=False, repr=False)
+    divisor: float = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.data, dtype=float).ravel()
@@ -51,6 +58,17 @@ class DensityEstimate:
         _require_finite(x)
         require_bandwidth(self.h)
         object.__setattr__(self, "data", x)
+        den = None
+        if self.start.family != "constant":
+            den = np.atleast_1d(eval_start(self.start, x))
+            if np.any(den <= 0):
+                raise ValueError(
+                    "start density vanishes at a data point; enable clipping or "
+                    "choose a start family supported there")
+        object.__setattr__(self, "den", den)
+        # the mass integral reads den, never divisor
+        object.__setattr__(self, "divisor", float(integral_of_estimate(self)[0])
+                           if self.normalize else 1.0)
 
     @property
     def n(self) -> int:
@@ -63,51 +81,28 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
     return estimate_semiparametric(DensityEstimate(data, kernel, h, flat), x)
 
 
-def _denominators(e: DensityEstimate) -> np.ndarray | None:
-    """Start density at the data, cached on the (frozen) estimate.
-
-    None for the constant start, whose ratio is 1: nothing is divided.
-    """
-    if e.start.family == "constant":
-        return None
-    den = e.__dict__.get("_den")
-    if den is None:
-        den = np.atleast_1d(eval_start(e.start, e.data))
-        if np.any(den <= 0):
-            raise ValueError(
-                "start density vanishes at a data point; enable clipping or "
-                "choose a start family supported there")
-        object.__setattr__(e, "_den", den)
-    return den
-
-
-def _correction_sum(e: DensityEstimate, den: np.ndarray | None, pts):
+def _correction_sum(e: DensityEstimate, pts):
     """(1/n) sum K_h(X_i - x)/fbar(X_i) for one float x or a column of points."""
     vals = eval_scaled(e.kernel, e.h, e.data - pts)
-    if den is not None:
-        vals = vals / den
+    if e.den is not None:
+        vals = vals / e.den
     return np.sum(vals, axis=-1) / e.n
 
 
 def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
-    den = _denominators(e)
     pts = x.ravel()
     out = np.empty(pts.size)
 
     def fill(rows):
-        out[rows] = _correction_sum(e, den, pts[rows, None])
+        out[rows] = _correction_sum(e, pts[rows, None])
 
     for_blocks(pts.size, e.n, fill)
     return out.reshape(x.shape)
 
 
-def _normalizing_mass(e: DensityEstimate) -> float:
-    """Raw total mass, cached on the (frozen) estimate after the first use."""
-    cached = e.__dict__.get("_mass")
-    if cached is None:
-        cached = integral_of_estimate(e)[0]
-        object.__setattr__(e, "_mass", cached)
-    return cached
+def _raw_at(e: DensityEstimate, x: float) -> float:
+    """Un-normalised estimate at one float, the integrand of the total mass."""
+    return eval_start(e.start, x) * float(_correction_sum(e, x))
 
 
 def estimate_semiparametric(e: DensityEstimate, x):
@@ -117,14 +112,12 @@ def estimate_semiparametric(e: DensityEstimate, x):
     the same bits as that point inside an array.
     """
     if isinstance(x, float):
-        out = eval_start(e.start, x) * float(_correction_sum(e, _denominators(e), x))
-        return float(out / _normalizing_mass(e)) if e.normalize else out
+        return _raw_at(e, x) / e.divisor
     x = np.asarray(x, dtype=float)
     out = np.atleast_1d(eval_start(e.start, x)) * _correction_at(e, np.atleast_1d(x))
     if x.ndim == 0:
         out = out[0]
-    if e.normalize:
-        out = out / _normalizing_mass(e)
+    out = out / e.divisor
     return out if np.ndim(out) else float(out)
 
 
@@ -178,7 +171,5 @@ def integral_of_estimate(e: DensityEstimate) -> tuple[float, float | None]:
     from scipy.integrate import quad
     lo = float(e.data.min()) - 12.0 * e.h
     hi = float(e.data.max()) + 12.0 * e.h
-    est = e if not e.normalize else DensityEstimate(e.data, e.kernel, e.h, e.start)
-    val, _ = quad(lambda t: estimate_semiparametric(est, t), lo, hi,
-                  limit=400, epsabs=1e-10)
+    val, _ = quad(lambda t: _raw_at(e, t), lo, hi, limit=400, epsabs=1e-10)
     return float(val), approx

@@ -29,6 +29,7 @@ import numpy as np
 from .bandwidth import _normal_log_ratio, _normal_square_integral
 from .densities import NormalMixture, marron_wand, mixture_moments
 from .kernels import SQRT_2PI, SQRT_PI, require_bandwidth
+from .starts import _require_finite
 
 __all__ = [
     "MiseDomainError",
@@ -133,14 +134,21 @@ def _radicands(m: NormalMixture, sd0: float, h: float):
     return b2, e2, c2, k2, f2
 
 
+def _require_normal_start(mu: float, sd: float) -> None:
+    """N(mu, sd^2) needs a finite location and a finite positive scale."""
+    if not np.isfinite(mu):
+        raise ValueError(f"start location must be finite, got {mu!r}")
+    if not (np.isfinite(sd) and sd > 0):
+        raise ValueError(f"start scale must be finite and positive, got {sd!r}")
+
+
 def mise_new(m: NormalMixture, mu0: float, sd0: float, h: float, n: int) -> float:
     """Exact mise(h) of the corrected estimator with the N(mu0, sd0^2) start.
 
     Internally the problem is translated so the start is centred at 0; the
     value is translation invariant and the exponentials stay balanced.
     """
-    if sd0 <= 0:
-        raise ValueError("start scale must be positive")
+    _require_normal_start(mu0, sd0)
     require_bandwidth(h)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -223,12 +231,12 @@ def ise_new(data, mu_hat: float, sd_hat: float, h: float, m: NormalMixture) -> f
     finite gaussian-product sums.
     """
     require_bandwidth(h)
-    if sd_hat <= 0:
-        raise ValueError("start scale must be positive")
+    _require_normal_start(mu_hat, sd_hat)
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
     if n == 0:
         raise ValueError("data must be nonempty")
+    _require_finite(x)
     a_term = _normal_square_integral(x, mu_hat, sd_hat, h)
 
     # int f fhat: mixture component x data point sum

@@ -10,7 +10,7 @@ Mapping back multiplies by |cov|^(-1/2), which keeps the estimator an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -40,28 +40,39 @@ def _cov_factor(cov: np.ndarray):
     """Symmetric square root and inverse root via eigendecomposition."""
     vals, vecs = np.linalg.eigh(cov)
     if vals.min() <= _MIN_COND * vals.max() or vals.min() <= 0:
-        raise ValueError("covariance is (numerically) rank deficient")
+        raise ValueError("covariance is not (numerically) positive definite")
     root = (vecs * np.sqrt(vals)) @ vecs.T
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
     return root, inv_root
 
 
+def _moments(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, mean, cov): the data matrix and its sample moments (n denominator)."""
+    x = _as_matrix(data)
+    _require_finite(x)  # before the moments, which inf would turn into nan
+    n, d = x.shape
+    if n < d + 1:
+        raise ValueError("need at least d + 1 observations to estimate the moments")
+    mean = x.mean(axis=0)
+    xc = x - mean
+    return x, mean, xc.T @ xc / n
+
+
 def sphere(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (Y, mean, cov_root) with Y = cov^(-1/2) (X - mean).
 
-    mean and covariance are the sample moments (n denominator), so Y has
-    sample mean exactly 0 and sample covariance exactly the identity.
+    mean and covariance are the sample moments, so Y has sample mean
+    exactly 0 and sample covariance exactly the identity.
     """
-    x = _as_matrix(data)
-    _require_finite(x)
-    n, d = x.shape
-    if n < d + 1:
-        raise ValueError("need at least d + 1 observations to sphere")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / n
+    x, mean, cov = _moments(data)
     root, inv_root = _cov_factor(cov)
-    return xc @ inv_root.T, mean, root
+    return (x - mean) @ inv_root.T, mean, root
+
+
+def _sq_radii(y: np.ndarray, clip: float | None) -> np.ndarray:
+    """Squared radii |y_i|^2 of sphered rows, capped at clip^2 unless clip is None."""
+    q = np.sum(y * y, axis=1)
+    return q if clip is None else np.minimum(q, clip**2)
 
 
 def _pairwise_sq_blocks(a: np.ndarray, b: np.ndarray, fill) -> None:
@@ -83,6 +94,7 @@ def _pairwise_sq_blocks(a: np.ndarray, b: np.ndarray, fill) -> None:
 def mv_kernel_estimate(data, bandwidths, x):
     """Plain product-gaussian kernel estimate at the point(s) x."""
     dat = _as_matrix(data)
+    _require_finite(dat)
     n, d = dat.shape
     h = np.broadcast_to(np.asarray(bandwidths, dtype=float), (d,))
     require_bandwidth(h)
@@ -101,35 +113,41 @@ def mv_kernel_estimate(data, bandwidths, x):
 
 @dataclass(frozen=True, eq=False)
 class MvEstimate:
-    """Multinormal-start corrected estimator in d dimensions."""
+    """Multinormal-start corrected estimator in d dimensions.
+
+    Built with it: inv_root = cov^(-1/2), the sphered data, their squared
+    radii clipped at `clip`, and half the log-determinant of cov.
+    """
 
     data: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
     h: float
     clip: float | None = 2.5
+    inv_root: np.ndarray = field(init=False, repr=False)
+    sphered: np.ndarray = field(init=False, repr=False)
+    q_data: np.ndarray = field(init=False, repr=False)
+    half_logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
         x = _as_matrix(self.data)
         _require_finite(x)
-        object.__setattr__(self, "data", x)
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
+        mean = np.asarray(self.mean, dtype=float)
+        cov = np.asarray(self.cov, dtype=float)
         # n >= d + 1 is only needed when the moments are estimated (see fit)
         require_bandwidth(self.h)
-        vals = np.linalg.eigvalsh(self.cov)
-        if vals.min() <= _MIN_COND * vals.max() or vals.min() <= 0:
-            raise ValueError("covariance must be symmetric positive definite")
+        _, inv_root = _cov_factor(cov)
+        yd = (x - mean) @ inv_root.T
+        derived = {"data": x, "mean": mean, "cov": cov, "inv_root": inv_root,
+                   "sphered": yd, "q_data": _sq_radii(yd, self.clip),
+                   "half_logdet": 0.5 * float(np.linalg.slogdet(cov)[1])}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def fit(cls, data, h: float, clip: float | None = 2.5) -> "MvEstimate":
-        x = _as_matrix(data)
-        _require_finite(x)  # before the moments, which inf would turn into nan
-        if x.shape[0] < x.shape[1] + 1:
-            raise ValueError("need at least d + 1 observations to fit moments")
-        mean = x.mean(axis=0)
-        xc = x - mean
-        return cls(x, mean, xc.T @ xc / x.shape[0], h, clip)
+        x, mean, cov = _moments(data)
+        return cls(x, mean, cov, h, clip)
 
 
 def mv_estimate(e: MvEstimate, x):
@@ -140,29 +158,20 @@ def mv_estimate(e: MvEstimate, x):
     1-d start density beyond 2.5 standard deviations.
     """
     d = e.data.shape[1]
-    _, inv_root = _cov_factor(e.cov)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else _as_matrix(x)
 
-    yd = (e.data - e.mean) @ inv_root.T
-    yp = (pts - e.mean) @ inv_root.T
-    q_data = np.sum(yd * yd, axis=1)
-    q_pts = np.sum(yp * yp, axis=1)
-    if e.clip is not None:
-        cap = e.clip**2
-        q_data = np.minimum(q_data, cap)
-        q_pts = np.minimum(q_pts, cap)
-
-    half_logdet = 0.5 * float(np.linalg.slogdet(e.cov)[1])
+    yp = (pts - e.mean) @ e.inv_root.T
+    q_pts = _sq_radii(yp, e.clip)
     out = np.empty(yp.shape[0])
 
     def fill(rows, sq):
-        log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - half_logdet
-        log_ratio = -0.5 * q_pts[rows, None] + 0.5 * q_data[None, :]
+        log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - e.half_logdet
+        log_ratio = -0.5 * q_pts[rows, None] + 0.5 * e.q_data[None, :]
         out[rows] = np.exp(log_kern + log_ratio).mean(axis=1)
 
-    _pairwise_sq_blocks(yp, yd, fill)
+    _pairwise_sq_blocks(yp, e.sphered, fill)
     return float(out[0]) if single else out
 
 

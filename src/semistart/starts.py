@@ -36,17 +36,26 @@ class FittedStart:
     """A start family with fitted parameters and an optional clip threshold.
 
     clip is in standard (quantile) units; None disables clipping entirely.
+    floor is built with the start: the clip edges and the density at each,
+    (lo, hi, f(lo), f(hi)), or None when nothing is clipped.
     """
 
     family: str
     params: dict[str, Any] = field(default_factory=dict)
     clip: float | None = 2.5
+    floor: tuple[float, float, float, float] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unsupported start family: {self.family!r}")
         if self.clip is not None and self.clip <= 0:
             raise ValueError("clip threshold must be positive")
+        floor = None
+        if self.clip is not None and self.family != "constant":
+            lo, hi = _clip_edges(self)
+            floor = (lo, hi, float(_raw_pdf(self, np.array([lo]))[0]),
+                     float(_raw_pdf(self, np.array([hi]))[0]))
+        object.__setattr__(self, "floor", floor)
 
     def unclipped(self) -> "FittedStart":
         return replace(self, clip=None)
@@ -243,17 +252,6 @@ def _clip_edges(s: FittedStart) -> tuple[float, float]:
     raise ValueError(f"clipping undefined for family {s.family!r}")
 
 
-def _clip_floor(s: FittedStart) -> tuple[float, float, float, float]:
-    """Clip edges and the density there, cached on the (frozen) start."""
-    cached = s.__dict__.get("_floor")
-    if cached is None:
-        lo, hi = _clip_edges(s)
-        cached = (lo, hi, float(_raw_pdf(s, np.array([lo]))[0]),
-                  float(_raw_pdf(s, np.array([hi]))[0]))
-        object.__setattr__(s, "_floor", cached)
-    return cached
-
-
 def eval_start(s: FittedStart, x):
     """Start density with the clip floor applied outside the central region.
 
@@ -268,8 +266,8 @@ def eval_start(s: FittedStart, x):
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
     out = _raw_pdf(s, x)
-    if s.clip is not None and s.family != "constant":
-        lo, hi, flo, fhi = _clip_floor(s)
+    if s.floor is not None:
+        lo, hi, flo, fhi = s.floor
         if one:
             if x < lo:
                 out = max(out, flo)

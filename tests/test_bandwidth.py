@@ -10,9 +10,10 @@ from semistart.bandwidth import (DegenerateRoughness, _loo_params, amise_h, bcv,
                                  rule_gamma, rule_plugin, select, ucv)
 from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
+from semistart.exact_mise import ise_new, mise_new
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
 from semistart.kernels import MAX_BLOCK_THREADS, eval_scaled, kernel_props, row_blocks
-from semistart.multivariate import MvEstimate, mv_bandwidth, sphere
+from semistart.multivariate import MvEstimate, mv_bandwidth, mv_kernel_estimate, sphere
 from semistart.starts import FittedStart, em_fit_mixture, eval_start, fit_start
 
 from conftest import phi, phi_scaled
@@ -252,23 +253,40 @@ SELECTOR_CALLS = {
     "bcv": lambda x: bcv(x, NORMAL, G, [0.3, 0.6]),
     "ucv": lambda x: ucv(x, NORMAL, G, [0.3, 0.6]),
     "plugin_roughness": lambda x: plugin_roughness(x, NORMAL, G, 0.3),
+    "ise_new": lambda x: ise_new(x, 0.0, 1.0, 0.3, marron_wand(2)),
 }
 MATRIX_CALLS = {
     "sphere": sphere,
     "mv_bandwidth": mv_bandwidth,
     "MvEstimate": lambda x: MvEstimate(x, np.zeros(2), np.eye(2), 0.4),
     "MvEstimate.fit": lambda x: MvEstimate.fit(x, 0.4),
+    "mv_kernel_estimate": lambda x: mv_kernel_estimate(x, 0.4, np.zeros(2)),
+}
+# a non-finite start parameter (or scale), and the message that names it
+PARAMETER_CALLS = {
+    "ise_new.mu_hat": (lambda v: ise_new(_bad_column(0.0), v, 1.0, 0.3, marron_wand(2)),
+                       "start location must be finite"),
+    "ise_new.sd_hat": (lambda v: ise_new(_bad_column(0.0), 0.0, v, 0.3, marron_wand(2)),
+                       "start scale must be finite"),
+    "mise_new.mu0": (lambda v: mise_new(marron_wand(2), v, 1.0, 0.3, 100),
+                     "start location must be finite"),
+    "mise_new.sd0": (lambda v: mise_new(marron_wand(2), 0.0, v, 0.3, 100),
+                     "start scale must be finite"),
+    "h_oversmoothed": (lambda v: h_oversmoothed(v, 100, G), "finite positive scale"),
 }
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", list(SELECTOR_CALLS) + list(MATRIX_CALLS))
+@pytest.mark.parametrize("name", list(SELECTOR_CALLS) + list(MATRIX_CALLS)
+                         + list(PARAMETER_CALLS))
 def test_selectors_and_mv_path_reject_non_finite_data(name, bad):
     if name in SELECTOR_CALLS:
-        call, data, where = SELECTOR_CALLS[name], _bad_column(bad), "7"
+        call, data, msg = SELECTOR_CALLS[name], _bad_column(bad), r"index 7 is not finite"
+    elif name in MATRIX_CALLS:
+        call, data, msg = MATRIX_CALLS[name], _bad_matrix(bad), r"index 7, 1 is not finite"
     else:
-        call, data, where = MATRIX_CALLS[name], _bad_matrix(bad), "7, 1"
-    with pytest.raises(ValueError, match=rf"index {where} is not finite"):
+        (call, msg), data = PARAMETER_CALLS[name], bad
+    with pytest.raises(ValueError, match=msg):
         call(data)
 
 

@@ -5,6 +5,7 @@ test process itself has long since imported SciPy.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,23 @@ def test_gamma_start_loads_no_scipy_stats(tmp_path, inputs):
     proc = _fresh(child, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    # `python -m semistart.cli` runs the same command as the console script
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "semistart.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    proc = python_m("bench-amise", "--cases", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert run(["bench-amise", "--cases", "1"]) == 0
+    assert proc.stdout == capsys.readouterr().out != ""
+    proc = python_m("frobnicate")
+    assert proc.returncode == 2 and "invalid choice" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

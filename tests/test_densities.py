@@ -158,6 +158,15 @@ def test_validation_errors():
         NormalMixture(weights=[1.0, -0.0], means=[0, 1], sds=[1, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["weights", "means", "sds"])
+def test_non_finite_components_are_rejected_naming_the_field(field, bad):
+    parts = {"weights": [0.5, 0.5], "means": [0.0, 1.0], "sds": [1.0, 1.0]}
+    parts[field][1] = bad
+    with pytest.raises(ValueError, match=f"mixture {field} must be finite"):
+        NormalMixture(**parts)
+
+
 def test_json_round_trip():
     m = marron_wand(8)
     m2 = mixture_from_json(mixture_to_json(m))

@@ -178,12 +178,11 @@ def test_validation():
         DensityEstimate([], G, 0.5, FittedStart("constant"))
     with pytest.raises(ValueError):
         DensityEstimate([1.0], G, -0.5, FittedStart("constant"))
-    # unclipped positive-family start vanishing on a datum is a domain error
+    # unclipped positive-family start vanishing on a datum is a domain error,
+    # raised when the estimate is built
     st = FittedStart("lognormal", {"mu": 0.0, "sd": 1.0}, clip=None)
-    est = DensityEstimate([-1.0, 2.0], G, 0.5, st)
-    for _ in range(2):  # a failed evaluation caches no denominators
-        with pytest.raises(ValueError, match="vanishes"):
-            estimate_semiparametric(est, 1.0)
+    with pytest.raises(ValueError, match="vanishes"):
+        DensityEstimate([-1.0, 2.0], G, 0.5, st)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -271,6 +270,28 @@ def test_grid_evaluation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("family", ["normal", "normal_unclipped", "lognormal", "gamma",
+                                    "normal_mixture"])
+def test_normalized_estimate_is_its_raw_twin_over_the_raw_mass(family):
+    from semistart.densities import NormalMixture
+    data = np.random.default_rng(53).gamma(3.0, 1.0, 200)
+    mix = NormalMixture(weights=[0.4, 0.6], means=[1.5, 4.0], sds=[0.8, 1.5])
+    st = (FittedStart("normal_mixture", {"mixture": mix}) if family == "normal_mixture"
+          else fit_start("normal", data).unclipped() if family == "normal_unclipped"
+          else fit_start(family, data))
+    raw = DensityEstimate(data, G, 0.5, st)
+    norm = DensityEstimate(data, G, 0.5, st, normalize=True)
+    mass = integral_of_estimate(raw)
+    assert integral_of_estimate(norm) == mass
+    assert raw.divisor == 1.0 and norm.divisor == mass[0] and type(norm.divisor) is float
+    assert np.array_equal(norm.den, eval_start(st, data))
+    ts = np.linspace(-1.0, 15.0, 161)  # x <= 0 and both clip tails
+    assert np.array_equal(estimate_semiparametric(norm, ts),
+                          estimate_semiparametric(raw, ts) / mass[0])
+    assert all(estimate_semiparametric(norm, float(t))
+               == estimate_semiparametric(raw, float(t)) / mass[0] for t in ts)
 
 
 @pytest.mark.parametrize("normalize", [False, True])

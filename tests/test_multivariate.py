@@ -180,6 +180,36 @@ def test_blocked_mv_estimate_matches_full_sum(n, side):
     assert np.max(np.abs(kde - want_kde)) <= 1e-14 * np.max(want_kde)
 
 
+@pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]],
+                                 [[1.0, 0.0], [0.0, 1e-12]]],
+                         ids=["singular", "indefinite", "ill_conditioned"])
+def test_singular_covariance_is_rejected_at_construction(cov):
+    x = rng_data(13, 50, 2)
+    collinear = np.column_stack([x[:, 0], 2.0 * x[:, 0]])
+    msg = r"^covariance is not \(numerically\) positive definite$"
+    for build in (lambda: MvEstimate(x, np.zeros(2), cov, 0.4),
+                  lambda: MvEstimate.fit(collinear, 0.4),
+                  lambda: sphere(collinear)):
+        with pytest.raises(ValueError, match=msg):
+            build()
+
+
+def test_mv_estimate_reuses_the_factorisation(monkeypatch):
+    import semistart.multivariate as mv
+
+    e = MvEstimate.fit(rng_data(14, 300, 2), h=0.4, clip=1.5)
+    pts = rng_data(15, 20, 2)
+    want = mv_estimate(e, pts)
+
+    def refuse(*args):
+        raise AssertionError("the covariance was factorised again")
+
+    monkeypatch.setattr(mv, "_cov_factor", refuse)
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert np.array_equal(mv_estimate(e, pts), want)
+
+
 def test_mv_grid_evaluation_memory_is_bounded():
     # the working set is a fixed block, not the (1681 x 1e4) matrices (about 130 MB each)
     data = rng_data(12, 10_000, 2)

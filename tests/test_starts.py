@@ -196,6 +196,18 @@ def test_one_point_eval_start_is_bit_identical(s):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("s", _one_point_starts(),
+                         ids=lambda s: f"{s.family}-{'clip' if s.clip else 'raw'}")
+def test_floor_is_built_with_the_start(s):
+    if s.clip is None or s.family == "constant":
+        assert s.floor is None
+        return
+    lo, hi = _clip_edges(s)
+    assert s.floor == (lo, hi, eval_start(s.unclipped(), lo), eval_start(s.unclipped(), hi))
+    assert s.unclipped().floor is None
+    assert FittedStart(s.family, s.params, clip=1.0).floor[0] > lo
+
+
 def test_clip_edges_are_computed_once_per_start(monkeypatch):
     import scipy.special
 
