@@ -105,8 +105,8 @@ def rule_delta(data, kernel: KernelSpec) -> BandwidthChoice:
     return _moment_rule(data, kernel, hermite.robust_coeffs(data), "rule_delta")
 
 
-def _pair_matrix(n: int, block, symmetric: bool) -> np.ndarray:
-    """An n x n pair matrix, filled one row block at a time.
+def _pair_sum(n: int, block, symmetric: bool) -> float:
+    """Sum of an n x n pair matrix, filled one row block at a time.
 
     block(rows, cols) returns the matrix entries for two index slices.  The
     blocks land in one preallocated n x n buffer, so the matrix is the one
@@ -114,7 +114,9 @@ def _pair_matrix(n: int, block, symmetric: bool) -> np.ndarray:
     symmetric matrix is filled from its upper block triangle and mirrored,
     which halves the work; its entries must then be exactly symmetric in
     floating point.  A block writes its rows right of the diagonal and their
-    mirror image below it, which no other block touches.
+    mirror image below it, which no other block touches.  A single np.sum
+    reduces the whole buffer, so the result is bit-identical to summing the
+    matrix built in one piece.
     """
     buf = np.empty((n, n))
 
@@ -127,16 +129,7 @@ def _pair_matrix(n: int, block, symmetric: bool) -> np.ndarray:
             buf[rows] = block(rows, slice(0, n))
 
     for_blocks(n, n, fill)
-    return buf
-
-
-def _pair_sum(n: int, block, symmetric: bool) -> float:
-    """Sum of the pair matrix of _pair_matrix.
-
-    A single np.sum reduces the whole buffer, so the result is bit-identical
-    to summing the matrix built in one piece.
-    """
-    return float(np.sum(_pair_matrix(n, block, symmetric)))
+    return float(np.sum(buf))
 
 
 def _normal_log_ratio(u: np.ndarray, sd: float, h: float) -> np.ndarray:
@@ -331,24 +324,21 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
     return float(val)
 
 
-def _loo_ratio(x: np.ndarray, start: FittedStart) -> np.ndarray | None:
-    """Leave-one-out start ratios fbar_(i)(X_i) / fbar_(i)(X_j), row i.
+def _loo_log_ratio(x: np.ndarray, family: str):
+    """Leave-one-out log start ratios log{fbar_(i)(X_i) / fbar_(i)(X_j)}.
 
-    Built one row block at a time, so no n x n log-density temporaries are
-    kept; None for the constant start, whose ratio is 1.
+    Returns a function of a row slice r giving rows r of the n x n matrix,
+    so no n x n log-density temporaries are built.
     """
-    if start.family == "constant":
-        return None
-    n = x.size
-    mu_i, var_i = _loo_params(x, start.family)
+    mu_i, var_i = _loo_params(x, family)
     log_var = np.log(var_i)
-    if start.family == "normal":
+    if family == "normal":
         log_num = -0.5 * (x - mu_i) ** 2 / var_i - 0.5 * log_var
 
         def log_den(r):
             return -0.5 * (x[None, :] - mu_i[r, None]) ** 2 / var_i[r, None] \
                 - 0.5 * log_var[r, None]
-    elif start.family == "lognormal":
+    elif family == "lognormal":
         lx = np.log(x)
         log_num = -0.5 * (lx - mu_i) ** 2 / var_i - 0.5 * log_var - lx
 
@@ -366,13 +356,7 @@ def _loo_ratio(x: np.ndarray, start: FittedStart) -> np.ndarray | None:
             return (a_i[r, None] * log_b[r, None]
                     + (a_i[r, None] - 1.0) * log_x[None, :]
                     - b_i[r, None] * x[None, :] - lg_a[r, None])
-    ratio = np.empty((n, n))
-
-    def fill(r):
-        ratio[r] = np.exp(log_num[r, None] - log_den(r))
-
-    for_blocks(n, n, fill)
-    return ratio
+    return lambda r: log_num[r, None] - log_den(r)
 
 
 def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice:
@@ -394,22 +378,23 @@ def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
         raise ValueError("bandwidth grid must be nonempty")
     require_bandwidth(h_grid)
 
-    ratio = _loo_ratio(x, start)  # the same for every h
-    curve = np.empty_like(h_grid)
-    for idx, h in enumerate(h_grid):
-        # the integral term first: its own pair buffer is freed before W is
-        # built, so at most two n x n buffers (ratio and W) are alive at once
-        term = _ucv_integral_term(x, start, h)
-        # the kernel matrix is exactly symmetric: x_j - x_i == -(x_i - x_j)
-        # and (-0.5 * z) * z is even in z, so mirroring changes no bit
-        W = _pair_matrix(n, lambda r, c: eval_scaled(kernel, h, x[None, c] - x[r, None]),
-                         symmetric=True)
-        if ratio is not None:
-            W *= ratio
-        np.fill_diagonal(W, 0.0)
-        loo = W.sum(axis=1) / (n - 1)
-        del W
-        curve[idx] = term - 2.0 * float(loo.mean())
+    log_ratio = None if start.family == "constant" else _loo_log_ratio(x, start.family)
+    loo = np.empty((h_grid.size, n))
+
+    def fill(r):
+        # the ratio rows are the same for every h; the constant start's are 1
+        ratio = None if log_ratio is None else np.exp(log_ratio(r))
+        for g, h in enumerate(h_grid):
+            w = eval_scaled(kernel, h, x[None, :] - x[r, None])
+            if ratio is not None:
+                w *= ratio
+            np.fill_diagonal(w[:, r.start:], 0.0)
+            # one reduction over all n columns per row, whatever the block size
+            loo[g, r] = w.sum(axis=1) / (n - 1)
+
+    for_blocks(n, n, fill)
+    curve = np.array([_ucv_integral_term(x, start, h) - 2.0 * float(loo[g].mean())
+                      for g, h in enumerate(h_grid)])
     h_best, k = _grid_pick(h_grid, curve)
     return BandwidthChoice(h_best, "ucv",
                            {"h_grid": h_grid, "curve": curve, "index": k})

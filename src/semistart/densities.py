@@ -31,7 +31,6 @@ __all__ = [
     "roughness",
     "l1_measures",
     "marron_wand",
-    "mixture_to_json",
     "mixture_from_json",
 ]
 
@@ -308,12 +307,6 @@ def marron_wand(case: int) -> NormalMixture:
     w, mu, sd = _mw_components(case)
     w = np.asarray(w, float)
     return NormalMixture(weights=w / w.sum(), means=mu, sds=sd)
-
-
-def mixture_to_json(m: NormalMixture) -> str:
-    comps = [{"p": p, "mu": mu, "sd": sd}
-             for p, mu, sd in zip(m.weights, m.means, m.sds)]
-    return json.dumps({"components": comps})
 
 
 def mixture_from_json(text: str) -> NormalMixture:

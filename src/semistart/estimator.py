@@ -17,6 +17,7 @@ making the plot a goodness-of-fit diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,9 +113,13 @@ def estimate_semiparametric(e: DensityEstimate, x):
     the same bits as that point inside an array.
     """
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"evaluation point at index 0 is not finite ({x!r})")
         return _raw_at(e, x) / e.divisor
     x = np.asarray(x, dtype=float)
-    out = np.atleast_1d(eval_start(e.start, x)) * _correction_at(e, np.atleast_1d(x))
+    pts = np.atleast_1d(x)
+    _require_finite(pts, "evaluation point")
+    out = np.atleast_1d(eval_start(e.start, x)) * _correction_at(e, pts)
     if x.ndim == 0:
         out = out[0]
     out = out / e.divisor
@@ -138,6 +143,7 @@ def correction_curve(e: DensityEstimate, grid) -> CorrectionCurve:
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
+    _require_finite(grid, "evaluation point")
     r = _correction_at(e, grid)
     with np.errstate(divide="ignore"):
         log_r = np.log(r)

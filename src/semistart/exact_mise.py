@@ -34,7 +34,6 @@ from .starts import _require_finite
 __all__ = [
     "MiseDomainError",
     "MiseReport",
-    "gaussian_product_integral",
     "r_f",
     "mise_kernel",
     "mise_new",
@@ -59,27 +58,6 @@ class MiseDomainError(ValueError):
 def _log_phi_scaled(sd, u):
     """log of phi_sd(u) = phi(u/sd)/sd."""
     return -HALF_LOG_2PI - np.log(sd) - 0.5 * (u / sd) ** 2
-
-
-def gaussian_product_integral(factors: Sequence[tuple[float, float]], a: float = 0.0) -> float:
-    """int prod_j phi_{sd_j}(x - mu_j) dx, exactly.
-
-    Equals sqrt(2 pi) st * [prod phi_{sd_j}(mu_j - a)] *
-    exp{ st^2/2 * (sum (mu_j - a)/sd_j^2)^2 } with 1/st^2 = sum 1/sd_j^2;
-    the reference point a is arbitrary and only matters for conditioning.
-    """
-    sd = np.asarray([f[0] for f in factors], dtype=float)
-    mu = np.asarray([f[1] for f in factors], dtype=float)
-    if sd.size == 0:
-        raise ValueError("need at least one factor")
-    if np.any(sd <= 0):
-        raise ValueError("scales must be positive")
-    inv = float(np.sum(1.0 / sd**2))
-    st2 = 1.0 / inv
-    log_val = (HALF_LOG_2PI + 0.5 * np.log(st2)
-               + float(np.sum(_log_phi_scaled(sd, mu - a)))
-               + 0.5 * st2 * float(np.sum((mu - a) / sd**2)) ** 2)
-    return float(np.exp(log_val))
 
 
 def _overlap(m: NormalMixture, extra: float) -> float:

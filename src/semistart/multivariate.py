@@ -101,6 +101,7 @@ def mv_kernel_estimate(data, bandwidths, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else _as_matrix(x)
+    _require_finite(pts, "evaluation point")
     out = np.empty(pts.shape[0])
 
     def fill(rows, sq):
@@ -133,7 +134,9 @@ class MvEstimate:
         x = _as_matrix(self.data)
         _require_finite(x)
         mean = np.asarray(self.mean, dtype=float)
+        _require_finite(mean, "mean")
         cov = np.asarray(self.cov, dtype=float)
+        _require_finite(cov, "cov")
         # n >= d + 1 is only needed when the moments are estimated (see fit)
         require_bandwidth(self.h)
         _, inv_root = _cov_factor(cov)
@@ -161,6 +164,7 @@ def mv_estimate(e: MvEstimate, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else _as_matrix(x)
+    _require_finite(pts, "evaluation point")
 
     yp = (pts - e.mean) @ e.inv_root.T
     q_pts = _sq_radii(yp, e.clip)

@@ -114,6 +114,7 @@ def gnw_estimate(fit: RegressionFit, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     pts = np.atleast_1d(x)
+    _require_finite(pts, "evaluation point")
     corrected = fit.mean_start.kind != "constant"
     if corrected:
         m_pts, m_data = _clipped_mean(fit, pts), _clipped_mean(fit, fit.x)

@@ -1,4 +1,4 @@
-"""Parametric start densities: fitting, clipped evaluation, scores.
+"""Parametric start densities: fitting and clipped evaluation.
 
 The corrected estimator divides by the start density at every data point, so
 an evaluation that can dip arbitrarily close to zero makes lonely far-out
@@ -21,7 +21,7 @@ import numpy as np
 from .densities import NormalMixture, mixture_moments, mixture_pdf
 from .kernels import SQRT_2PI
 
-__all__ = ["FittedStart", "fit_start", "em_fit_mixture", "eval_start", "score", "FAMILIES"]
+__all__ = ["FittedStart", "fit_start", "em_fit_mixture", "eval_start", "FAMILIES"]
 
 FAMILIES = ("constant", "normal", "lognormal", "gamma", "normal_mixture")
 
@@ -61,15 +61,15 @@ class FittedStart:
         return replace(self, clip=None)
 
 
-def _require_finite(x: np.ndarray) -> None:
-    """Reject NaN and infinite values, naming the first one's index.
+def _require_finite(x: np.ndarray, what: str = "data value") -> None:
+    """Reject NaN and infinite values, naming what they are and the first one's index.
 
     A matrix's index is its row and column, as in "index 3, 1".
     """
     bad = ~np.isfinite(x)
     if np.any(bad):
         at = np.unravel_index(int(np.argmax(bad)), x.shape)
-        raise ValueError(f"data value at index {', '.join(map(str, at))} "
+        raise ValueError(f"{what} at index {', '.join(map(str, at))} "
                          f"is not finite ({float(x[at])!r})")
 
 
@@ -279,38 +279,3 @@ def eval_start(s: FittedStart, x):
     if one:
         return float(out)
     return float(out[0]) if scalar else out
-
-
-def score(s: FittedStart, x):
-    """Gradient of log density in the family's parameters.
-
-    Orders: normal (mu, sd); lognormal (mu, sd); gamma (alpha, beta);
-    normal_mixture (p_1.., mu_1.., sd_1..) via component responsibilities.
-    Evaluated on the raw (unclipped) density.
-    """
-    x = np.asarray(x, dtype=float)
-    if s.family == "constant":
-        raise ValueError("the constant start has no parameters to score")
-    if s.family == "normal":
-        mu, sd = s.params["mu"], s.params["sd"]
-        return np.stack([(x - mu) / sd**2, ((x - mu) ** 2 - sd**2) / sd**3], axis=-1)
-    if s.family == "lognormal":
-        mu, sd = s.params["mu"], s.params["sd"]
-        lx = np.log(x)
-        return np.stack([(lx - mu) / sd**2, ((lx - mu) ** 2 - sd**2) / sd**3], axis=-1)
-    if s.family == "gamma":
-        from scipy.special import digamma
-        a, b = s.params["alpha"], s.params["beta"]
-        return np.stack([np.log(b) + np.log(x) - digamma(a),
-                         np.full_like(x, a / b) - x], axis=-1)
-    if s.family == "normal_mixture":
-        mx: NormalMixture = s.params["mixture"]
-        z = (x[..., None] - mx.means) / mx.sds
-        comp = np.exp(-0.5 * z * z) / (SQRT_2PI * mx.sds)
-        f = np.sum(mx.weights * comp, axis=-1, keepdims=True)
-        resp = mx.weights * comp / f
-        d_p = comp / f
-        d_mu = resp * z / mx.sds
-        d_sd = resp * (z * z - 1.0) / mx.sds
-        return np.concatenate([d_p, d_mu, d_sd], axis=-1)
-    raise ValueError(f"unsupported start family: {s.family!r}")

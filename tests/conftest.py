@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
+HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def phi(z):
@@ -11,6 +14,29 @@ def phi(z):
 
 def phi_scaled(sd, u):
     return phi(np.asarray(u) / sd) / sd
+
+
+def gaussian_product_integral(factors, a=0.0):
+    """int prod_j phi_{sd_j}(x - mu_j) dx, exactly, for factors (sd_j, mu_j).
+
+    Equals sqrt(2 pi) st * [prod phi_{sd_j}(mu_j - a)] *
+    exp{ st^2/2 * (sum (mu_j - a)/sd_j^2)^2 } with 1/st^2 = sum 1/sd_j^2;
+    the reference point a is arbitrary and only matters for conditioning.
+    """
+    sd = np.asarray([f[0] for f in factors], dtype=float)
+    mu = np.asarray([f[1] for f in factors], dtype=float)
+    st2 = 1.0 / float(np.sum(1.0 / sd**2))
+    log_phi = -HALF_LOG_2PI - np.log(sd) - 0.5 * ((mu - a) / sd) ** 2
+    log_val = (HALF_LOG_2PI + 0.5 * np.log(st2) + float(np.sum(log_phi))
+               + 0.5 * st2 * float(np.sum((mu - a) / sd**2)) ** 2)
+    return float(np.exp(log_val))
+
+
+def mixture_to_json(m):
+    """The mixture-file text that mixture_from_json and the CLI's --mixture read."""
+    comps = [{"p": p, "mu": mu, "sd": sd}
+             for p, mu, sd in zip(m.weights, m.means, m.sds)]
+    return json.dumps({"components": comps})
 
 
 @pytest.fixture(scope="session")

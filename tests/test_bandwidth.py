@@ -9,11 +9,14 @@ from semistart.bandwidth import (DegenerateRoughness, _loo_params, amise_h, bcv,
                                  h_oversmoothed, plugin_roughness, rule_delta,
                                  rule_gamma, rule_plugin, select, ucv)
 from semistart.densities import marron_wand, mixture_sample
-from semistart.estimator import DensityEstimate, estimate_semiparametric
+from semistart.estimator import (DensityEstimate, correction_curve, estimate_kernel,
+                                 estimate_semiparametric)
 from semistart.exact_mise import ise_new, mise_new
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
 from semistart.kernels import MAX_BLOCK_THREADS, eval_scaled, kernel_props, row_blocks
-from semistart.multivariate import MvEstimate, mv_bandwidth, mv_kernel_estimate, sphere
+from semistart.multivariate import (MvEstimate, mv_bandwidth, mv_estimate,
+                                    mv_kernel_estimate, sphere)
+from semistart.regression import RegressionFit, gnw_estimate, nw_estimate
 from semistart.starts import FittedStart, em_fit_mixture, eval_start, fit_start
 
 from conftest import phi, phi_scaled
@@ -262,7 +265,11 @@ MATRIX_CALLS = {
     "MvEstimate.fit": lambda x: MvEstimate.fit(x, 0.4),
     "mv_kernel_estimate": lambda x: mv_kernel_estimate(x, 0.4, np.zeros(2)),
 }
-# a non-finite start parameter (or scale), and the message that names it
+EST = DensityEstimate(_bad_column(0.0), G, 0.4, NORMAL)
+FIT = RegressionFit.fit(_bad_column(0.0), np.cos(_bad_column(0.0)), G, 0.4)
+MV = MvEstimate.fit(_bad_matrix(0.0), 0.4)
+# a non-finite start parameter, scale, moment or evaluation point, and the
+# message that names it
 PARAMETER_CALLS = {
     "ise_new.mu_hat": (lambda v: ise_new(_bad_column(0.0), v, 1.0, 0.3, marron_wand(2)),
                        "start location must be finite"),
@@ -273,6 +280,28 @@ PARAMETER_CALLS = {
     "mise_new.sd0": (lambda v: mise_new(marron_wand(2), 0.0, v, 0.3, 100),
                      "start scale must be finite"),
     "h_oversmoothed": (lambda v: h_oversmoothed(v, 100, G), "finite positive scale"),
+    "MvEstimate.mean": (lambda v: MvEstimate(_bad_matrix(0.0), [v, 0.0], np.eye(2), 0.4),
+                        "mean at index 0 is not finite"),
+    "MvEstimate.cov": (lambda v: MvEstimate(_bad_matrix(0.0), np.zeros(2),
+                                            [[1.0, v], [v, 1.0]], 0.4),
+                       "cov at index 0, 1 is not finite"),
+    "estimate_semiparametric": (lambda v: estimate_semiparametric(EST, np.array([0.0, v])),
+                                "evaluation point at index 1 is not finite"),
+    "estimate_semiparametric.float": (lambda v: estimate_semiparametric(EST, float(v)),
+                                      "evaluation point at index 0 is not finite"),
+    "estimate_kernel": (lambda v: estimate_kernel(_bad_column(0.0), G, 0.4, np.array([0.0, v])),
+                        "evaluation point at index 1 is not finite"),
+    "correction_curve": (lambda v: correction_curve(EST, [0.0, v]),
+                         "evaluation point at index 1 is not finite"),
+    "gnw_estimate": (lambda v: gnw_estimate(FIT, np.array([0.0, v])),
+                     "evaluation point at index 1 is not finite"),
+    "nw_estimate": (lambda v: nw_estimate(FIT, np.array([0.0, v])),
+                    "evaluation point at index 1 is not finite"),
+    "mv_estimate": (lambda v: mv_estimate(MV, np.array([[0.0, 0.0], [0.0, v]])),
+                    "evaluation point at index 1, 1 is not finite"),
+    "mv_kernel_estimate.x": (lambda v: mv_kernel_estimate(_bad_matrix(0.0), 0.4,
+                                                          np.array([0.0, v])),
+                             "evaluation point at index 0, 1 is not finite"),
 }
 
 
@@ -476,3 +505,14 @@ def test_selector_memory_is_one_or_two_pair_buffers():
     grid = np.array([0.2, 0.4])
     assert _peak_mb(lambda: bcv(x, st, G, grid)) <= 40.0
     assert _peak_mb(lambda: ucv(x, st, G, grid)) <= 72.0
+
+
+def test_ucv_leave_one_out_holds_no_pair_buffer():
+    # one n x n float64 buffer is 30.5 MB at n = 2000; the lognormal start's
+    # int fhat^2 runs through quadrature, so only the leave-one-out rows of the
+    # blocks in flight remain (the ratio and kernel buffers peaked at 63.1 MB)
+    w = np.exp(np.random.default_rng(5).normal(size=20))
+    ucv(w, fit_start("lognormal", w), G, [0.3])  # SciPy's import is not counted
+    x = np.exp(0.5 * mixture_sample(marron_wand(2), 2000, seed=41))
+    st = fit_start("lognormal", x)
+    assert _peak_mb(lambda: ucv(x, st, G, np.array([0.2, 0.4]))) <= 8.0

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from semistart.cli import run
-from semistart.densities import marron_wand, mixture_to_json
+from semistart.densities import marron_wand
+
+from conftest import mixture_to_json
 
 
 def read_csv(path):

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from semistart.cli import run
-from semistart.densities import marron_wand, mixture_to_json
+from semistart.densities import marron_wand
+
+from conftest import mixture_to_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 

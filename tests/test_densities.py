@@ -6,10 +6,9 @@ from scipy.integrate import quad
 
 from semistart.densities import (NormalMixture, bias_factors, l1_measures,
                                  marron_wand, mixture_from_json, mixture_moments,
-                                 mixture_pdf, mixture_sample, mixture_to_json,
-                                 roughness)
+                                 mixture_pdf, mixture_sample, roughness)
 
-from conftest import phi, phi_scaled
+from conftest import mixture_to_json, phi, phi_scaled
 
 
 def bimodal_unit():

@@ -6,12 +6,11 @@ from scipy.integrate import quad
 
 from semistart.densities import (NormalMixture, marron_wand, mixture_moments,
                                  mixture_pdf, mixture_sample)
-from semistart.exact_mise import (MiseDomainError, benchmark_table,
-                                  gaussian_product_integral, h_domain_cap, ise_new,
-                                  mise_kernel, mise_new, optimal_h, r_f,
+from semistart.exact_mise import (MiseDomainError, benchmark_table, h_domain_cap,
+                                  ise_new, mise_kernel, mise_new, optimal_h, r_f,
                                   reports_to_csv)
 
-from conftest import SQRT_2PI, SQRT_PI, phi, phi_scaled
+from conftest import SQRT_2PI, SQRT_PI, gaussian_product_integral, phi, phi_scaled
 
 
 def test_gaussian_product_single_factor():

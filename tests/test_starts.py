@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from semistart.densities import NormalMixture, marron_wand, mixture_sample
-from semistart.starts import (FittedStart, _clip_edges, em_fit_mixture, eval_start,
-                              fit_start, score)
+from semistart.starts import FittedStart, _clip_edges, em_fit_mixture, eval_start, fit_start
 
 from conftest import phi
 
@@ -81,54 +80,6 @@ def test_clip_continuity_and_floor():
         assert np.all(vals > 0.0)
         # no jump anywhere: steps shrink with the grid spacing
         assert np.max(np.abs(np.diff(vals))) < 0.01
-
-
-def test_score_normal_values():
-    s = FittedStart("normal", {"mu": 0.0, "sd": 1.0})
-    np.testing.assert_allclose(score(s, np.array(1.0)), [1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(score(s, np.array(0.0)), [0.0, -1.0], atol=1e-14)
-
-
-@pytest.mark.parametrize("start", [
-    FittedStart("normal", {"mu": 0.4, "sd": 1.2}),
-    FittedStart("lognormal", {"mu": 0.2, "sd": 0.5}),
-    FittedStart("gamma", {"alpha": 2.5, "beta": 1.3}),
-])
-def test_score_finite_difference_oracle(start):
-    xs = np.array([0.8, 1.7, 3.1])
-    grads = score(start, xs)
-    names = list(start.params)
-    eps = 1e-6
-    for i, name in enumerate(names):
-        up = dict(start.params); up[name] += eps
-        dn = dict(start.params); dn[name] -= eps
-        s_up = FittedStart(start.family, up, clip=None)
-        s_dn = FittedStart(start.family, dn, clip=None)
-        fd = (np.log(eval_start(s_up, xs)) - np.log(eval_start(s_dn, xs))) / (2 * eps)
-        np.testing.assert_allclose(grads[:, i], fd, atol=1e-6)
-
-
-def test_score_mixture_responsibilities():
-    mix = NormalMixture(weights=[0.4, 0.6], means=[-1.0, 2.0], sds=[0.8, 1.1])
-    s = FittedStart("normal_mixture", {"mixture": mix})
-    xs = np.array([0.3, 1.5])
-    g = score(s, xs)
-    eps = 1e-6
-    # finite differences in one mean and one scale
-    for idx, (field, comp) in enumerate([("means", 0), ("sds", 1)]):
-        def shifted(sign):
-            kw = {"weights": mix.weights.copy(), "means": mix.means.copy(),
-                  "sds": mix.sds.copy()}
-            kw[field] = kw[field].copy()
-            kw[field][comp] += sign * eps
-            alt = NormalMixture(weights=kw["weights"], means=kw["means"], sds=kw["sds"])
-            return np.log(eval_start(FittedStart("normal_mixture", {"mixture": alt},
-                                                 clip=None), xs))
-        fd = (shifted(+1) - shifted(-1)) / (2 * eps)
-        col = 2 + comp if field == "means" else 4 + comp
-        np.testing.assert_allclose(g[:, col], fd, atol=1e-6)
-    with pytest.raises(ValueError):
-        score(FittedStart("constant"), 1.0)
 
 
 def test_em_single_component_matches_normal_fit():
