@@ -244,16 +244,23 @@ def _plugin_quadrature(x: np.ndarray, start: FittedStart, h: float) -> float:
     norm = x.size * h**3
 
     def integrand(t):
-        z = (t - x) / h
-        zz = z * z  # -0.5 * zz is -0.5 * z * z to the bit: scaling by 0.5 is exact
-        rpp = ((zz - 1.0) * np.exp(-0.5 * zz) / SQRT_2PI / den).sum() / norm
-        return (eval_start(f0, t) * rpp) ** 2
+        rpp = np.empty(t.size)
 
-    from scipy.integrate import quad
+        def fill(rows):
+            z = (t[rows, None] - x) / h
+            zz = z * z  # -0.5 * zz is -0.5 * z * z to the bit: scaling by 0.5 is exact
+            rpp[rows] = ((zz - 1.0) * np.exp(-0.5 * zz) / SQRT_2PI / den).sum(axis=1) / norm
+
+        for_blocks(t.size, x.size, fill)
+        # float_power is libm's pow, as the square of one float was; v * v can
+        # differ from it in the last bit
+        return np.float_power(eval_start(f0, t) * rpp, 2.0)
+
+    from .quadpack import qags
     lo = float(x.min()) - 10.0 * h
     hi = float(x.max()) + 10.0 * h
-    val, _ = quad(integrand, lo, hi, limit=400)
-    return float(val)
+    val, _ = qags(integrand, lo, hi, limit=400)
+    return val
 
 
 def _grid_pick(h_grid, values) -> tuple[float, int]:
@@ -314,14 +321,14 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
     if start.family == "normal":
         return _normal_square_integral(x, start.params["mu"], start.params["sd"], h)
     # generic: numeric integral of the squared estimate with the raw start
-    from scipy.integrate import quad
-
     from .estimator import DensityEstimate, estimate_semiparametric
     from .kernels import kernel_props
+    from .quadpack import qags
     est = DensityEstimate(x, kernel_props("gaussian"), h, start.unclipped())
     lo, hi = float(x.min()) - 10 * h, float(x.max()) + 10 * h
-    val, _ = quad(lambda t: estimate_semiparametric(est, t) ** 2, lo, hi, limit=400)
-    return float(val)
+    val, _ = qags(lambda t: np.float_power(estimate_semiparametric(est, t), 2.0),
+                  lo, hi, limit=400)
+    return val
 
 
 def _loo_log_ratio(x: np.ndarray, family: str):

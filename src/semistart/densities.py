@@ -212,8 +212,9 @@ def _integrate_abs(g, lo: float, hi: float) -> float:
     Plain adaptive quadrature stalls on the kinks of |g|; between two sign
     changes g is smooth and int |g| = |int g|.
     """
-    from scipy.integrate import quad
     from scipy.optimize import brentq
+
+    from .quadpack import qags
 
     xs = np.linspace(lo, hi, 4097)
     vals = g(xs)
@@ -225,7 +226,7 @@ def _integrate_abs(g, lo: float, hi: float) -> float:
     pts = [lo] + roots + [hi]
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = quad(g, a, b, limit=300, epsabs=1e-10)
+        val, _ = qags(g, a, b, limit=300, epsabs=1e-10)
         total += abs(val)
     return total
 
@@ -238,12 +239,12 @@ def l1_measures(m: NormalMixture) -> L1Report:
     overall-moment window alone truncates mixtures with one wide and one
     narrow component.
     """
-    from scipy.integrate import quad
+    from .quadpack import qags
 
     lo, hi = m.support_window()
     iab_trad = _integrate_abs(lambda x: bias_factors(m, x)[0], lo, hi)
     iab_new = _integrate_abs(lambda x: bias_factors(m, x)[1], lo, hi)
-    half_norm, _ = quad(lambda x: np.sqrt(mixture_pdf(m, x)), lo, hi,
+    half_norm, _ = qags(lambda x: np.sqrt(mixture_pdf(m, x)), lo, hi,
                         limit=400, epsabs=1e-10)
     rho1_trad = half_norm**0.8 * iab_trad**0.2 if iab_trad > 1e-200 else 0.0
     rho1_new = half_norm**0.8 * iab_new**0.2 if iab_new > 1e-200 else 0.0

@@ -17,7 +17,6 @@ making the plot a goodness-of-fit diagnostic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +82,7 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
 
 
 def _correction_sum(e: DensityEstimate, pts):
-    """(1/n) sum K_h(X_i - x)/fbar(X_i) for one float x or a column of points."""
+    """(1/n) sum K_h(X_i - x)/fbar(X_i) for a column of points."""
     vals = eval_scaled(e.kernel, e.h, e.data - pts)
     if e.den is not None:
         vals = vals / e.den
@@ -101,25 +100,12 @@ def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _raw_at(e: DensityEstimate, x: float) -> float:
-    """Un-normalised estimate at one float, the integrand of the total mass."""
-    return eval_start(e.start, x) * float(_correction_sum(e, x))
-
-
 def estimate_semiparametric(e: DensityEstimate, x):
-    """Start-times-correction estimate at x (vectorised).
-
-    One float, as quadrature asks for, skips the array handling and gives
-    the same bits as that point inside an array.
-    """
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"evaluation point at index 0 is not finite ({x!r})")
-        return _raw_at(e, x) / e.divisor
+    """Start-times-correction estimate at x (vectorised); one point gives a float."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_1d(x)
     _require_finite(pts, "evaluation point")
-    out = np.atleast_1d(eval_start(e.start, x)) * _correction_at(e, pts)
+    out = eval_start(e.start, pts) * _correction_at(e, pts)
     if x.ndim == 0:
         out = out[0]
     out = out / e.divisor
@@ -174,8 +160,10 @@ def integral_of_estimate(e: DensityEstimate) -> tuple[float, float | None]:
             val = float(np.mean(np.exp(0.5 * h2 * (e.data - mu) ** 2 /
                                        (sd * sd * (sd * sd + h2)))))
             return val / np.sqrt(1.0 + h2 / (sd * sd)), approx
-    from scipy.integrate import quad
+    from .quadpack import qags
     lo = float(e.data.min()) - 12.0 * e.h
     hi = float(e.data.max()) + 12.0 * e.h
-    val, _ = quad(lambda t: _raw_at(e, t), lo, hi, limit=400, epsabs=1e-10)
-    return float(val), approx
+    # the raw estimate: the divisor is not built yet
+    val, _ = qags(lambda t: eval_start(e.start, t) * _correction_at(e, t), lo, hi,
+                  limit=400, epsabs=1e-10)
+    return val, approx

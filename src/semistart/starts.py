@@ -64,13 +64,14 @@ class FittedStart:
 def _require_finite(x: np.ndarray, what: str = "data value") -> None:
     """Reject NaN and infinite values, naming what they are and the first one's index.
 
-    A matrix's index is its row and column, as in "index 3, 1".
+    A matrix's index is its row and column, as in "index 3, 1"; a 0-d value
+    has none.
     """
     bad = ~np.isfinite(x)
     if np.any(bad):
         at = np.unravel_index(int(np.argmax(bad)), x.shape)
-        raise ValueError(f"{what} at index {', '.join(map(str, at))} "
-                         f"is not finite ({float(x[at])!r})")
+        where = f" at index {', '.join(map(str, at))}" if at else ""
+        raise ValueError(f"{what}{where} is not finite ({float(x[at])!r})")
 
 
 def _as_clean_sample(data, positive: bool = False) -> np.ndarray:
@@ -191,9 +192,7 @@ def em_fit_mixture(data, k: int, seed: int) -> FittedStart:
 
 
 def _positive_part(pdf, x):
-    """pdf on x > 0 and 0 elsewhere, for one float or an array of points."""
-    if isinstance(x, float):
-        return pdf(x) if x > 0 else 0.0
+    """pdf on x > 0 and 0 elsewhere, for an array of points."""
     out = np.zeros_like(x)
     pos = x > 0
     out[pos] = pdf(x[pos])
@@ -201,14 +200,9 @@ def _positive_part(pdf, x):
 
 
 def _raw_pdf(s: FittedStart, x):
-    """Family density at one float or at an array of points.
-
-    Squares are written z * z: on a NumPy scalar ** 2 calls pow, which can
-    round differently from the array square, and one point must give the
-    same bits as the same point inside an array.
-    """
+    """Family density at an array of points."""
     if s.family == "constant":
-        return 1.0 if isinstance(x, float) else np.ones_like(x)
+        return np.ones_like(x)
     if s.family == "normal":
         mu, sd = s.params["mu"], s.params["sd"]
         z = (x - mu) / sd
@@ -226,8 +220,7 @@ def _raw_pdf(s: FittedStart, x):
         return _positive_part(lambda xp: np.exp(
             a * np.log(b) + (a - 1.0) * np.log(xp) - b * xp - gammaln(a)), x)
     if s.family == "normal_mixture":
-        out = mixture_pdf(s.params["mixture"], x)
-        return out if isinstance(x, float) else np.atleast_1d(out)
+        return mixture_pdf(s.params["mixture"], x)
     raise ValueError(f"unsupported start family: {s.family!r}")
 
 
@@ -257,25 +250,14 @@ def eval_start(s: FittedStart, x):
 
     With clip=None the raw family density is returned; for the positive
     families that raw density is 0 at x <= 0, which the corrected estimator
-    treats as a domain error.  One float, as quadrature asks for, skips the
-    array handling and gives the same bits as that point inside an array.
+    treats as a domain error.  One point gives a float.
     """
-    one = isinstance(x, float)
-    if not one:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
     out = _raw_pdf(s, x)
     if s.floor is not None:
         lo, hi, flo, fhi = s.floor
-        if one:
-            if x < lo:
-                out = max(out, flo)
-            elif x > hi:
-                out = max(out, fhi)
-        else:
-            out = np.where(x < lo, np.maximum(out, flo), out)
-            out = np.where(x > hi, np.maximum(out, fhi), out)
-    if one:
-        return float(out)
+        out = np.where(x < lo, np.maximum(out, flo), out)
+        out = np.where(x > hi, np.maximum(out, fhi), out)
     return float(out[0]) if scalar else out

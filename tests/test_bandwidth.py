@@ -282,6 +282,9 @@ PARAMETER_CALLS = {
     "h_oversmoothed": (lambda v: h_oversmoothed(v, 100, G), "finite positive scale"),
     "MvEstimate.mean": (lambda v: MvEstimate(_bad_matrix(0.0), [v, 0.0], np.eye(2), 0.4),
                         "mean at index 0 is not finite"),
+    # one-dimensional data take a scalar mean, which has no index
+    "MvEstimate.scalar_mean": (lambda v: MvEstimate(_bad_column(0.0), v, 1.0, 0.4),
+                               r"^mean is not finite \((nan|inf|-inf)\)$"),
     "MvEstimate.cov": (lambda v: MvEstimate(_bad_matrix(0.0), np.zeros(2),
                                             [[1.0, v], [v, 1.0]], 0.4),
                        "cov at index 0, 1 is not finite"),

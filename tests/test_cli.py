@@ -252,8 +252,8 @@ def test_non_finite_mixture_json_exits_1_naming_the_field(tmp_path, capsys, key,
 _KINKED_QUAD = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="known red, the IntegrationWarning FOUND line of CHANGES.md: "
-           "integral_of_estimate's quad meets the kernel's kinks at every X_i +/- h "
-           "and warns of roundoff (ROADMAP item 3)")
+           "integral_of_estimate's adaptive rule (quadpack.qags) meets the kernel's kinks "
+           "at every X_i +/- h/2 and warns that it missed its tolerance (ROADMAP item 2)")
 
 
 @pytest.mark.parametrize("kernel", ["gaussian",

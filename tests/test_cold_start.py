@@ -91,9 +91,11 @@ def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
         ["bench-mise", "--cases", "1,6", "--n", "50,200"],
         ["sample", "--mixture", inputs["mix"], "--n", "20", "--seed", "4"],
     ]
+    # the lognormal start and --normalize integrate with semistart.quadpack
     requests += [["bandwidth", *data, "--start", start, "--method", method]
-                 for start in ("normal", "constant")
+                 for start in ("normal", "constant", "lognormal")
                  for method in ("bcv", "ucv", "plugin")]
+    requests.append(["estimate", *data, "--kernel", "gaussian", "--normalize", *grid])
     proc = _fresh(_CHILD, json.dumps([argv + out for argv in requests]), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
