@@ -89,6 +89,7 @@ def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
         ["regress", "--input", inputs["pairs"], "--h", "0.2", "--grid", "0,1,11",
          "--mean-start", "constant"],
         ["bench-mise", "--cases", "1,6", "--n", "50,200"],
+        ["bench-amise", "--cases", "1,6"],
         ["sample", "--mixture", inputs["mix"], "--n", "20", "--seed", "4"],
     ]
     # the lognormal start and --normalize integrate with semistart.quadpack
@@ -97,6 +98,17 @@ def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
                  for method in ("bcv", "ucv", "plugin")]
     requests.append(["estimate", *data, "--kernel", "gaussian", "--normalize", *grid])
     proc = _fresh(_CHILD, json.dumps([argv + out for argv in requests]), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_l1_measures_loads_no_scipy(tmp_path):
+    # the sign changes of int |g| are found by densities._brentq, not SciPy's
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+             "from semistart.densities import l1_measures, marron_wand; "
+             "l1_measures(marron_wand(6)); "
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = _fresh(child, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
 

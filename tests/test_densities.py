@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from semistart.densities import (NormalMixture, bias_factors, l1_measures,
+from semistart import quadpack
+from semistart.densities import (NormalMixture, _integrate_abs, bias_factors, l1_measures,
                                  marron_wand, mixture_from_json, mixture_moments,
                                  mixture_pdf, mixture_sample, roughness)
 
@@ -128,6 +129,29 @@ def test_l1_bimodal_case():
     rep = l1_measures(marron_wand(6))
     assert rep.rho1_trad == pytest.approx(2.1786, abs=5e-3)
     assert rep.rho1_new == pytest.approx(2.0575, abs=5e-3)
+
+
+@pytest.mark.parametrize("g, want, pieces", [
+    # the 4097-point grid of [-1, 1] holds 0 exactly, where np.sign is 0
+    (lambda x: x, 1.0, [(-1.0, 0.0), (0.0, 1.0)]),
+    (lambda x: np.sin(np.pi * x), 4.0 / np.pi, [(-1.0, 0.0), (0.0, 1.0)]),
+    # exact zeros on [-0.25, 0.25]: the split is at the first of them
+    (lambda x: np.sign(x) * np.maximum(np.abs(x) - 0.25, 0.0) ** 2, 0.75**3 / 1.5,
+     [(-1.0, -0.25), (-0.25, 1.0)]),
+    (lambda x: 0.0 * x, 0.0, [(-1.0, 1.0)]),
+], ids=["x", "sin", "plateau", "zero"])
+def test_integrate_abs_splits_at_exact_grid_zeros(monkeypatch, g, want, pieces):
+    calls = []
+    qags = quadpack.qags
+
+    def record(f, a, b, **kw):
+        calls.append((a, b))
+        return qags(f, a, b, **kw)
+
+    # _integrate_abs imports qags when it runs
+    monkeypatch.setattr(quadpack, "qags", record)
+    assert _integrate_abs(g, -1.0, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert calls == pieces
 
 
 def test_marron_wand_catalog():
