@@ -8,11 +8,11 @@ from .densities import (L1Report, NormalMixture, RoughnessReport, bias_factors,
 from .estimator import (CorrectionCurve, DensityEstimate, correction_curve,
                         estimate_kernel, estimate_semiparametric, integral_of_estimate)
 from .exact_mise import (MiseDomainError, MiseReport, benchmark_table, h_domain_cap,
-                         ise_new, mise_kernel, mise_new, optimal_h, r_f, reports_to_csv)
+                         mise_kernel, mise_new, optimal_h, r_f, reports_to_csv)
 from .hermite import (HermiteCoeffs, classic_coeffs, hermite_poly, robust_coeffs,
                       roughness_from_coeffs)
 from .kernels import KernelSpec, eval_scaled, kernel_props
-from .multivariate import MvEstimate, mv_bandwidth, mv_estimate, mv_kernel_estimate, sphere
+from .multivariate import MvEstimate, mv_bandwidth, mv_estimate, sphere
 from .regression import MeanStart, RegressionFit, fit_mean_start, gnw_estimate, nw_estimate
 from .starts import FittedStart, em_fit_mixture, eval_start, fit_start
 

@@ -24,7 +24,9 @@ from typing import Any
 import numpy as np
 
 from . import hermite
-from .kernels import SQRT_2PI, KernelSpec, eval_scaled, for_blocks, require_bandwidth
+from .estimator import DensityEstimate, estimate_semiparametric
+from .kernels import (SQRT_2PI, KernelSpec, eval_scaled, for_blocks, kernel_props,
+                      require_bandwidth)
 from .starts import FittedStart, _require_finite, eval_start
 
 __all__ = [
@@ -293,6 +295,9 @@ def bcv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
 def _loo_params(x: np.ndarray, family: str):
     """O(1)-per-point leave-one-out refits from downdated running sums."""
     n = x.size
+    if family in ("lognormal", "gamma") and np.any(x <= 0):
+        # checked before any log of the data or of the refitted parameters
+        raise ValueError("start density vanishes at a data point")
     if family in ("normal", "gamma"):
         base = x
     elif family == "lognormal":
@@ -321,8 +326,6 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
     if start.family == "normal":
         return _normal_square_integral(x, start.params["mu"], start.params["sd"], h)
     # generic: numeric integral of the squared estimate with the raw start
-    from .estimator import DensityEstimate, estimate_semiparametric
-    from .kernels import kernel_props
     from .quadpack import qags
     est = DensityEstimate(x, kernel_props("gaussian"), h, start.unclipped())
     lo, hi = float(x.min()) - 10 * h, float(x.max()) + 10 * h

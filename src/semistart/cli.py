@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -53,9 +54,12 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _parse_int_list(flag: str, text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t != ""]
+        values = [int(t) for t in text.split(",") if t != ""]
     except ValueError:
-        raise _Usage(f"{flag} expects a comma list of integers, not {text!r}") from None
+        values = []
+    if not values:
+        raise _Usage(f"{flag} expects a comma list of integers, not {text!r}")
+    return values
 
 
 class _Usage(Exception):
@@ -71,14 +75,23 @@ def _check_finite(path: str, values: np.ndarray) -> None:
                          f"({', '.join(repr(float(v)) for v in values[row])})")
 
 
+def _read_rows(path: str, header: bool) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    return data
+
+
 def _read_column(path: str, header: bool) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    data = _read_rows(path, header)
     _check_finite(path, data[:, :1])
     return data[:, 0]
 
 
 def _read_pairs(path: str, header: bool) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    data = _read_rows(path, header)
     if data.shape[1] < 2:
         raise _Usage("pairs input needs two columns x,y")
     _check_finite(path, data[:, :2])
@@ -139,7 +152,8 @@ def _cmd_bandwidth(args) -> None:
 
 
 def _cmd_bench_amise(args) -> None:
-    cases = _parse_int_list("--cases", args.cases) if args.cases else list(range(1, 16))
+    cases = (list(range(1, 16)) if args.cases is None
+             else _parse_int_list("--cases", args.cases))
     lines = ["case,rho_trad,rho_new,rho1_trad,rho1_new"]
     for c in cases:
         m = densities.marron_wand(c)
@@ -152,8 +166,9 @@ def _cmd_bench_amise(args) -> None:
 
 
 def _cmd_bench_mise(args) -> None:
-    cases = _parse_int_list("--cases", args.cases) if args.cases else list(range(1, 16))
-    ns = _parse_int_list("--n", args.n) if args.n else [25, 50, 100, 200, 1000]
+    cases = (list(range(1, 16)) if args.cases is None
+             else _parse_int_list("--cases", args.cases))
+    ns = [25, 50, 100, 200, 1000] if args.n is None else _parse_int_list("--n", args.n)
     reports = exact_mise.benchmark_table(cases, ns)
     _write_text(args.out, exact_mise.reports_to_csv(reports, args.precision))
 

@@ -26,10 +26,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bandwidth import _normal_log_ratio, _normal_square_integral
 from .densities import NormalMixture, marron_wand, mixture_moments
 from .kernels import SQRT_2PI, SQRT_PI, require_bandwidth
-from .starts import _require_finite
 
 __all__ = [
     "MiseDomainError",
@@ -37,7 +35,6 @@ __all__ = [
     "r_f",
     "mise_kernel",
     "mise_new",
-    "ise_new",
     "h_domain_cap",
     "optimal_h",
     "benchmark_table",
@@ -112,21 +109,16 @@ def _radicands(m: NormalMixture, sd0: float, h: float):
     return b2, e2, c2, k2, f2
 
 
-def _require_normal_start(mu: float, sd: float) -> None:
-    """N(mu, sd^2) needs a finite location and a finite positive scale."""
-    if not np.isfinite(mu):
-        raise ValueError(f"start location must be finite, got {mu!r}")
-    if not (np.isfinite(sd) and sd > 0):
-        raise ValueError(f"start scale must be finite and positive, got {sd!r}")
-
-
 def mise_new(m: NormalMixture, mu0: float, sd0: float, h: float, n: int) -> float:
     """Exact mise(h) of the corrected estimator with the N(mu0, sd0^2) start.
 
     Internally the problem is translated so the start is centred at 0; the
     value is translation invariant and the exponentials stay balanced.
     """
-    _require_normal_start(mu0, sd0)
+    if not np.isfinite(mu0):
+        raise ValueError(f"start location must be finite, got {mu0!r}")
+    if not (np.isfinite(sd0) and sd0 > 0):
+        raise ValueError(f"start scale must be finite and positive, got {sd0!r}")
     require_bandwidth(h)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -199,39 +191,6 @@ def h_domain_cap(m: NormalMixture, sd0: float, h_max: float = np.inf) -> float:
         else:
             hi = mid
     return float(lo)
-
-
-def ise_new(data, mu_hat: float, sd_hat: float, h: float, m: NormalMixture) -> float:
-    """Exact int (fhat - f)^2 for the corrected estimator built from `data`.
-
-    fhat is the gaussian-kernel estimator with an (unclipped) normal start
-    at (mu_hat, sd_hat).  Both the squared term and the cross term reduce to
-    finite gaussian-product sums.
-    """
-    require_bandwidth(h)
-    _require_normal_start(mu_hat, sd_hat)
-    x = np.asarray(data, dtype=float).ravel()
-    n = x.size
-    if n == 0:
-        raise ValueError("data must be nonempty")
-    _require_finite(x)
-    a_term = _normal_square_integral(x, mu_hat, sd_hat, h)
-
-    # int f fhat: mixture component x data point sum
-    u = x - mu_hat
-    h2 = h * h
-    sd2 = sd_hat * sd_hat
-    log_rat = _normal_log_ratio(u, sd_hat, h)
-    sj2 = m.sds**2
-    stj2 = sd2 * sj2 * h2 / (sd2 * sj2 + h2 * (sd2 + sj2))
-    mu_off = m.means - mu_hat
-    log_row = (np.log(m.weights) + 0.5 * np.log(stj2) - np.log(sd_hat)
-               + _log_phi_scaled(m.sds, mu_off))
-    inner = (log_rat[None, :] + log_row[:, None]
-             + 0.5 * stj2[:, None] * (u[None, :] / h2 + (mu_off / sj2)[:, None]) ** 2)
-    b_term = float(np.sum(np.exp(inner))) / n
-
-    return a_term - 2.0 * b_term + r_f(m)
 
 
 def optimal_h(curve: Callable[[float], float],

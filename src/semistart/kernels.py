@@ -156,9 +156,10 @@ def for_blocks(rows: int, cols: int, fill) -> None:
     round-robin, one task per thread, each run in a copy of the caller's
     context so that np.errstate holds; NumPy releases the GIL inside its
     loops.  A single block, or a single CPU, runs in the calling thread.
-    Each fill must write only the rows of its own block and leave every
-    reduction across blocks to the caller, whose result then has the same
-    bits whatever the number of threads.  A fill must not call for_blocks.
+    Each fill may write only cells that no other block writes (its own rows,
+    or cells such as a mirrored triangle that only it fills) and must leave
+    every reduction across blocks to the caller, whose result then has the
+    same bits whatever the number of threads.  A fill must not call for_blocks.
     An exception in a fill skips the rest of its thread's share and reaches
     the caller once every thread has stopped.
     """

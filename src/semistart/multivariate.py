@@ -20,7 +20,7 @@ from .hermite import hermite_poly
 from .kernels import SQRT_2PI, for_blocks, require_bandwidth
 from .starts import _require_finite
 
-__all__ = ["MvEstimate", "mv_kernel_estimate", "mv_estimate", "sphere", "mv_bandwidth"]
+__all__ = ["MvEstimate", "mv_estimate", "sphere", "mv_bandwidth"]
 
 _MIN_COND = 1e-10
 # Hermite expansion degree of the d-dimensional rule: multi-indices |J| <= 4
@@ -73,43 +73,6 @@ def _sq_radii(y: np.ndarray, clip: float | None) -> np.ndarray:
     """Squared radii |y_i|^2 of sphered rows, capped at clip^2 unless clip is None."""
     q = np.sum(y * y, axis=1)
     return q if clip is None else np.minimum(q, clip**2)
-
-
-def _pairwise_sq_blocks(a: np.ndarray, b: np.ndarray, fill) -> None:
-    """fill(rows, |a_i - b_j|^2) over row blocks of a, never an (m, n, d) array.
-
-    The blocks run through for_blocks, so fill writes only its own rows.
-    The squared norms of b are computed once and shared by every block.
-    """
-    b_sq = np.sum(b * b, axis=1)[None, :]
-
-    def fill_sq(rows):
-        ar = a[rows]
-        sq = np.sum(ar * ar, axis=1)[:, None] + b_sq - 2.0 * ar @ b.T
-        fill(rows, np.maximum(sq, 0.0))
-
-    for_blocks(a.shape[0], b.shape[0], fill_sq)
-
-
-def mv_kernel_estimate(data, bandwidths, x):
-    """Plain product-gaussian kernel estimate at the point(s) x."""
-    dat = _as_matrix(data)
-    _require_finite(dat)
-    n, d = dat.shape
-    h = np.broadcast_to(np.asarray(bandwidths, dtype=float), (d,))
-    require_bandwidth(h)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else _as_matrix(x)
-    _require_finite(pts, "evaluation point")
-    out = np.empty(pts.shape[0])
-
-    def fill(rows, sq):
-        log_k = -0.5 * sq - d * np.log(SQRT_2PI) - np.log(h).sum()
-        out[rows] = np.exp(log_k).mean(axis=1)
-
-    _pairwise_sq_blocks(pts / h, dat / h, fill)
-    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,14 +131,19 @@ def mv_estimate(e: MvEstimate, x):
 
     yp = (pts - e.mean) @ e.inv_root.T
     q_pts = _sq_radii(yp, e.clip)
+    yd = e.sphered
+    yd_sq = np.sum(yd * yd, axis=1)[None, :]
     out = np.empty(yp.shape[0])
 
-    def fill(rows, sq):
+    def fill(rows):
+        # |y_i - Y_j|^2 without an (m, n, d) array; the rounding can leave it below 0
+        yr = yp[rows]
+        sq = np.maximum(np.sum(yr * yr, axis=1)[:, None] + yd_sq - 2.0 * yr @ yd.T, 0.0)
         log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - e.half_logdet
         log_ratio = -0.5 * q_pts[rows, None] + 0.5 * e.q_data[None, :]
         out[rows] = np.exp(log_kern + log_ratio).mean(axis=1)
 
-    _pairwise_sq_blocks(yp, e.sphered, fill)
+    for_blocks(yp.shape[0], yd.shape[0], fill)
     return float(out[0]) if single else out
 
 

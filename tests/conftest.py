@@ -32,6 +32,37 @@ def gaussian_product_integral(factors, a=0.0):
     return float(np.exp(log_val))
 
 
+def ise_new(data, mu_hat, sd_hat, h, m):
+    """Exact int (fhat - f)^2 for the corrected estimator built from `data`.
+
+    fhat is the gaussian-kernel estimator with an (unclipped) normal start
+    at (mu_hat, sd_hat).  Both the squared term and the cross term reduce to
+    finite gaussian-product sums; the squared term is the blocked pair sum
+    of semistart.bandwidth.  Criterion 5 averages it over samples to check
+    mise_new.
+    """
+    from semistart.bandwidth import _normal_log_ratio, _normal_square_integral
+    from semistart.exact_mise import _log_phi_scaled, r_f
+
+    x = np.asarray(data, dtype=float).ravel()
+    a_term = _normal_square_integral(x, mu_hat, sd_hat, h)
+
+    # int f fhat: mixture component x data point sum
+    u = x - mu_hat
+    h2 = h * h
+    sd2 = sd_hat * sd_hat
+    log_rat = _normal_log_ratio(u, sd_hat, h)
+    sj2 = m.sds**2
+    stj2 = sd2 * sj2 * h2 / (sd2 * sj2 + h2 * (sd2 + sj2))
+    mu_off = m.means - mu_hat
+    log_row = (np.log(m.weights) + 0.5 * np.log(stj2) - np.log(sd_hat)
+               + _log_phi_scaled(m.sds, mu_off))
+    inner = (log_rat[None, :] + log_row[:, None]
+             + 0.5 * stj2[:, None] * (u[None, :] / h2 + (mu_off / sj2)[:, None]) ** 2)
+    b_term = float(np.sum(np.exp(inner))) / x.size
+    return a_term - 2.0 * b_term + r_f(m)
+
+
 def mixture_to_json(m):
     """The mixture-file text that mixture_from_json and the CLI's --mixture read."""
     comps = [{"p": p, "mu": mu, "sd": sd}

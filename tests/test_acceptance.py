@@ -15,7 +15,7 @@ from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart.kernels import kernel_props
 from semistart.starts import FittedStart, fit_start
 
-from conftest import gaussian_product_integral, phi, phi_scaled
+from conftest import gaussian_product_integral, ise_new, phi, phi_scaled
 
 G = kernel_props("gaussian")
 SQRT_PI = np.sqrt(np.pi)
@@ -135,7 +135,7 @@ def test_criterion_5_mise_formula_monte_carlo(capsys):
     vals = np.empty(reps)
     for r in range(reps):
         x = ss.mixture_sample(m, n, seed=11_000 + r)
-        vals[r] = ss.ise_new(x, mu0, sd0, h, m)
+        vals[r] = ise_new(x, mu0, sd0, h, m)
     target = ss.mise_new(m, mu0, sd0, h, n)
     se = vals.std(ddof=1) / np.sqrt(reps)
     z = (vals.mean() - target) / se

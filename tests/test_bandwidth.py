@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from semistart.bandwidth import (DegenerateRoughness, _loo_params, amise_h, bcv,
 from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import (DensityEstimate, correction_curve, estimate_kernel,
                                  estimate_semiparametric)
-from semistart.exact_mise import ise_new, mise_new
+from semistart.exact_mise import mise_new
 from semistart.hermite import HermiteCoeffs, roughness_from_coeffs
 from semistart.kernels import MAX_BLOCK_THREADS, eval_scaled, kernel_props, row_blocks
-from semistart.multivariate import (MvEstimate, mv_bandwidth, mv_estimate,
-                                    mv_kernel_estimate, sphere)
+from semistart.multivariate import MvEstimate, mv_bandwidth, mv_estimate, sphere
 from semistart.regression import RegressionFit, gnw_estimate, nw_estimate
 from semistart.starts import FittedStart, em_fit_mixture, eval_start, fit_start
 
@@ -204,6 +204,18 @@ def test_ucv_validation():
         ucv(np.arange(10.0), FittedStart("constant"), kernel_props("uniform"), [0.3])
 
 
+@pytest.mark.parametrize("start", [FittedStart("lognormal", {"mu": 0.0, "sd": 1.0}),
+                                   FittedStart("gamma", {"alpha": 2.0, "beta": 1.0})],
+                         ids=["lognormal", "gamma"])
+def test_ucv_rejects_a_nonpositive_datum_before_any_log_as_bcv_does(start):
+    x = np.r_[np.exp(np.random.default_rng(0).standard_normal(50)), -0.5]
+    for selector in (ucv, bcv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's log of x <= 0 warns
+            with pytest.raises(ValueError, match="^start density vanishes at a data point$"):
+                selector(x, start, G, np.linspace(0.1, 1.0, 5))
+
+
 def test_rule_plugin_runs_and_caps():
     x = mixture_sample(marron_wand(6), 400, seed=35)
     ch = rule_plugin(x, fit_start("normal", x), G)
@@ -256,14 +268,12 @@ SELECTOR_CALLS = {
     "bcv": lambda x: bcv(x, NORMAL, G, [0.3, 0.6]),
     "ucv": lambda x: ucv(x, NORMAL, G, [0.3, 0.6]),
     "plugin_roughness": lambda x: plugin_roughness(x, NORMAL, G, 0.3),
-    "ise_new": lambda x: ise_new(x, 0.0, 1.0, 0.3, marron_wand(2)),
 }
 MATRIX_CALLS = {
     "sphere": sphere,
     "mv_bandwidth": mv_bandwidth,
     "MvEstimate": lambda x: MvEstimate(x, np.zeros(2), np.eye(2), 0.4),
     "MvEstimate.fit": lambda x: MvEstimate.fit(x, 0.4),
-    "mv_kernel_estimate": lambda x: mv_kernel_estimate(x, 0.4, np.zeros(2)),
 }
 EST = DensityEstimate(_bad_column(0.0), G, 0.4, NORMAL)
 FIT = RegressionFit.fit(_bad_column(0.0), np.cos(_bad_column(0.0)), G, 0.4)
@@ -271,10 +281,6 @@ MV = MvEstimate.fit(_bad_matrix(0.0), 0.4)
 # a non-finite start parameter, scale, moment or evaluation point, and the
 # message that names it
 PARAMETER_CALLS = {
-    "ise_new.mu_hat": (lambda v: ise_new(_bad_column(0.0), v, 1.0, 0.3, marron_wand(2)),
-                       "start location must be finite"),
-    "ise_new.sd_hat": (lambda v: ise_new(_bad_column(0.0), 0.0, v, 0.3, marron_wand(2)),
-                       "start scale must be finite"),
     "mise_new.mu0": (lambda v: mise_new(marron_wand(2), v, 1.0, 0.3, 100),
                      "start location must be finite"),
     "mise_new.sd0": (lambda v: mise_new(marron_wand(2), 0.0, v, 0.3, 100),
@@ -302,9 +308,6 @@ PARAMETER_CALLS = {
                     "evaluation point at index 1 is not finite"),
     "mv_estimate": (lambda v: mv_estimate(MV, np.array([[0.0, 0.0], [0.0, v]])),
                     "evaluation point at index 1, 1 is not finite"),
-    "mv_kernel_estimate.x": (lambda v: mv_kernel_estimate(_bad_matrix(0.0), 0.4,
-                                                          np.array([0.0, v])),
-                             "evaluation point at index 0, 1 is not finite"),
 }
 
 

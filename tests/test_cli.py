@@ -235,6 +235,23 @@ def test_non_finite_input_exits_1_naming_the_row(tmp_path, capsys, bad):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "x\n"], ids=["empty_file", "header_only"])
+@pytest.mark.parametrize("command", [["estimate", "--grid", "-1,1,3"],
+                                     ["regress", "--h", "0.2", "--grid", "0,1,3"]],
+                         ids=["estimate", "regress"])
+def test_input_with_no_data_rows_exits_1_with_one_line(tmp_path, capsys, command, text):
+    data = tmp_path / "d.csv"
+    data.write_text(text)
+    out = tmp_path / "out"
+    argv = command + ["--input", str(data), "--out", str(out)] + (["--header"] if text else [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert not caught
+    assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,bad,field", [("p", "NaN", "weights"), ("mu", "NaN", "means"),
                                            ("sd", "Infinity", "sds"),
                                            ("mu", "-Infinity", "means")])
@@ -305,10 +322,16 @@ def test_non_finite_or_nonpositive_bandwidth_exits_1(tmp_path, capsys, h):
     (["bench-mise", "--cases", "1,x", "--n", "50"], "--cases expects a comma list"),
     (["bench-mise", "--cases", "1", "--n", "50,y"], "--n expects a comma list"),
     (["bench-amise", "--cases", "z"], "--cases expects a comma list"),
+    (["bench-mise", "--cases", ","], "--cases expects a comma list"),
+    (["bench-mise", "--cases", "1", "--n", ","], "--n expects a comma list"),
+    (["bench-amise", "--cases", ","], "--cases expects a comma list"),
+    (["bench-mise", "--cases", "1", "--n", ""], "--n expects a comma list"),
+    (["bench-amise", "--cases", ""], "--cases expects a comma list"),
     (["estimate", "--h", "0.5", "--grid", "0,1,3", "--precision", "-1"],
      "--precision must be at least 0"),
 ], ids=["grid_inf", "grid_nan", "grid_word", "grid_count_word", "cases_word", "n_word",
-        "amise_cases_word", "negative_precision"])
+        "amise_cases_word", "cases_empty", "n_empty", "amise_cases_empty", "n_blank",
+        "amise_cases_blank", "negative_precision"])
 def test_bad_arguments_are_usage_errors_naming_the_flag(tmp_path, capsys, argv, flag):
     data = tmp_path / "d.csv"
     data.write_text("\n".join(str(v) for v in np.linspace(0.5, 3.0, 30)) + "\n")

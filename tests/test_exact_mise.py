@@ -7,10 +7,10 @@ from scipy.integrate import quad
 from semistart.densities import (NormalMixture, marron_wand, mixture_moments,
                                  mixture_pdf, mixture_sample)
 from semistart.exact_mise import (MiseDomainError, benchmark_table, h_domain_cap,
-                                  ise_new, mise_kernel, mise_new, optimal_h, r_f,
-                                  reports_to_csv)
+                                  mise_kernel, mise_new, optimal_h, r_f, reports_to_csv)
 
-from conftest import SQRT_2PI, SQRT_PI, gaussian_product_integral, phi, phi_scaled
+from conftest import (SQRT_2PI, SQRT_PI, gaussian_product_integral, ise_new, phi,
+                      phi_scaled)
 
 
 def test_gaussian_product_single_factor():

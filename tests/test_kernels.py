@@ -10,8 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, bcv,
-                       estimate_kernel, ise_new, marron_wand, mise_kernel, mise_new,
-                       mv_kernel_estimate, plugin_roughness, ucv)
+                       estimate_kernel, marron_wand, mise_kernel, mise_new,
+                       plugin_roughness, ucv)
 from semistart import kernels
 from semistart.kernels import (BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SHAPES, eval_scaled,
                                for_blocks, kernel_props, row_blocks)
@@ -99,13 +99,11 @@ BANDWIDTH_USERS = {
     "DensityEstimate": lambda h: DensityEstimate(_X, G, h, _FLAT),
     "RegressionFit": lambda h: RegressionFit.fit(_X, _X**2, G, h),
     "MvEstimate": lambda h: MvEstimate.fit(np.column_stack([_X, np.sin(_X)]), h),
-    "mv_kernel_estimate": lambda h: mv_kernel_estimate(_X[:, None], h, [0.0]),
     "plugin_roughness": lambda h: plugin_roughness(_X, _FLAT, G, h),
     "bcv": lambda h: bcv(_X, _FLAT, G, [0.3, h]),
     "ucv": lambda h: ucv(_X, _FLAT, G, [0.3, h]),
     "mise_kernel": lambda h: mise_kernel(marron_wand(1), h, 50),
     "mise_new": lambda h: mise_new(marron_wand(1), 0.0, 1.0, h, 50),
-    "ise_new": lambda h: ise_new(_X, 0.0, 1.0, h, marron_wand(1)),
 }
 
 

@@ -5,10 +5,9 @@ import pytest
 
 from semistart.bandwidth import rule_delta
 from semistart.densities import NormalMixture, mixture_sample
-from semistart.estimator import DensityEstimate, estimate_kernel, estimate_semiparametric
+from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, kernel_props
-from semistart.multivariate import (MvEstimate, mv_bandwidth, mv_estimate,
-                                    mv_kernel_estimate, sphere)
+from semistart.multivariate import MvEstimate, mv_bandwidth, mv_estimate, sphere
 from semistart.starts import FittedStart
 
 G = kernel_props("gaussian")
@@ -21,31 +20,6 @@ def rng_data(seed, n, d, mix=False):
         centers = np.array([[-2.0, 0.0], [2.0, 1.0]])
         return centers[comp] + rng.standard_normal((n, d))
     return rng.standard_normal((n, d))
-
-
-def test_mv_kernel_reduces_to_univariate():
-    x = mixture_sample(NormalMixture(weights=[1.0], means=[0.0], sds=[1.0]), 40, seed=1)
-    grid = np.linspace(-2, 2, 9)
-    uni = estimate_kernel(x, G, 0.4, grid)
-    multi = mv_kernel_estimate(x[:, None], [0.4], grid[:, None])
-    np.testing.assert_allclose(multi, uni, atol=1e-14)
-
-
-def test_mv_kernel_single_datum():
-    val = mv_kernel_estimate(np.zeros((1, 2)), [1.0, 1.0], np.zeros(2))
-    assert val == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
-    with pytest.raises(ValueError):
-        mv_kernel_estimate(np.zeros((1, 2)), [1.0, 0.0], np.zeros(2))
-
-
-def test_mv_kernel_total_mass_2d():
-    data = rng_data(2, 5, 2)
-    grid = np.linspace(-8, 8, 321)
-    xx, yy = np.meshgrid(grid, grid)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    vals = mv_kernel_estimate(data, [0.8, 1.1], pts).reshape(xx.shape)
-    mass = np.trapezoid(np.trapezoid(vals, grid, axis=1), grid)
-    assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mv_estimate_reduces_to_univariate_corrected():
@@ -173,11 +147,6 @@ def test_blocked_mv_estimate_matches_full_sum(n, side):
     got = mv_estimate(e, pts)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
     assert mv_estimate(e, pts[4]) == pytest.approx(want[4], rel=1e-14)
-    kde = mv_kernel_estimate(data, [0.5, 0.7], pts)
-    hs = np.array([0.5, 0.7])
-    sq = np.sum(((pts[:, None, :] - data[None, :, :]) / hs) ** 2, axis=-1)
-    want_kde = np.mean(np.exp(-0.5 * sq), axis=1) / (2.0 * np.pi * hs.prod())
-    assert np.max(np.abs(kde - want_kde)) <= 1e-14 * np.max(want_kde)
 
 
 @pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]],
