@@ -63,6 +63,67 @@ def ise_new(data, mu_hat, sd_hat, h, m):
     return a_term - 2.0 * b_term + r_f(m)
 
 
+def serial_optimal_h(curve, bracket):
+    """optimal_h with one scalar curve call per point: the oracle of the batched search.
+
+    A 128-point scan (512 if it shows several local minima), then golden
+    section on the scan's best neighbourhood until the bracket is 1e-9 wide.
+    """
+    inv_golden = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = bracket
+
+    def scan_curve(k):
+        hs = np.linspace(lo, hi, k)
+        vals = np.array([curve(h) for h in hs])
+        interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
+        return hs, vals, int(np.count_nonzero(interior))
+
+    hs, vals, n_min = scan_curve(128)
+    if n_min > 1:
+        hs, vals, _ = scan_curve(512)
+    k = int(np.argmin(vals))
+    a = hs[max(k - 1, 0)]
+    b = hs[min(k + 1, hs.size - 1)]
+    c = b - inv_golden * (b - a)
+    d = a + inv_golden * (b - a)
+    fc, fd = curve(c), curve(d)
+    while b - a > 1e-9:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_golden * (b - a)
+            fc = curve(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_golden * (b - a)
+            fd = curve(d)
+    h_star = 0.5 * (a + b)
+    return float(h_star), float(curve(h_star))
+
+
+def bisect_domain_cap(m, sd0, h_max=np.inf):
+    """h_domain_cap by 200 bisection steps: the oracle of the early-exit bisection."""
+    from semistart.exact_mise import MiseDomainError, _radicands
+
+    def ok(h):
+        try:
+            _radicands(m, sd0, h)
+        except MiseDomainError:
+            return False
+        return True
+
+    hi = min(h_max, 1e6 * sd0)
+    if ok(hi):
+        return float(h_max)
+    lo = 1e-12 * sd0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
 def mixture_to_json(m):
     """The mixture-file text that mixture_from_json and the CLI's --mixture read."""
     comps = [{"p": p, "mu": mu, "sd": sd}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -198,6 +199,27 @@ def test_bench_mise_output_is_pinned(tmp_path):
         "1,100,0.707107,0.00282095,0.445472,0.00540973,0.521458\n"
         "6,25,0.556813,0.0196898,0.602755,0.018244,1.07925\n"
         "6,100,0.382328,0.00750005,0.385378,0.00745053,1.00665\n")
+
+
+def test_full_bench_mise_table_is_pinned_to_17_digits(tmp_path):
+    # SHA-256 of the whole default table (15 cases x 5 sizes) at 17 digits,
+    # as the one-bandwidth-at-a-time searches wrote it
+    out = tmp_path / "mise17.csv"
+    assert run(["bench-mise", "--precision", "17", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "246f12f35b19dfe09f3b50bd3a2ec9430c85d00edc9ff202c9cb833df76a0ba9")
+
+
+def test_bench_mise_fails_when_an_optimum_sits_at_the_lower_bracket_end(tmp_path, capsys):
+    # at n = 1e22 both optima run into h = 0.01 sd0; the table once printed
+    # h_new=0.01, mise_new=0, ratio=0 and exited 0
+    out = tmp_path / "mise.csv"
+    assert run(["bench-mise", "--cases", "1", "--n", "10000000000000000000000",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: case 1, n=10000000000000000000000: the new estimator's")
+    assert "pinned at the lower end of the search bracket" in err
+    assert not out.exists()
 
 
 def test_precision_flag(tmp_path):

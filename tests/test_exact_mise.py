@@ -1,7 +1,10 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from semistart.densities import (NormalMixture, marron_wand, mixture_moments,
@@ -9,8 +12,8 @@ from semistart.densities import (NormalMixture, marron_wand, mixture_moments,
 from semistart.exact_mise import (MiseDomainError, benchmark_table, h_domain_cap,
                                   mise_kernel, mise_new, optimal_h, r_f, reports_to_csv)
 
-from conftest import (SQRT_2PI, SQRT_PI, gaussian_product_integral, ise_new, phi,
-                      phi_scaled)
+from conftest import (SQRT_2PI, SQRT_PI, bisect_domain_cap, gaussian_product_integral,
+                      ise_new, phi, phi_scaled, serial_optimal_h)
 
 
 def test_gaussian_product_single_factor():
@@ -240,19 +243,138 @@ def test_optimal_h_rescans_when_the_scan_sees_several_minima():
     # so the search rescans at 512 points before the golden section
     m = marron_wand(10)
     mu0, sd0 = mixture_moments(m)
-    calls = []
+    sizes = []
 
     def curve(t):
-        calls.append(t)
+        sizes.append(np.size(t))
         return mise_kernel(m, t, 50)
 
     h, v = optimal_h(curve, (0.01 * sd0, 3.0 * sd0))
-    assert len(calls) == 677  # 128 + 512 + 37 golden-section evaluations
+    # one call per scan, then the golden section's first pair, seven rounds of
+    # five steps (2 + 4 + 8 + 16 + 32 candidate points each) and the value at h*
+    assert sizes == [128, 512, 2] + [62] * 7 + [1]
     fine = np.linspace(0.01 * sd0, 3.0 * sd0, 30001)
-    vals = np.array([mise_kernel(m, t, 50) for t in fine])
+    vals = mise_kernel(m, fine, 50)
     k = int(np.argmin(vals))
     assert abs(h - fine[k]) <= fine[1] - fine[0]
     assert v <= vals[k]
+
+
+def _well_curve(wells):
+    """The lower envelope of quadratic wells (weight, centre, floor): elementwise arithmetic."""
+    def curve(t):
+        return np.min([w * (t - c) ** 2 + f for w, c, f in wells], axis=0)
+    return curve
+
+
+_wells = st.lists(st.tuples(st.floats(0.1, 50.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0)),
+                  min_size=1, max_size=4)
+_brackets = st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 3.0)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wells=_wells, bracket=_brackets)
+def test_optimal_h_matches_the_serial_search_on_drawn_curves(wells, bracket):
+    curve = _well_curve(wells)
+    assert optimal_h(curve, bracket) == serial_optimal_h(curve, bracket)
+
+
+def _mixtures(max_k=3):
+    def build(comps):
+        w = np.array([c[0] for c in comps])
+        return NormalMixture(weights=w / w.sum(), means=[c[1] for c in comps],
+                             sds=[c[2] for c in comps])
+    comp = st.tuples(st.floats(0.1, 1.0), st.floats(-3.0, 3.0), st.floats(0.05, 3.0))
+    return st.lists(comp, min_size=1, max_size=max_k).map(build)
+
+
+@settings(max_examples=15, deadline=None)
+@given(m=_mixtures(), n=st.integers(1, 5000), sd_frac=st.floats(0.3, 3.0))
+def test_optimal_h_matches_the_serial_search_on_mise_curves(m, n, sd_frac):
+    mu0, sd_m = mixture_moments(m)
+    sd0 = sd_frac * sd_m
+    cap = h_domain_cap(m, sd0, h_max=3.0 * sd0)
+    bracket = (0.01 * sd0, min(3.0 * sd0, 0.98 * cap))
+    for curve in (lambda t: mise_new(m, mu0, sd0, t, n), lambda t: mise_kernel(m, t, n)):
+        assert optimal_h(curve, bracket) == serial_optimal_h(curve, bracket)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_mixtures(4), sd0=st.floats(0.05, 3.0),
+       h_max=st.one_of(st.just(np.inf), st.floats(1e-3, 10.0)))
+def test_h_domain_cap_matches_the_full_bisection(m, sd0, h_max):
+    assert h_domain_cap(m, sd0, h_max) == bisect_domain_cap(m, sd0, h_max)
+
+
+@pytest.mark.parametrize("h_max", [0.0, -1.0, np.nan])
+def test_h_domain_cap_rejects_a_bad_h_max(h_max):
+    with pytest.raises(ValueError, match="h_max must be positive"):
+        h_domain_cap(marron_wand(1), 1.0, h_max)
+
+
+def test_h_domain_cap_allows_an_infinite_h_max():
+    assert h_domain_cap(marron_wand(1), 10.0) == np.inf
+
+
+def test_optimal_h_rejects_a_non_finite_curve_value():
+    # NaN above h = 1: the scan once returned the first NaN's h and value
+    curve = lambda t: np.where(t > 1.0, np.nan, (t - 0.5) ** 2)
+    with pytest.raises(ValueError, match=r"curve value is not finite at h=1\.0"):
+        optimal_h(curve, (0.01, 3.0))
+    with pytest.raises(ValueError, match="not finite"):
+        optimal_h(lambda t: np.where(t > 0.4, -np.inf, t), (0.01, 3.0))
+
+
+def test_optimal_h_rejects_a_curve_that_is_not_vectorised():
+    with pytest.raises(ValueError, match="as many values"):
+        optimal_h(lambda t: float(np.sum((t - 0.5) ** 2)), (0.01, 3.0))
+
+
+@pytest.mark.parametrize("n", [25, 1000])
+@pytest.mark.parametrize("case", range(1, 16))
+def test_array_bandwidths_give_the_bits_of_scalar_calls(case, n):
+    m = marron_wand(case)
+    mu0, sd0 = mixture_moments(m)
+    cap = h_domain_cap(m, sd0, h_max=3.0 * sd0)
+    hs = np.linspace(0.01 * sd0, min(3.0 * sd0, 0.98 * cap), 128)
+    new = mise_new(m, mu0, sd0, hs, n)
+    trad = mise_kernel(m, hs, n)
+    assert new.shape == trad.shape == hs.shape
+    assert [v.hex() for v in new.tolist()] == [
+        mise_new(m, mu0, sd0, float(h), n).hex() for h in hs]
+    assert [v.hex() for v in trad.tolist()] == [mise_kernel(m, float(h), n).hex() for h in hs]
+    # a 2-d array keeps its shape; a float gives a float (a list of two
+    # bandwidths once gave one wrong float)
+    assert np.array_equal(mise_new(m, mu0, sd0, hs.reshape(4, 32), n), new.reshape(4, 32))
+    assert isinstance(mise_new(m, mu0, sd0, float(hs[3]), n), float)
+    assert isinstance(mise_kernel(m, float(hs[3]), n), float)
+
+
+def test_scalar_values_are_pinned():
+    # digest of 480 scalar mise_new / mise_kernel values and the 15 domain
+    # caps, as hex, computed with the one-bandwidth-at-a-time formulas
+    lines = []
+    for case in range(1, 16):
+        m = marron_wand(case)
+        mu0, sd0 = mixture_moments(m)
+        cap = h_domain_cap(m, sd0, h_max=3.0 * sd0)
+        hs = np.linspace(0.01 * sd0, min(3.0 * sd0, 0.98 * cap), 16)
+        for n in (25, 1000):
+            for h in hs:
+                lines.append(f"{case} {n} {float(h).hex()} "
+                             f"{mise_new(m, mu0, sd0, float(h), n).hex()} "
+                             f"{mise_kernel(m, float(h), n).hex()} {cap.hex()}")
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b9323195264347e8221b5946b5d17ad44acb63ef3c8449836d7964961dd94280")
+
+
+def test_array_domain_error_names_the_first_bad_bandwidth():
+    m = NormalMixture(weights=[1.0], means=[0.0], sds=[1.0])
+    cap = h_domain_cap(m, 1.0, h_max=3.0)
+    with pytest.raises(MiseDomainError, match=f"at h={1.01 * cap!r}"):
+        mise_new(m, 0.0, 1.0, [0.5 * cap, 1.01 * cap, 1.2 * cap], 100)
 
 
 def test_benchmark_rows_match_reference():
