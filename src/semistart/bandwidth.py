@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hermite
 from .estimator import DensityEstimate, estimate_semiparametric
-from .kernels import (SQRT_2PI, KernelSpec, eval_scaled, for_blocks, kernel_props,
+from .kernels import (SQRT_2PI, KernelSpec, eval_scaled, exp_into, for_blocks, kernel_props,
                       require_bandwidth)
 from .starts import FittedStart, _require_finite, eval_start
 
@@ -155,8 +155,8 @@ def _normal_square_integral(x: np.ndarray, mu: float, sd: float, h: float) -> fl
     log_rat = _normal_log_ratio(u, sd, h)
 
     def block(r, c):
-        return np.exp(log_rat[r, None] + log_rat[None, c]
-                      + 0.5 * st2 * ((u[r, None] + u[None, c]) / h**2) ** 2)
+        return exp_into(log_rat[r, None] + log_rat[None, c]
+                        + 0.5 * st2 * ((u[r, None] + u[None, c]) / h**2) ** 2)
 
     total = _pair_sum(n, block, symmetric=True)
     return float(np.sqrt(st2) / (SQRT_2PI * sd * sd) * total) / n**2
@@ -184,7 +184,7 @@ def _plugin_normal_closed(x: np.ndarray, mu: float, sd: float, h: float) -> floa
                 + (a * a - h * h) * (b * b - h * h))
         expo = (log_rat[r, None] + log_rat[None, c]
                 + 0.5 * tau2 * ((u[r, None] + u[None, c]) / h**2) ** 2)
-        return poly * np.exp(expo)
+        return poly * exp_into(expo)
 
     total = _pair_sum(n, block, symmetric=True)
     return np.sqrt(tau2) / (SQRT_2PI * sd * sd) * total / (n * n * h**8)
@@ -202,7 +202,7 @@ def _plugin_constant_closed(x: np.ndarray, h: float) -> float:
 
     def block(r, c):
         t = (x[r, None] - x[None, c]) / scale
-        return (t**4 - 6.0 * t**2 + 3.0) * np.exp(-0.5 * t * t) / SQRT_2PI
+        return (t**4 - 6.0 * t**2 + 3.0) * exp_into(-0.5 * t * t) / SQRT_2PI
 
     return _pair_sum(n, block, symmetric=False) / (4.0 * np.sqrt(2.0) * n * n * h**5)
 
@@ -249,9 +249,17 @@ def _plugin_quadrature(x: np.ndarray, start: FittedStart, h: float) -> float:
         rpp = np.empty(t.size)
 
         def fill(rows):
-            z = (t[rows, None] - x) / h
-            zz = z * z  # -0.5 * zz is -0.5 * z * z to the bit: scaling by 0.5 is exact
-            rpp[rows] = ((zz - 1.0) * np.exp(-0.5 * zz) / SQRT_2PI / den).sum(axis=1) / norm
+            zz = np.subtract(t[rows, None], x)
+            zz /= h
+            zz *= zz
+            # -0.5 * zz is -0.5 * z * z to the bit: scaling by 0.5 is exact
+            e = exp_into(-0.5 * zz)
+            # zz becomes (zz - 1) * e / sqrt(2 pi) / den, in that order
+            zz -= 1.0
+            zz *= e
+            zz /= SQRT_2PI
+            zz /= den
+            rpp[rows] = zz.sum(axis=1) / norm
 
         for_blocks(t.size, x.size, fill)
         # float_power is libm's pow, as the square of one float was; v * v can
@@ -319,7 +327,7 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
     if start.family == "constant":
         # (1/n^2) sum_ij phi_{sqrt(2) h}(X_i - X_j)
         def block(r, c):
-            return np.exp(-0.25 * ((x[r, None] - x[None, c]) / h) ** 2)
+            return exp_into(-0.25 * ((x[r, None] - x[None, c]) / h) ** 2)
 
         total = _pair_sum(n, block, symmetric=True)
         return total / (SQRT_2PI * np.sqrt(2.0) * h * n * n)
@@ -394,8 +402,10 @@ def ucv(data, start: FittedStart, kernel: KernelSpec, h_grid) -> BandwidthChoice
     def fill(r):
         # the ratio rows are the same for every h; the constant start's are 1
         ratio = None if log_ratio is None else np.exp(log_ratio(r))
+        dist = x[None, :] - x[r, None]
+        w = np.empty_like(dist)
         for g, h in enumerate(h_grid):
-            w = eval_scaled(kernel, h, x[None, :] - x[r, None])
+            eval_scaled(kernel, h, dist, out=w)
             if ratio is not None:
                 w *= ratio
             np.fill_diagonal(w[:, r.start:], 0.0)

@@ -64,7 +64,7 @@ class NormalMixture:
         if np.any(w <= 0):
             raise ValueError("mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL_BUILD:
-            raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
+            raise ValueError(f"mixture weights must sum to 1, got {float(w.sum())}")
         if np.any(sd <= 0):
             raise ValueError("mixture scales must be strictly positive")
         object.__setattr__(self, "weights", w)
@@ -381,12 +381,37 @@ def marron_wand(case: int) -> NormalMixture:
     return NormalMixture(weights=w / w.sum(), means=mu, sds=sd)
 
 
+def _json_kind(value) -> str:
+    return {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+            type(None): "null"}.get(type(value), "a number")
+
+
 def mixture_from_json(text: str) -> NormalMixture:
+    """The mixture of a document {"components": [{"p": .., "mu": .., "sd": ..}, ...]}.
+
+    A document of any other shape raises ValueError naming what is missing
+    or of the wrong type.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a mixture document must be a JSON object, got {_json_kind(doc)}")
+    if "components" not in doc:
+        raise ValueError("the mixture document has no 'components' key")
     comps = doc["components"]
-    w = np.asarray([c["p"] for c in comps], dtype=float)
+    if not isinstance(comps, list):
+        raise ValueError(f"mixture 'components' must be an array, got {_json_kind(comps)}")
+    cols = {"p": [], "mu": [], "sd": []}
+    for i, comp in enumerate(comps):
+        if not isinstance(comp, dict):
+            raise ValueError(f"mixture component {i} must be an object, got {_json_kind(comp)}")
+        for key, col in cols.items():
+            if key not in comp:
+                raise ValueError(f"mixture component {i} has no {key!r} key")
+            if _json_kind(comp[key]) != "a number":
+                raise ValueError(f"mixture component {i} {key!r} must be a number, "
+                                 f"got {_json_kind(comp[key])}")
+            col.append(comp[key])
+    w = np.asarray(cols["p"], dtype=float)
     if abs(w.sum() - 1.0) > _WEIGHT_TOL_LOAD:
         raise ValueError(f"mixture weights must sum to 1 within {_WEIGHT_TOL_LOAD}")
-    return NormalMixture(weights=w / w.sum(),
-                         means=[c["mu"] for c in comps],
-                         sds=[c["sd"] for c in comps])
+    return NormalMixture(weights=w / w.sum(), means=cols["mu"], sds=cols["sd"])

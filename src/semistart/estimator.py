@@ -83,9 +83,10 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
 
 def _correction_sum(e: DensityEstimate, pts):
     """(1/n) sum K_h(X_i - x)/fbar(X_i) for a column of points."""
-    vals = eval_scaled(e.kernel, e.h, e.data - pts)
+    vals = np.subtract(e.data, pts)
+    eval_scaled(e.kernel, e.h, vals, out=vals)
     if e.den is not None:
-        vals = vals / e.den
+        vals /= e.den
     return np.sum(vals, axis=-1) / e.n
 
 

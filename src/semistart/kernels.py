@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "kernel_props", "eval_scaled", "require_bandwidth", "for_blocks",
-           "SHAPES"]
+__all__ = ["KernelSpec", "kernel_props", "eval_scaled", "exp_into", "require_bandwidth",
+           "for_blocks", "SHAPES"]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
@@ -25,6 +25,11 @@ SHAPES = ("gaussian", "epanechnikov", "uniform")
 
 # Elements per block of a (grid x data) sum: 2^15 float64 values, 256 KB.
 BLOCK_ELEMENTS = 2**15
+
+# NumPy's SIMD exp leaves its fast loop for a whole vector when one lane is
+# below about -707.7; np.exp is 0.0 at and below _EXP_ZERO (tests check it).
+_EXP_FAST_MIN = -700.0
+_EXP_ZERO = -746.0
 
 
 @dataclass(frozen=True)
@@ -69,14 +74,38 @@ def kernel_props(shape: str) -> KernelSpec:
 
 
 def _base_pdf(shape: str, z: np.ndarray) -> np.ndarray:
-    if shape == "gaussian":
-        return np.exp(-0.5 * z * z) / SQRT_2PI
     if shape == "epanechnikov":
         inside = np.abs(z) <= 0.5
         return np.where(inside, 1.5 * (1.0 - 4.0 * z * z), 0.0)
     if shape == "uniform":
         return np.where(np.abs(z) <= 0.5, 1.0, 0.0)
     raise ValueError(f"unsupported kernel shape: {shape!r}")
+
+
+def exp_into(a: np.ndarray) -> np.ndarray:
+    """Overwrite the float array a with np.exp(a), bit for bit, and return it.
+
+    Lanes at or above _EXP_FAST_MIN go through one np.exp of the clamped
+    array, which stays on NumPy's vector loop; lanes at or below _EXP_ZERO
+    are 0.0, as np.exp gives there; only the lanes in between, whose results
+    are tiny or subnormal, are computed by np.exp on a compacted array.
+    NaN and +-inf come out as np.exp gives them.  take and put index a in
+    flat C order through a.flat, so any memory layout is written correctly.
+    """
+    keep = a >= _EXP_FAST_MIN
+    if keep.all():
+        return np.exp(a, out=a)
+    tiny = ~keep
+    tiny &= a > _EXP_ZERO
+    idx = np.flatnonzero(tiny)
+    vals = np.exp(a.take(idx))
+    np.maximum(a, _EXP_FAST_MIN, out=a)
+    np.exp(a, out=a)
+    # a multiply, not a masked write, which branches on every lane: it zeroes
+    # the clamped lanes and keeps NaN, whose keep is False too
+    np.multiply(a, keep, out=a)
+    np.put(a, idx, vals)
+    return a
 
 
 def require_bandwidth(h) -> None:
@@ -90,12 +119,29 @@ def require_bandwidth(h) -> None:
         raise ValueError("bandwidth h must be finite and positive")
 
 
-def eval_scaled(kernel: KernelSpec, h: float, z):
-    """K_h(z) = K(z/h)/h, vectorised over z.  Requires a finite h > 0."""
+def eval_scaled(kernel: KernelSpec, h: float, z, out=None):
+    """K_h(z) = K(z/h)/h, vectorised over z.  Requires a finite h > 0.
+
+    out, a float array of z's shape, receives the values and is returned; it
+    may be z itself.  The gaussian kernel then runs in place, with no
+    temporary of z's size.  Without out, a 0-d z gives a float.
+    """
     require_bandwidth(h)
     z = np.asarray(z, dtype=float)
-    out = _base_pdf(kernel.shape, z / h) / h
-    return out if out.ndim else float(out)
+    res = np.empty_like(z) if out is None else out
+    if kernel.shape == "gaussian":
+        # (z/h)^2 * -0.5 is -0.5 * (z/h) * (z/h) to the bit: scaling by 0.5 is
+        # exact except where the result is subnormal or overflows, and exp
+        # gives 1.0 or 0.0 there either way
+        np.divide(z, h, out=res)
+        np.multiply(res, res, out=res)
+        res *= -0.5
+        exp_into(res)
+        res /= SQRT_2PI
+        res /= h
+    else:
+        res[...] = _base_pdf(kernel.shape, z / h) / h
+    return res if out is not None or res.ndim else float(res)
 
 
 def row_blocks(rows: int, cols: int):

@@ -122,17 +122,18 @@ def gnw_estimate(fit: RegressionFit, x):
     num = np.empty(pts.size)
 
     def fill(rows):
-        w = eval_scaled(fit.kernel, fit.h, pts[rows, None] - fit.x[None, :])
+        w = np.subtract(pts[rows, None], fit.x[None, :])
+        eval_scaled(fit.kernel, fit.h, w, out=w)
         wsum[rows] = w.sum(axis=1)
+        # w becomes the numerator's terms (w * ratio) * y, in that order
         if corrected:
-            ratio = m_pts[rows, None] / m_data[None, :]
-            num[rows] = (w * ratio * fit.y[None, :]).sum(axis=1)
-        else:
-            num[rows] = (w * fit.y[None, :]).sum(axis=1)
+            w *= m_pts[rows, None] / m_data[None, :]
+        w *= fit.y[None, :]
+        num[rows] = w.sum(axis=1)
 
     for_blocks(pts.size, fit.x.size, fill)
     if np.any(wsum < 1e-300):
         bad = pts[wsum < 1e-300][0]
-        raise ValueError(f"no local data: every kernel weight vanishes at x={bad!r}")
+        raise ValueError(f"no local data: every kernel weight vanishes at x={float(bad)}")
     out = num / wsum
     return float(out[0]) if scalar else out

@@ -288,6 +288,25 @@ def test_non_finite_mixture_json_exits_1_naming_the_field(tmp_path, capsys, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc,message", [
+    ('{"weights": [1.0]}', "the mixture document has no 'components' key"),
+    ("[1]", "a mixture document must be a JSON object, got an array"),
+    ('{"components": 3}', "mixture 'components' must be an array, got a number"),
+    ('{"components": [3]}', "mixture component 0 must be an object, got a number"),
+    ('{"components": [{"p": 1.0, "mu": 0.0}]}', "mixture component 0 has no 'sd' key"),
+    ('{"components": [{"p": 1.0, "mu": {}, "sd": 1.0}]}',
+     "mixture component 0 'mu' must be a number, got an object"),
+])
+def test_malformed_mixture_json_exits_1_naming_the_problem(tmp_path, capsys, doc, message):
+    mix = tmp_path / "mix.json"
+    mix.write_text(doc)
+    out = tmp_path / "out"
+    assert run(["sample", "--mixture", str(mix), "--n", "3", "--seed", "1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 _KINKED_QUAD = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="known red, the IntegrationWarning FOUND line of CHANGES.md: "

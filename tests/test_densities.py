@@ -173,7 +173,7 @@ def test_marron_wand_catalog():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mixture weights must sum to 1, got 0\.9$"):
         NormalMixture(weights=[0.5, 0.4], means=[0, 1], sds=[1, 1])
     with pytest.raises(ValueError):
         NormalMixture(weights=[0.5, 0.5], means=[0, 1], sds=[1, -1])

@@ -7,14 +7,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, bcv,
-                       estimate_kernel, marron_wand, mise_kernel, mise_new,
-                       plugin_roughness, ucv)
+                       correction_curve, estimate_kernel, estimate_semiparametric,
+                       eval_start, marron_wand, mise_kernel, mise_new, plugin_roughness, ucv)
 from semistart import kernels
-from semistart.kernels import (BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SHAPES, eval_scaled,
-                               for_blocks, kernel_props, row_blocks)
+from semistart.kernels import (BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SHAPES, SQRT_2PI,
+                               eval_scaled, exp_into, for_blocks, kernel_props, row_blocks)
 
 from conftest import phi
 
@@ -89,6 +91,109 @@ def test_errors():
         eval_scaled(kernel_props("gaussian"), -1.0, 1.0)
     with pytest.raises(ValueError):
         kernel_props("triangular")
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# one lane from each region exp_into treats apart: the vector loop's range, the
+# band just below it where NumPy's SIMD exp already leaves its fast path, the
+# subnormal band, the lanes np.exp rounds to 0.0, and the non-finite values
+_EXP_LANES = st.one_of(
+    st.floats(-700.0, 800.0),
+    st.floats(-707.7, -700.0, exclude_max=True),
+    st.floats(-745.2, -707.7, exclude_max=True),
+    st.floats(-1e308, -746.0),
+    st.sampled_from([np.inf, -np.inf, np.nan, -np.nan, -700.0, -746.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lanes=st.lists(_EXP_LANES, min_size=2, max_size=60),
+       layout=st.sampled_from(["0-d", "1-d", "2-d", "strided", "transposed"]))
+def test_exp_into_is_np_exp_bit_for_bit(lanes, layout):
+    base = a = np.array(lanes)
+    if layout == "0-d":
+        base = a = base[:1].reshape(())
+    elif layout == "2-d" and base.size % 2 == 0:
+        base = a = base.reshape(2, -1)
+    elif layout == "strided":  # every other lane of a longer array
+        base = np.repeat(base, 2)
+        a = base[::2]
+    elif layout == "transposed":
+        base = np.tile(base, (3, 1))
+        a = base.T
+    assert layout not in ("strided", "transposed") or not a.flags.c_contiguous
+    with np.errstate(over="ignore"):
+        want = np.exp(a)
+        got = exp_into(a)
+    assert got is a
+    assert np.array_equal(_bits(got), _bits(want))
+    if layout == "strided":  # the lanes between the view's stay as they were
+        assert np.array_equal(_bits(base[1::2]), _bits(np.array(lanes)))
+
+
+def test_np_exp_is_zero_at_and_below_the_cut():
+    # exp_into writes 0.0 for every lane at or below kernels._EXP_ZERO without
+    # calling np.exp; a NumPy build whose exp is not 0.0 there must fail here
+    grid = np.linspace(-1000.0, kernels._EXP_ZERO, 2_000_001)
+    assert grid[-1] == kernels._EXP_ZERO
+    assert np.all(np.exp(grid) == 0.0)
+
+
+def _literal_gaussian(h, z):
+    return np.exp(-0.5 * (z / h) * (z / h)) / SQRT_2PI / h
+
+
+@pytest.mark.parametrize("h", [1.0, 0.05, 1e-3, 1e-200])
+def test_gaussian_eval_scaled_is_the_literal_expression(h):
+    # +-60 bandwidths: the exponents run down to -1800, through every region
+    # of exp_into, on rows and on a 2-d block
+    rng = np.random.default_rng(41)
+    z = h * np.concatenate([np.linspace(-60.0, 60.0, 24_001), rng.uniform(-40.0, 40.0, 999)])
+    want = _literal_gaussian(h, z)
+    expo = -0.5 * (z / h) * (z / h)
+    assert np.any((expo < -700.0) & (expo > -746.0) & (want > 0.0))  # the tiny band is hit
+    assert np.array_equal(eval_scaled(G, h, z), want)
+    block = z.reshape(25, 1000)
+    assert np.array_equal(eval_scaled(G, h, block), want.reshape(25, 1000))
+    out = np.empty_like(block)
+    assert eval_scaled(G, h, block, out=out) is out
+    assert np.array_equal(out, want.reshape(25, 1000))
+    same = block.copy()
+    assert eval_scaled(G, h, same, out=same) is same
+    assert np.array_equal(same, out)
+
+
+@pytest.mark.parametrize("shape", ["epanechnikov", "uniform"])
+def test_compact_eval_scaled_writes_out(shape):
+    K = kernel_props(shape)
+    z = np.linspace(-1.0, 1.0, 41).reshape(41, 1)
+    out = z.copy()
+    assert eval_scaled(K, 0.7, out, out=out) is out
+    assert np.array_equal(out, eval_scaled(K, 0.7, z))
+
+
+def test_outlier_weight_keeps_tiny_kernel_terms():
+    # X = 13.4 sits where the start is about e^-90, so its 1/fbar weight is
+    # about e^90 and lifts kernel terms of e^-700..e^-745 into the sum; near
+    # it no other point contributes.  Zeroing the lanes below -700 would zero
+    # those rows.
+    data = np.append(np.random.default_rng(43).normal(0.0, 1.0, 300), 13.4)
+    st0 = FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=None)
+    h = 0.05
+    x = np.linspace(11.0, 16.0, 501)
+    est = DensityEstimate(data, G, h, st0)
+    den = eval_start(st0, data)
+    assert 1.0 / den[-1] > np.exp(89.0)
+    z = data - x[:, None]
+    r_want = np.sum(_literal_gaussian(h, z) / den, axis=-1) / data.size
+    expo = -0.5 * (z[:, -1] / h) ** 2
+    thin = (expo < -700.0) & (expo > -745.0)
+    assert np.any(thin & (r_want > 0.0))
+    assert np.array_equal(correction_curve(est, x).r_hat, r_want)
+    assert np.array_equal(estimate_semiparametric(est, x), eval_start(st0, x) * r_want)
 
 
 G = kernel_props("gaussian")
