@@ -24,6 +24,10 @@ SQRT_PI = np.sqrt(np.pi)
 SHAPES = ("gaussian", "epanechnikov", "uniform")
 
 # Elements per block of a (grid x data) sum: 2^15 float64 values, 256 KB.
+# mv_estimate's bits depend on it, a known fault: its cross term is a BLAS
+# product whose bits change with the number of rows in a block (the strict
+# xfail in tests/test_multivariate.py).  At 2^17, 1 of the 1,681 values of a
+# 41 x 41 grid over 10^4 points moved by 3.7e-15 relative.
 BLOCK_ELEMENTS = 2**15
 
 # NumPy's SIMD exp leaves its fast loop for a whole vector when one lane is
@@ -82,19 +86,29 @@ def _base_pdf(shape: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported kernel shape: {shape!r}")
 
 
-def exp_into(a: np.ndarray) -> np.ndarray:
-    """Overwrite the float array a with np.exp(a), bit for bit, and return it.
+# the band of an array with no lanes in it: (no flat indices, no values);
+# size 0, so the in-place operations callers apply to a band change nothing
+_NO_LANES = (np.empty(0, dtype=np.intp), np.empty(0))
 
-    Lanes at or above _EXP_FAST_MIN go through one np.exp of the clamped
-    array, which stays on NumPy's vector loop; lanes at or below _EXP_ZERO
-    are 0.0, as np.exp gives there; only the lanes in between, whose results
-    are tiny or subnormal, are computed by np.exp on a compacted array.
-    NaN and +-inf come out as np.exp gives them.  take and put index a in
-    flat C order through a.flat, so any memory layout is written correctly.
+
+def _exp_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite the float array a with np.exp(a), bit for bit, but for its band.
+
+    The band is the lanes in (_EXP_ZERO, _EXP_FAST_MIN), whose results are
+    tiny or subnormal.  They are left 0.0 in a, and their flat C-order
+    indices and np.exp values come back compacted: a vector instruction with
+    one subnormal lane takes a slow microcode path, so a caller may apply
+    further per-lane factors to the compacted values before it puts them
+    back.  Lanes at or above _EXP_FAST_MIN go through one np.exp of the
+    clamped array, which stays on NumPy's vector loop; lanes at or below
+    _EXP_ZERO are 0.0, as np.exp gives there.  NaN and +-inf come out as
+    np.exp gives them.  take indexes a through a.flat, so any memory layout
+    is read correctly.
     """
     keep = a >= _EXP_FAST_MIN
     if keep.all():
-        return np.exp(a, out=a)
+        np.exp(a, out=a)
+        return _NO_LANES
     tiny = ~keep
     tiny &= a > _EXP_ZERO
     idx = np.flatnonzero(tiny)
@@ -104,7 +118,18 @@ def exp_into(a: np.ndarray) -> np.ndarray:
     # a multiply, not a masked write, which branches on every lane: it zeroes
     # the clamped lanes and keeps NaN, whose keep is False too
     np.multiply(a, keep, out=a)
-    np.put(a, idx, vals)
+    return idx, vals
+
+
+def exp_into(a: np.ndarray) -> np.ndarray:
+    """Overwrite the float array a with np.exp(a), bit for bit, and return it.
+
+    Only the lanes in (_EXP_ZERO, _EXP_FAST_MIN) are computed by np.exp on a
+    compacted array (see _exp_core); put writes them back through a.flat.
+    """
+    idx, vals = _exp_core(a)
+    if idx.size:
+        np.put(a, idx, vals)
     return a
 
 
@@ -119,16 +144,22 @@ def require_bandwidth(h) -> None:
         raise ValueError("bandwidth h must be finite and positive")
 
 
-def eval_scaled(kernel: KernelSpec, h: float, z, out=None):
+def eval_scaled(kernel: KernelSpec, h: float, z, out=None, *, _band: list | None = None):
     """K_h(z) = K(z/h)/h, vectorised over z.  Requires a finite h > 0.
 
     out, a float array of z's shape, receives the values and is returned; it
     may be z itself.  The gaussian kernel then runs in place, with no
     temporary of z's size.  Without out, a 0-d z gives a float.
+
+    _band, a list, is for the package's own grid sums: it receives the pair
+    (flat indices, values) of the gaussian kernel's tiny and subnormal lanes
+    (see _exp_core), which then stay 0.0 in the result until the caller has
+    applied its own per-lane factors to both and put the values back.
     """
     require_bandwidth(h)
     z = np.asarray(z, dtype=float)
     res = np.empty_like(z) if out is None else out
+    idx, vals = _NO_LANES
     if kernel.shape == "gaussian":
         # (z/h)^2 * -0.5 is -0.5 * (z/h) * (z/h) to the bit: scaling by 0.5 is
         # exact except where the result is subnormal or overflows, and exp
@@ -136,11 +167,18 @@ def eval_scaled(kernel: KernelSpec, h: float, z, out=None):
         np.divide(z, h, out=res)
         np.multiply(res, res, out=res)
         res *= -0.5
-        exp_into(res)
+        idx, vals = _exp_core(res)
         res /= SQRT_2PI
         res /= h
+        if idx.size:  # the band lanes take the same divisions, compacted
+            vals /= SQRT_2PI
+            vals /= h
     else:
         res[...] = _base_pdf(kernel.shape, z / h) / h
+    if _band is not None:
+        _band.append((idx, vals))
+    elif idx.size:
+        np.put(res, idx, vals)
     return res if out is not None or res.ndim else float(res)
 
 

@@ -119,29 +119,48 @@ class MvEstimate:
 def mv_estimate(e: MvEstimate, x):
     """Corrected estimate at x: sphered kernel sum times the start ratio.
 
-    The start ratio exp{-q(x)/2 + q(X_i)/2} uses Mahalanobis distances q
-    clipped at radius `clip`, the d-dimensional analogue of flooring the
-    1-d start density beyond 2.5 standard deviations.
+    x is one point, a vector of d coordinates (which gives a float), or an
+    (m, d) matrix of m points.  The start ratio exp{-q(x)/2 + q(X_i)/2} uses
+    Mahalanobis distances q clipped at radius `clip`, the d-dimensional
+    analogue of flooring the 1-d start density beyond 2.5 standard deviations.
     """
     d = e.data.shape[1]
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"evaluation points must be one point of d = {d} coordinates or "
+                         f"an (m, {d}) matrix, got an array of shape {x.shape}")
+    if x.shape[-1] != d:
+        hint = "; pass several points as an (m, 1) matrix" if d == 1 and x.ndim == 1 else ""
+        raise ValueError(f"evaluation points must have d = {d} coordinates, "
+                         f"got {x.shape[-1]}{hint}")
     single = x.ndim == 1
-    pts = x[None, :] if single else _as_matrix(x)
+    pts = x[None, :] if single else x
     _require_finite(pts, "evaluation point")
 
     yp = (pts - e.mean) @ e.inv_root.T
     q_pts = _sq_radii(yp, e.clip)
     yd = e.sphered
     yd_sq = np.sum(yd * yd, axis=1)[None, :]
+    half_q_data = 0.5 * e.q_data[None, :]
+    log_norm = d * np.log(SQRT_2PI * e.h)
     out = np.empty(yp.shape[0])
 
     def fill(rows):
-        # |y_i - Y_j|^2 without an (m, n, d) array; the rounding can leave it below 0
+        # |y_i - Y_j|^2 without an (m, n, d) array; the rounding can leave it
+        # below 0.  The block's exponent is built in place in one buffer; the
+        # product's own buffer then holds the log start ratio.
         yr = yp[rows]
-        sq = np.maximum(np.sum(yr * yr, axis=1)[:, None] + yd_sq - 2.0 * yr @ yd.T, 0.0)
-        log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - e.half_logdet
-        log_ratio = -0.5 * q_pts[rows, None] + 0.5 * e.q_data[None, :]
-        out[rows] = np.exp(log_kern + log_ratio).mean(axis=1)
+        cross = np.matmul(2.0 * yr, yd.T)
+        expo = np.add(np.sum(yr * yr, axis=1)[:, None], yd_sq)
+        expo -= cross
+        np.maximum(expo, 0.0, out=expo)
+        expo *= -0.5
+        expo /= e.h**2
+        expo -= log_norm
+        expo -= e.half_logdet
+        np.add(-0.5 * q_pts[rows, None], half_q_data, out=cross)
+        expo += cross
+        out[rows] = np.exp(expo, out=expo).mean(axis=1)
 
     for_blocks(yp.shape[0], yd.shape[0], fill)
     return float(out[0]) if single else out

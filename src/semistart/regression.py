@@ -106,15 +106,14 @@ def nw_estimate(fit: RegressionFit, x):
 
 
 def gnw_estimate(fit: RegressionFit, x):
-    """Start-corrected smoother value(s) at x.
+    """Start-corrected smoother values at x, in x's shape; one point gives a float.
 
     A constant mean start makes every ratio m(x)/m(x_i) equal to 1, so the
     classic smoother's weighted mean is computed without the ratios.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    pts = np.atleast_1d(x)
-    _require_finite(pts, "evaluation point")
+    _require_finite(np.atleast_1d(x), "evaluation point")
+    pts = x.ravel()
     corrected = fit.mean_start.kind != "constant"
     if corrected:
         m_pts, m_data = _clipped_mean(fit, pts), _clipped_mean(fit, fit.x)
@@ -136,4 +135,4 @@ def gnw_estimate(fit: RegressionFit, x):
         bad = pts[wsum < 1e-300][0]
         raise ValueError(f"no local data: every kernel weight vanishes at x={float(bad)}")
     out = num / wsum
-    return float(out[0]) if scalar else out
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -32,6 +32,59 @@ def gaussian_product_integral(factors, a=0.0):
     return float(np.exp(log_val))
 
 
+def literal_gaussian(h, z):
+    """The gaussian K_h(z) as one literal expression, with eval_scaled's bits."""
+    return np.exp(-0.5 * (z / h) * (z / h)) / SQRT_2PI / h
+
+
+# The three grid x data fills written out as whole-array expressions, before
+# they ran in place and with the kernel's tiny and subnormal lanes compacted:
+# the oracles of estimator._correction_sum, of gnw_estimate's fill and of
+# mv_estimate's fill, for the gaussian kernel.
+
+def literal_correction(e, x):
+    """(1/n) sum K_h(X_i - x)/fbar(X_i) at every point of x at once."""
+    vals = literal_gaussian(e.h, e.data - np.asarray(x, dtype=float).ravel()[:, None])
+    if e.den is not None:
+        vals = vals / e.den
+    return np.sum(vals, axis=-1) / e.n
+
+
+def literal_gnw(fit, x):
+    """gnw_estimate at every point of x at once, flattened."""
+    from semistart.regression import _clipped_mean
+    pts = np.asarray(x, dtype=float).ravel()
+    w = literal_gaussian(fit.h, pts[:, None] - fit.x[None, :])
+    terms = w
+    if fit.mean_start.kind != "constant":
+        terms = terms * (_clipped_mean(fit, pts)[:, None] / _clipped_mean(fit, fit.x)[None, :])
+    return (terms * fit.y[None, :]).sum(axis=1) / w.sum(axis=1)
+
+
+def literal_mv(e, pts):
+    """mv_estimate at the rows of pts.
+
+    It runs in mv_estimate's row blocks: the BLAS product of the cross term
+    has bits that depend on the number of rows it is given.
+    """
+    from semistart.kernels import row_blocks
+    d = e.data.shape[1]
+    yp = (pts - e.mean) @ e.inv_root.T
+    q_pts = np.sum(yp * yp, axis=1)
+    if e.clip is not None:
+        q_pts = np.minimum(q_pts, e.clip**2)
+    yd = e.sphered
+    yd_sq = np.sum(yd * yd, axis=1)[None, :]
+    out = np.empty(yp.shape[0])
+    for rows in row_blocks(yp.shape[0], yd.shape[0]):
+        yr = yp[rows]
+        sq = np.maximum(np.sum(yr * yr, axis=1)[:, None] + yd_sq - 2.0 * yr @ yd.T, 0.0)
+        log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - e.half_logdet
+        log_ratio = -0.5 * q_pts[rows, None] + 0.5 * e.q_data[None, :]
+        out[rows] = np.exp(log_kern + log_ratio).mean(axis=1)
+    return out
+
+
 def ise_new(data, mu_hat, sd_hat, h, m):
     """Exact int (fhat - f)^2 for the corrected estimator built from `data`.
 
@@ -135,3 +188,17 @@ def mixture_to_json(m):
 def gaussian_kernel():
     from semistart.kernels import kernel_props
     return kernel_props("gaussian")
+
+
+@pytest.fixture
+def machine(monkeypatch):
+    """machine(cpus): no block pool yet, on a machine with that many usable CPUs."""
+    from semistart import kernels
+
+    def use(cpus):
+        monkeypatch.setattr(kernels, "_worker_count", lambda: cpus)
+        monkeypatch.setattr(kernels, "_pool", None)
+
+    yield use
+    if kernels._pool is not None:  # the pool this test made
+        kernels._pool.shutdown()

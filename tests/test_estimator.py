@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from semistart.densities import marron_wand, mixture_sample
@@ -11,7 +13,7 @@ from semistart.estimator import (DensityEstimate, correction_curve,
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
 from semistart.starts import FittedStart, eval_start, fit_start
 
-from conftest import phi, phi_scaled
+from conftest import literal_correction, phi, phi_scaled
 
 G = kernel_props("gaussian")
 
@@ -312,3 +314,59 @@ def test_one_point_estimate_is_bit_identical(family, normalize):
         got = [estimate_semiparametric(est, float(t)) for t in ts]
         assert all(type(g) is float for g in got)
         assert np.array_equal(got, want)
+
+
+def _band_share(h, data, x):
+    """Share of the (point, datum) lanes whose exponent lies in (-746, -700)."""
+    expo = -0.5 * ((data - np.ravel(x)[:, None]) / h) ** 2
+    return float(np.mean((expo > -746.0) & (expo < -700.0)))
+
+
+def _shaped(x, shape):
+    return {"0-d": x[:1].reshape(()), "1-d": x, "2-d": x[:x.size // 2 * 2].reshape(2, -1)}[shape]
+
+
+@settings(max_examples=100, deadline=None)
+@given(band=st.sampled_from(["none", "few", "most", "outlier"]),
+       start=st.sampled_from(["constant", "normal", "normal_unclipped"]),
+       shape=st.sampled_from(["0-d", "1-d", "2-d"]),
+       n=st.integers(2, 400), m=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.0, 1.0))
+def test_in_place_correction_sum_is_the_literal_sum(band, start, shape, n, m, seed, scale):
+    # rows with no lanes in the band, a few percent, most of them, or an
+    # outlier whose 1/fbar weight of about e^90 lifts band lanes into the sum
+    rng = np.random.default_rng(seed)
+    if band == "none":
+        h = 0.5 + 1.5 * scale
+        data, x = rng.normal(0.0, 1.0, n), rng.uniform(-3.0, 3.0, m)
+    elif band == "few":
+        h = 0.02 + 0.06 * scale
+        data, x = rng.normal(0.0, 1.0, n), np.linspace(-4.0, 4.0, m)
+    elif band == "most":  # every |x - X| / h lies in (37.45, 38.55)
+        h = 10.0 ** (-3.0 + 4.0 * scale)
+        data = h * rng.uniform(-0.5, 0.5, n)
+        x = h * rng.choice([-1.0, 1.0], m) * rng.uniform(37.95, 38.05, m)
+    else:
+        h = 0.03 + 0.05 * scale
+        data = np.append(rng.normal(0.0, 1.0, n), 13.4)
+        x = rng.uniform(11.0, 16.0, m)
+    if band in ("few", "outlier"):  # one lane in the band at least
+        x[0] = data[-1] + 38.0 * h
+    x = _shaped(x, shape)
+    share = _band_share(h, data, x)
+    assert share == 0.0 if band == "none" else share > (0.5 if band == "most" else 0.0)
+    st0 = (FittedStart("constant") if start == "constant"
+           else FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=None) if band == "outlier"
+           or start == "normal_unclipped" else fit_start("normal", data))
+    est = DensityEstimate(data, G, h, st0)
+    if band == "outlier" and start != "constant":
+        assert 1.0 / est.den[-1] > np.exp(89.0)
+    r = literal_correction(est, x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z where the start underflows
+        assert np.array_equal(correction_curve(est, np.ravel(x)).r_hat, r)
+    got = estimate_semiparametric(est, x)
+    assert np.shape(got) == np.shape(x)
+    assert np.array_equal(np.ravel(got), np.atleast_1d(eval_start(st0, np.ravel(x))) * r)
+    kde = estimate_kernel(data, G, h, x)
+    assert np.array_equal(np.ravel(kde), literal_correction(
+        DensityEstimate(data, G, h, FittedStart("constant")), x))

@@ -15,10 +15,10 @@ from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, 
                        correction_curve, estimate_kernel, estimate_semiparametric,
                        eval_start, marron_wand, mise_kernel, mise_new, plugin_roughness, ucv)
 from semistart import kernels
-from semistart.kernels import (BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SHAPES, SQRT_2PI,
+from semistart.kernels import (BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SHAPES,
                                eval_scaled, exp_into, for_blocks, kernel_props, row_blocks)
 
-from conftest import phi
+from conftest import literal_gaussian, phi
 
 
 def quad_moment(shape, power, lo, hi):
@@ -142,17 +142,13 @@ def test_np_exp_is_zero_at_and_below_the_cut():
     assert np.all(np.exp(grid) == 0.0)
 
 
-def _literal_gaussian(h, z):
-    return np.exp(-0.5 * (z / h) * (z / h)) / SQRT_2PI / h
-
-
 @pytest.mark.parametrize("h", [1.0, 0.05, 1e-3, 1e-200])
 def test_gaussian_eval_scaled_is_the_literal_expression(h):
     # +-60 bandwidths: the exponents run down to -1800, through every region
     # of exp_into, on rows and on a 2-d block
     rng = np.random.default_rng(41)
     z = h * np.concatenate([np.linspace(-60.0, 60.0, 24_001), rng.uniform(-40.0, 40.0, 999)])
-    want = _literal_gaussian(h, z)
+    want = literal_gaussian(h, z)
     expo = -0.5 * (z / h) * (z / h)
     assert np.any((expo < -700.0) & (expo > -746.0) & (want > 0.0))  # the tiny band is hit
     assert np.array_equal(eval_scaled(G, h, z), want)
@@ -188,7 +184,7 @@ def test_outlier_weight_keeps_tiny_kernel_terms():
     den = eval_start(st0, data)
     assert 1.0 / den[-1] > np.exp(89.0)
     z = data - x[:, None]
-    r_want = np.sum(_literal_gaussian(h, z) / den, axis=-1) / data.size
+    r_want = np.sum(literal_gaussian(h, z) / den, axis=-1) / data.size
     expo = -0.5 * (z[:, -1] / h) ** 2
     thin = (expo < -700.0) & (expo > -745.0)
     assert np.any(thin & (r_want > 0.0))
@@ -218,18 +214,6 @@ def test_every_bandwidth_must_be_finite_and_positive(user, h):
     with pytest.raises(ValueError, match="^bandwidth h must be finite and positive$"):
         BANDWIDTH_USERS[user](h)
     BANDWIDTH_USERS[user](0.5)
-
-
-@pytest.fixture
-def machine(monkeypatch):
-    """machine(cpus): no block pool yet, on a machine with that many usable CPUs."""
-    def use(cpus):
-        monkeypatch.setattr(kernels, "_worker_count", lambda: cpus)
-        monkeypatch.setattr(kernels, "_pool", None)
-
-    yield use
-    if kernels._pool is not None:  # the pool this test made
-        kernels._pool.shutdown()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])

@@ -2,13 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistart.bandwidth import rule_delta
 from semistart.densities import NormalMixture, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
+from semistart import kernels
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, kernel_props
 from semistart.multivariate import MvEstimate, mv_bandwidth, mv_estimate, sphere
 from semistart.starts import FittedStart
+
+from conftest import literal_mv
 
 G = kernel_props("gaussian")
 
@@ -193,3 +198,74 @@ def test_mv_grid_evaluation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("d, x, msg", [
+    (2, np.zeros(3), "evaluation points must have d = 2 coordinates, got 3$"),
+    (2, np.zeros((1, 3)), "evaluation points must have d = 2 coordinates, got 3$"),
+    (2, np.zeros((4, 1)), "evaluation points must have d = 2 coordinates, got 1$"),
+    (1, np.array([0.1, 0.2, 0.3]),
+     r"evaluation points must have d = 1 coordinates, got 3; pass several points as an "
+     r"\(m, 1\) matrix$"),
+    (2, 0.1, r"evaluation points must be one point of d = 2 coordinates or an \(m, 2\) "
+             r"matrix, got an array of shape \(\)$"),
+    (1, np.zeros((2, 3, 1)), r"evaluation points must be one point of d = 1 coordinates or "
+                             r"an \(m, 1\) matrix, got an array of shape \(2, 3, 1\)$"),
+])
+def test_evaluation_points_of_the_wrong_dimension_are_rejected(d, x, msg):
+    e = MvEstimate.fit(rng_data(16, 40, d), h=0.5)
+    with pytest.raises(ValueError, match=msg):
+        mv_estimate(e, x)
+
+
+def _mv_case(seed, n, d, h, m, clip, far):
+    """An estimate and m points; far moves a point to where its exponents reach -746..-700."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, d)) @ np.triu(np.ones((d, d)))
+    e = MvEstimate.fit(data, h=h, clip=clip)
+    pts = e.mean + rng.uniform(-4.0, 4.0, (m, d)) @ np.triu(np.ones((d, d))).T
+    if far:  # 38 bandwidths from the first datum in sphered space
+        step = np.zeros(d)
+        step[0] = 38.0 * h
+        pts[0] = e.mean + np.linalg.solve(e.inv_root, e.sphered[0] + step)
+    return e, pts
+
+
+@pytest.mark.parametrize("threads", [1, MAX_BLOCK_THREADS])
+@pytest.mark.parametrize("n, d, h, m", [
+    (2000, 2, 0.3, 101),    # 16 rows per block, over two blocks per thread and a partial one
+    (2000, 2, 0.02, 101),   # most lanes far below -746, some in (-746, -700)
+    (300, 3, 0.15, 40),
+    (BLOCK_ELEMENTS + 7, 1, 0.1, 9),  # one row per block
+])
+def test_in_place_mv_fill_is_the_literal_fill(threads, n, d, h, m, machine):
+    machine(threads)
+    for clip, far in ((2.5, False), (None, True)):
+        e, pts = _mv_case(7, n, d, h, m, clip, far)
+        assert np.array_equal(mv_estimate(e, pts), literal_mv(e, pts))
+    if threads > 1 and h == 0.02:
+        assert kernels._pool._max_workers == threads
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 300), d=st.integers(1, 3),
+       m=st.integers(1, 30), log_h=st.floats(-2.0, 0.5), clip=st.sampled_from([None, 1.0, 2.5]),
+       far=st.booleans())
+def test_mv_fill_is_the_literal_fill_on_drawn_data(seed, n, d, m, log_h, clip, far):
+    e, pts = _mv_case(seed, n, d, 10.0**log_h, m, clip, far)
+    assert np.array_equal(mv_estimate(e, pts), literal_mv(e, pts))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known fault: the cross term 2 y @ Y.T is a BLAS product whose bits depend on the "
+    "number of rows it is given, so the values depend on the rows per block"))
+def test_mv_estimate_bits_do_not_depend_on_the_block_rows(monkeypatch):
+    e, pts = _mv_case(5, 2000, 2, 0.3, 60, 2.5, False)
+    in_blocks, literal = mv_estimate(e, pts), literal_mv(e, pts)  # 16 rows per block
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 1)  # one row per block
+    # the fault needs a BLAS that rounds a one-row product otherwise than a
+    # block of rows: the literal fill, which forms the cross term the same
+    # way, shows whether this one does
+    if np.array_equal(literal_mv(e, pts), literal):
+        pytest.skip("this BLAS rounds a one-row product as it rounds a block")
+    assert np.array_equal(mv_estimate(e, pts), in_blocks)

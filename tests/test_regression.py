@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
-from semistart.regression import (RegressionFit, fit_mean_start, gnw_estimate,
+from semistart.regression import (RegressionFit, _clipped_mean, fit_mean_start, gnw_estimate,
                                   nw_estimate)
+
+from conftest import literal_gnw
 
 G = kernel_props("gaussian")
 
@@ -153,3 +157,60 @@ def test_blocked_smoothers_are_bit_identical(n, x):
     assert np.shape(got_g) == np.shape(got_nw) == np.shape(x)
     assert np.array_equal(np.ravel(got_g), want_g)
     assert np.array_equal(np.ravel(got_nw), want_nw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(band=st.sampled_from(["none", "few", "most"]), kind=st.sampled_from(["constant", "linear"]),
+       shape=st.sampled_from(["0-d", "1-d", "2-d"]), sign=st.sampled_from([-1.0, 1.0]),
+       n=st.integers(2, 150), m=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.0, 1.0))
+def test_in_place_smoother_is_the_literal_smoother(band, kind, shape, sign, n, m, seed, scale):
+    # a first row with no lanes in (-746, -700), a few, or only those: then
+    # its sums are made of band lanes alone.  The design is mirrored about 0.5
+    # with mirrored responses, so the fitted line crosses zero there, and
+    # x[1:3] sit just either side of it: means of both signs fall under the
+    # clip floor.  The other points are data too, so none lacks local data.
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, m)
+    x[1:3] = 0.5 + np.array([-1e-9, 1e-9])
+    if band == "most":  # a cluster 37.5..38.5 h away from the first point
+        h = 10.0 ** (-12.0 + 3.0 * scale)
+        half = 0.5 + h * rng.uniform(-0.5, 0.5, n + 4 * m)
+        x[0] = 0.5 + 38.0 * h
+    else:
+        h = 0.3 + scale if band == "none" else 0.01 + 0.02 * scale
+        half = rng.uniform(0.0, 0.5, n)
+        if band == "few":
+            x[0] = half[0] + 38.0 * h
+    half = np.concatenate([half, [0.0], x[1:] if band == "most" else x])
+    xs = np.concatenate([half, 1.0 - half])
+    noise = 0.1 * rng.standard_normal(half.size)
+    ys = sign * (xs - 0.5) + np.concatenate([noise, -noise])
+    fit = RegressionFit.fit(xs, ys, G, h, kind=kind)
+    if kind == "linear":
+        m_pts = _clipped_mean(fit, x[1:3])
+        assert np.all(np.abs(m_pts) == 0.05 * float(fit.y.std())) and m_pts[0] * m_pts[1] < 0
+    expo = -0.5 * ((x[0] - xs) / h) ** 2  # the first point's row
+    share = float(np.mean((expo > -746.0) & (expo < -700.0)))
+    assert share == 0.0 if band == "none" else share > (0.5 if band == "most" else 0.0)
+    x = {"0-d": x[:1].reshape(()), "1-d": x, "2-d": x[:m // 2 * 2].reshape(2, -1)}[shape]
+    got = gnw_estimate(fit, x)
+    assert np.shape(got) == np.shape(x)
+    assert np.array_equal(np.ravel(got), literal_gnw(fit, x))
+    classic = nw_estimate(fit, x)
+    assert np.shape(classic) == np.shape(x)
+    flat = RegressionFit.fit(xs, ys, G, h, kind="constant")
+    assert np.array_equal(np.ravel(classic), literal_gnw(flat, x))
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear"])
+def test_smoother_takes_a_grid_of_any_shape(kind):
+    rng = np.random.default_rng(45)
+    xs = rng.uniform(0.0, 1.0, 200)
+    fit = RegressionFit.fit(xs, 1.0 + xs + rng.normal(0.0, 0.2, 200), G, 0.1, kind=kind)
+    x = np.full((2, 3), 0.5)
+    x[1] = [0.1, 0.7, 0.9]
+    for smoother in (gnw_estimate, nw_estimate):
+        got = smoother(fit, x)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, smoother(fit, x.ravel()).reshape(2, 3))
