@@ -27,6 +27,7 @@ from . import hermite
 from .estimator import DensityEstimate, estimate_semiparametric
 from .kernels import (SQRT_2PI, KernelSpec, eval_scaled, exp_into, for_blocks, kernel_props,
                       require_bandwidth)
+from .special import lgam
 from .starts import FittedStart, _require_finite, eval_start
 
 __all__ = [
@@ -364,10 +365,10 @@ def _loo_log_ratio(x: np.ndarray, family: str):
             return (-0.5 * (lx[None, :] - mu_i[r, None]) ** 2 / var_i[r, None]
                     - 0.5 * log_var[r, None] - lx[None, :])
     else:  # gamma by moments
-        from scipy.special import gammaln
         a_i = mu_i**2 / var_i
         b_i = mu_i / var_i
-        log_b, log_x, lg_a = np.log(b_i), np.log(x), gammaln(a_i)
+        log_b, log_x = np.log(b_i), np.log(x)
+        lg_a = np.array([lgam(a) for a in a_i.tolist()])
         log_num = a_i * log_b + (a_i - 1.0) * log_x - b_i * x - lg_a
 
         def log_den(r):

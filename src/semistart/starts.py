@@ -20,6 +20,7 @@ import numpy as np
 
 from .densities import NormalMixture, mixture_moments, mixture_pdf
 from .kernels import SQRT_2PI
+from .special import gamma_quantile, lgam, ndtr
 
 __all__ = ["FittedStart", "fit_start", "em_fit_mixture", "eval_start", "FAMILIES"]
 
@@ -215,10 +216,9 @@ def _raw_pdf(s: FittedStart, x):
             return np.exp(-0.5 * (z * z)) / (SQRT_2PI * sd * xp)
         return _positive_part(pdf, x)
     if s.family == "gamma":
-        from scipy.special import gammaln
         a, b = s.params["alpha"], s.params["beta"]
         return _positive_part(lambda xp: np.exp(
-            a * np.log(b) + (a - 1.0) * np.log(xp) - b * xp - gammaln(a)), x)
+            a * np.log(b) + (a - 1.0) * np.log(xp) - b * xp - lgam(a)), x)
     if s.family == "normal_mixture":
         return mixture_pdf(s.params["mixture"], x)
     raise ValueError(f"unsupported start family: {s.family!r}")
@@ -234,11 +234,10 @@ def _clip_edges(s: FittedStart) -> tuple[float, float]:
         mu, sd = s.params["mu"], s.params["sd"]
         return float(np.exp(mu - c * sd)), float(np.exp(mu + c * sd))
     if s.family == "gamma":
-        from scipy.special import gammaincinv, ndtr
+        # the lower edge has lower tail mass Phi(-c), the upper edge upper tail mass Phi(-c)
         a, b = s.params["alpha"], s.params["beta"]
-        p_lo = ndtr(-c)
-        return (float(gammaincinv(a, p_lo) * (1.0 / b)),
-                float(gammaincinv(a, 1.0 - p_lo) * (1.0 / b)))
+        p = ndtr(-c)
+        return gamma_quantile(a, p) * (1.0 / b), gamma_quantile(a, p, upper=True) * (1.0 / b)
     if s.family == "normal_mixture":
         mu0, sd0 = mixture_moments(s.params["mixture"])
         return mu0 - c * sd0, mu0 + c * sd0

@@ -1,5 +1,7 @@
 import json
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -202,3 +204,20 @@ def machine(monkeypatch):
     yield use
     if kernels._pool is not None:  # the pool this test made
         kernels._pool.shutdown()
+
+
+def quantile_miss(a, p, x, upper):
+    """How far a gamma quantile x misses its tail mass p, in units of its allowance.
+
+    The miss is |F(x) - p|, with F the lower tail P(a, x), or the upper tail
+    Q(a, x) when upper, from mpmath at 40 digits.  The allowance,
+    32 eps p + 8 ulp(x) F'(x), scales with the quantile's condition: a few
+    rounding errors in F, plus a few ulp in x.  A value at most 1 passes.
+    """
+    with mpmath.workdps(40):
+        mx = mpmath.mpf(x)
+        tail = (mpmath.gammainc(a, mx, mpmath.inf, regularized=True) if upper
+                else mpmath.gammainc(a, 0, mx, regularized=True))
+        density = mpmath.exp((a - 1) * mpmath.log(mx) - mx - mpmath.loggamma(a))
+        allowance = 32 * 2.0**-52 * p + 8 * math.ulp(x) * density
+        return float(abs(tail - p) / allowance)

@@ -1,4 +1,5 @@
-"""Importing semistart loads NumPy only; SciPy loads on the first call that needs it.
+"""Importing semistart loads NumPy only, and so does every request; SciPy loads
+only when an integral misses its tolerance.
 
 Each test starts a fresh interpreter with src/ first on sys.path, because the
 test process itself has long since imported SciPy.
@@ -84,7 +85,12 @@ def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
         ["estimate", *data, "--start", "normal", "--compare", *grid],
         ["estimate", *data, "--start", "lognormal", *grid],
         ["estimate", *data, "--start", "lognormal", "--compare", *grid],
+        # the gamma start's log-gamma, normal CDF and clip edges are semistart.special's
+        ["estimate", *data, "--start", "gamma", *grid],
+        ["estimate", *data, "--start", "gamma", "--compare", *grid],
+        ["estimate", *data, "--start", "gamma", "--normalize", *grid],
         ["gof", *data, *grid],
+        ["gof", *data, "--start", "gamma", *grid],
         ["regress", "--input", inputs["pairs"], "--h", "0.2", "--grid", "0,1,11"],
         ["regress", "--input", inputs["pairs"], "--h", "0.2", "--grid", "0,1,11",
          "--mean-start", "constant"],
@@ -94,7 +100,7 @@ def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
     ]
     # the lognormal start and --normalize integrate with semistart.quadpack
     requests += [["bandwidth", *data, "--start", start, "--method", method]
-                 for start in ("normal", "constant", "lognormal")
+                 for start in ("normal", "constant", "lognormal", "gamma")
                  for method in ("bcv", "ucv", "plugin")]
     requests.append(["estimate", *data, "--kernel", "gaussian", "--normalize", *grid])
     proc = _fresh(_CHILD, json.dumps([argv + out for argv in requests]), cwd=tmp_path)
@@ -114,11 +120,11 @@ def test_l1_measures_loads_no_scipy(tmp_path):
 
 
 def test_gamma_start_loads_no_scipy_stats(tmp_path, inputs):
-    # the gamma clip edges come from scipy.special, not scipy.stats
+    # nor any other part of SciPy: the clip edges come from semistart.special
     child = ("import json, sys; sys.path.insert(0, sys.argv[1]); import semistart.cli; "
              "code = semistart.cli.run(sys.argv[2:]); "
              "print(json.dumps([code] + sorted(m for m in sys.modules "
-             "if m.startswith('scipy.stats'))))")
+             "if m.split('.')[0] == 'scipy')))")
     argv = ["estimate", "--input", inputs["data"], "--start", "gamma",
             "--grid", "0.2,4,25", "--out", inputs["out"]]
     proc = _fresh(child, *argv, cwd=tmp_path)
@@ -150,6 +156,9 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys):
     ["bench-amise", "--cases", "1"],
 ], ids=["gamma", "normalize", "bcv-lognormal", "bench-amise"])
 def test_scipy_requests_run_first_in_a_fresh_process(tmp_path, inputs, capsys, argv):
+    # requests that once imported SciPy on first use print the same bytes in a
+    # fresh process as in this warm one; the gamma start no longer loads SciPy
+    # at all, and stays here as a fresh-against-warm check of its clip edges
     if argv[0] != "bench-amise":
         argv = argv[:1] + ["--input", inputs["data"]] + argv[1:]
     child = ("import sys; sys.path.insert(0, sys.argv[1]); import semistart.cli; "

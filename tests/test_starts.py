@@ -1,11 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semistart import starts
 from semistart.densities import NormalMixture, marron_wand, mixture_sample
+from semistart.special import gamma_quantile, ndtr
 from semistart.starts import FittedStart, _clip_edges, em_fit_mixture, eval_start, fit_start
 
-from conftest import phi
+from conftest import phi, quantile_miss
 
 
 def test_fit_normal_two_points():
@@ -160,16 +164,14 @@ def test_floor_is_built_with_the_start(s):
 
 
 def test_clip_edges_are_computed_once_per_start(monkeypatch):
-    import scipy.special
-
     calls = []
-    inv = scipy.special.gammaincinv
+    quantile = starts.gamma_quantile
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return inv(*args, **kwargs)
+        return quantile(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.special, "gammaincinv", counted)
+    monkeypatch.setattr(starts, "gamma_quantile", counted)
     s = FittedStart("gamma", {"alpha": 3.0, "beta": 1.5})
     first = [eval_start(s, t) for t in (0.5, 2.0, 9.0)]
     grid = eval_start(s, np.array([0.5, 2.0, 9.0]))
@@ -181,12 +183,60 @@ def test_clip_edges_are_computed_once_per_start(monkeypatch):
 
 
 @pytest.mark.parametrize("clip", [0.5, 1.0, 2.5, 4.0])
-def test_gamma_clip_edges_match_scipy_stats_quantiles(clip):
-    # the edges are the N(0,1) tail mass quantiles of the fitted gamma
-    p_lo = stats.norm.cdf(-clip)
+def test_gamma_clip_edges_hold_the_normal_tail_mass(clip):
+    # the lower edge has lower tail mass Phi(-c), the upper edge upper tail
+    # mass Phi(-c), each within a few rounding errors of the fitted gamma
+    p = ndtr(-clip)
     for alpha in (0.3, 1.0, 2.7, 15.0, 400.0):
+        lo, hi = gamma_quantile(alpha, p), gamma_quantile(alpha, p, upper=True)
+        assert quantile_miss(alpha, p, lo, upper=False) <= 1.0
+        assert quantile_miss(alpha, p, hi, upper=True) <= 1.0
         for beta in (0.01, 0.5, 1.0, 3.0, 250.0):
             s = FittedStart("gamma", {"alpha": alpha, "beta": beta}, clip=clip)
-            want = (stats.gamma.ppf(p_lo, alpha, scale=1.0 / beta),
-                    stats.gamma.ppf(1.0 - p_lo, alpha, scale=1.0 / beta))
-            assert _clip_edges(s) == want
+            assert _clip_edges(s) == (lo * (1.0 / beta), hi * (1.0 / beta))
+
+
+def test_gamma_floor_is_finite_at_a_wide_clip():
+    # 1 - Phi(-9) rounds to 1, so an upper edge from P = 1 - Phi(-c) was inf
+    s = FittedStart("gamma", {"alpha": 3.0, "beta": 1.5}, clip=9.0)
+    assert np.all(np.isfinite(s.floor)) and 0.0 < s.floor[0] < s.floor[1]
+
+
+def _gamma_sample(shape, n, seed):
+    return np.random.default_rng(seed).gamma(shape, 1.0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 50.0), st.integers(10, 300), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-6, 1e6]))
+def test_gamma_clip_edges_scale_with_the_data(shape, n, seed, scale):
+    x = _gamma_sample(shape, n, seed)
+    lo, hi = fit_start("gamma", x).floor[:2]
+    lo_c, hi_c = fit_start("gamma", scale * x).floor[:2]
+    assert lo_c == pytest.approx(scale * lo, rel=1e-13, abs=0)
+    assert hi_c == pytest.approx(scale * hi, rel=1e-13, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 50.0), st.integers(10, 300), st.integers(0, 2**32 - 1))
+def test_gamma_clip_edges_ignore_the_data_order(shape, n, seed):
+    x = _gamma_sample(shape, n, seed)
+    lo, hi = fit_start("gamma", x).floor[:2]
+    lo_p, hi_p = fit_start("gamma", np.random.default_rng(seed + 1).permutation(x)).floor[:2]
+    assert lo_p == pytest.approx(lo, rel=1e-13, abs=0)
+    assert hi_p == pytest.approx(hi, rel=1e-13, abs=0)
+
+
+@pytest.mark.xfail(strict=True, reason="a log b + (a - 1) log x - b x - lgam(a) cancels "
+                   "terms of order a log x, so a shape near 1e10 keeps 4 to 5 digits")
+def test_gamma_log_density_keeps_its_digits_at_large_shape():
+    # 500 points at 1000 (1 + cv N(0, 1)) with cv = 1e-5, so alpha is about 1e10
+    x = 1000.0 * (1.0 + 1e-5 * np.random.default_rng(8).standard_normal(500))
+    s = fit_start("gamma", x).unclipped()
+    a, b = s.params["alpha"], s.params["beta"]
+    got = eval_start(s, x)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.exp(a * mpmath.log(b) + (a - 1) * mpmath.log(v)
+                                          - b * mpmath.mpf(v) - mpmath.loggamma(a)))
+                         for v in x.tolist()])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-9
