@@ -141,11 +141,17 @@ def correction_curve(e: DensityEstimate, grid) -> CorrectionCurve:
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     _require_finite(grid, "evaluation point")
+    fth = np.atleast_1d(eval_start(e.start, grid))
+    with np.errstate(divide="ignore", over="ignore"):
+        v = e.kernel.rough_K / (e.n * e.h * fth)
+    if not np.all(np.isfinite(v)):
+        k = np.flatnonzero(~np.isfinite(v))[0]
+        raise ValueError(f"start density is too small at x={float(grid[k])} "
+                         f"(fbar = {float(fth[k])!r}) for z's variance R(K)/(n h fbar(x)) "
+                         "to be finite; enable clipping or choose a start family supported there")
     r = _correction_at(e, grid)
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
-    fth = np.atleast_1d(eval_start(e.start, grid))
-    v = e.kernel.rough_K / (e.n * e.h * fth)
     z = (log_r + 0.5 * v) / np.sqrt(v)
     return CorrectionCurve(grid, r, log_r, z)
 

@@ -24,10 +24,7 @@ SQRT_PI = np.sqrt(np.pi)
 SHAPES = ("gaussian", "epanechnikov", "uniform")
 
 # Elements per block of a (grid x data) sum: 2^15 float64 values, 256 KB.
-# mv_estimate's bits depend on it, a known fault: its cross term is a BLAS
-# product whose bits change with the number of rows in a block (the strict
-# xfail in tests/test_multivariate.py).  At 2^17, 1 of the 1,681 values of a
-# 41 x 41 grid over 10^4 points moved by 3.7e-15 relative.
+# No result's bits depend on it (see row_blocks).
 BLOCK_ELEMENTS = 2**15
 
 # NumPy's SIMD exp leaves its fast loop for a whole vector when one lane is
@@ -144,6 +141,35 @@ def require_bandwidth(h) -> None:
         raise ValueError("bandwidth h must be finite and positive")
 
 
+def _profile(shape: str, h: float, z: np.ndarray,
+             out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write the unnormalised profile K(z/h) of a kernel shape into out, which may be z.
+
+    The gaussian profile is exp(-(z/h)^2/2) and the compact ones are their
+    densities at z/h; _normalise turns a profile into K_h.  The gaussian
+    profile comes without its band (see _exp_core): those lanes are 0.0 in
+    out and come back compacted, as (flat indices, values), for the caller
+    to put back.  The other shapes have no band.
+    """
+    if shape == "gaussian":
+        # (z/h)^2 * -0.5 is -0.5 * (z/h) * (z/h) to the bit: scaling by 0.5 is
+        # exact except where the result is subnormal or overflows, and exp
+        # gives 1.0 or 0.0 there either way
+        np.divide(z, h, out=out)
+        np.multiply(out, out, out=out)
+        out *= -0.5
+        return _exp_core(out)
+    out[...] = _base_pdf(shape, z / h)
+    return _NO_LANES
+
+
+def _normalise(shape: str, h: float, a: np.ndarray) -> None:
+    """Divide profile values a in place by the shape's 1/(sqrt(2 pi) h) or 1/h factor."""
+    if shape == "gaussian":
+        a /= SQRT_2PI
+    a /= h
+
+
 def eval_scaled(kernel: KernelSpec, h: float, z, out=None, *, _band: list | None = None):
     """K_h(z) = K(z/h)/h, vectorised over z.  Requires a finite h > 0.
 
@@ -159,22 +185,10 @@ def eval_scaled(kernel: KernelSpec, h: float, z, out=None, *, _band: list | None
     require_bandwidth(h)
     z = np.asarray(z, dtype=float)
     res = np.empty_like(z) if out is None else out
-    idx, vals = _NO_LANES
-    if kernel.shape == "gaussian":
-        # (z/h)^2 * -0.5 is -0.5 * (z/h) * (z/h) to the bit: scaling by 0.5 is
-        # exact except where the result is subnormal or overflows, and exp
-        # gives 1.0 or 0.0 there either way
-        np.divide(z, h, out=res)
-        np.multiply(res, res, out=res)
-        res *= -0.5
-        idx, vals = _exp_core(res)
-        res /= SQRT_2PI
-        res /= h
-        if idx.size:  # the band lanes take the same divisions, compacted
-            vals /= SQRT_2PI
-            vals /= h
-    else:
-        res[...] = _base_pdf(kernel.shape, z / h) / h
+    idx, vals = _profile(kernel.shape, h, z, res)
+    _normalise(kernel.shape, h, res)
+    if idx.size:  # the band lanes take the same divisions, compacted
+        _normalise(kernel.shape, h, vals)
     if _band is not None:
         _band.append((idx, vals))
     elif idx.size:

@@ -58,6 +58,20 @@ def _moments(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, mean, xc.T @ xc / n
 
 
+def _sphere_rows(x: np.ndarray, mean: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
+    """Rows of x in sphered coordinates, cov^(-1/2) (x - mean), elementwise.
+
+    Each coordinate is a sum over k in a fixed order, so a row has the same
+    bits alone as among other rows (a BLAS product's bits depend on the
+    number of rows it is given), and a point at a datum spheres to it.
+    """
+    c = x - mean
+    y = c[:, :1] * inv_root[:, 0]
+    for k in range(1, x.shape[1]):
+        y += c[:, k:k + 1] * inv_root[:, k]
+    return y
+
+
 def sphere(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (Y, mean, cov_root) with Y = cov^(-1/2) (X - mean).
 
@@ -66,7 +80,7 @@ def sphere(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     x, mean, cov = _moments(data)
     root, inv_root = _cov_factor(cov)
-    return (x - mean) @ inv_root.T, mean, root
+    return _sphere_rows(x, mean, inv_root), mean, root
 
 
 def _sq_radii(y: np.ndarray, clip: float | None) -> np.ndarray:
@@ -103,7 +117,7 @@ class MvEstimate:
         # n >= d + 1 is only needed when the moments are estimated (see fit)
         require_bandwidth(self.h)
         _, inv_root = _cov_factor(cov)
-        yd = (x - mean) @ inv_root.T
+        yd = _sphere_rows(x, mean, inv_root)
         derived = {"data": x, "mean": mean, "cov": cov, "inv_root": inv_root,
                    "sphered": yd, "q_data": _sq_radii(yd, self.clip),
                    "half_logdet": 0.5 * float(np.linalg.slogdet(cov)[1])}
@@ -137,32 +151,32 @@ def mv_estimate(e: MvEstimate, x):
     pts = x[None, :] if single else x
     _require_finite(pts, "evaluation point")
 
-    yp = (pts - e.mean) @ e.inv_root.T
-    q_pts = _sq_radii(yp, e.clip)
-    yd = e.sphered
-    yd_sq = np.sum(yd * yd, axis=1)[None, :]
+    yp = _sphere_rows(pts, e.mean, e.inv_root)
+    # -q(x)/2 - d log(sqrt(2 pi) h) - log|cov|/2, the exponent's per-row term
+    row = -0.5 * _sq_radii(yp, e.clip) - (d * np.log(SQRT_2PI * e.h) + e.half_logdet)
+    yd = e.sphered.T.copy()  # one contiguous row per coordinate
     half_q_data = 0.5 * e.q_data[None, :]
-    log_norm = d * np.log(SQRT_2PI * e.h)
+    scale = -0.5 / e.h**2
     out = np.empty(yp.shape[0])
 
     def fill(rows):
-        # |y_i - Y_j|^2 without an (m, n, d) array; the rounding can leave it
-        # below 0.  The block's exponent is built in place in one buffer; the
-        # product's own buffer then holds the log start ratio.
+        # |y_i - Y_j|^2 by direct differences, coordinate by coordinate, in
+        # one block buffer with a second for each next coordinate and then
+        # the outer sum of the row and column terms
         yr = yp[rows]
-        cross = np.matmul(2.0 * yr, yd.T)
-        expo = np.add(np.sum(yr * yr, axis=1)[:, None], yd_sq)
-        expo -= cross
-        np.maximum(expo, 0.0, out=expo)
-        expo *= -0.5
-        expo /= e.h**2
-        expo -= log_norm
-        expo -= e.half_logdet
-        np.add(-0.5 * q_pts[rows, None], half_q_data, out=cross)
-        expo += cross
+        expo = np.subtract(yr[:, :1], yd[0])
+        expo *= expo
+        buf = np.empty_like(expo)
+        for k in range(1, d):
+            np.subtract(yr[:, k:k + 1], yd[k], out=buf)
+            buf *= buf
+            expo += buf
+        expo *= scale
+        np.add(row[rows, None], half_q_data, out=buf)
+        expo += buf
         out[rows] = np.exp(expo, out=expo).mean(axis=1)
 
-    for_blocks(yp.shape[0], yd.shape[0], fill)
+    for_blocks(yp.shape[0], yd.shape[1], fill)
     return float(out[0]) if single else out
 
 

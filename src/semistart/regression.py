@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import KernelSpec, eval_scaled, for_blocks, require_bandwidth
+from .kernels import KernelSpec, _normalise, _profile, for_blocks, require_bandwidth
 from .starts import _require_finite
 
 __all__ = ["MeanStart", "RegressionFit", "fit_mean_start", "gnw_estimate", "nw_estimate"]
@@ -108,31 +108,38 @@ def nw_estimate(fit: RegressionFit, x):
 def gnw_estimate(fit: RegressionFit, x):
     """Start-corrected smoother values at x, in x's shape; one point gives a float.
 
-    A constant mean start makes every ratio m(x)/m(x_i) equal to 1, so the
-    classic smoother's weighted mean is computed without the ratios.
+    The kernel's normalising factor cancels in the ratio, so the weights are
+    its unnormalised profile K((x - x_i)/h).  The ratio m(x)/m(x_i) splits
+    into a column weight y_i/m(x_i) and a row factor m(x), applied after the
+    row sums.  A constant mean start makes every ratio equal to 1, so the
+    classic smoother's weighted mean is computed without either.
     """
     x = np.asarray(x, dtype=float)
     _require_finite(np.atleast_1d(x), "evaluation point")
     pts = x.ravel()
     corrected = fit.mean_start.kind != "constant"
-    if corrected:
-        m_pts, m_data = _clipped_mean(fit, pts), _clipped_mean(fit, fit.x)
+    col = fit.y / _clipped_mean(fit, fit.x) if corrected else fit.y
+    shape, h = fit.kernel.shape, fit.h
     wsum = np.empty(pts.size)
     num = np.empty(pts.size)
 
     def fill(rows):
         w = np.subtract(pts[rows, None], fit.x[None, :])
-        eval_scaled(fit.kernel, fit.h, w, out=w)
+        idx, vals = _profile(shape, h, w, w)
+        if idx.size:
+            np.put(w, idx, vals)
         wsum[rows] = w.sum(axis=1)
-        # w becomes the numerator's terms (w * ratio) * y, in that order
-        if corrected:
-            w *= m_pts[rows, None] / m_data[None, :]
-        w *= fit.y[None, :]
+        w *= col[None, :]
         num[rows] = w.sum(axis=1)
 
     for_blocks(pts.size, fit.x.size, fill)
-    if np.any(wsum < 1e-300):
-        bad = pts[wsum < 1e-300][0]
+    # no local data: the normalised kernel's weights, summed, fall below 1e-300
+    weight = wsum.copy()
+    _normalise(shape, h, weight)
+    if np.any(weight < 1e-300):
+        bad = pts[weight < 1e-300][0]
         raise ValueError(f"no local data: every kernel weight vanishes at x={float(bad)}")
     out = num / wsum
+    if corrected:
+        out *= _clipped_mean(fit, pts)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -237,6 +237,9 @@ def _clip_edges(s: FittedStart) -> tuple[float, float]:
         # the lower edge has lower tail mass Phi(-c), the upper edge upper tail mass Phi(-c)
         a, b = s.params["alpha"], s.params["beta"]
         p = ndtr(-c)
+        if p == 0.0:  # the upper edge would be inf, where the density is nan
+            raise ValueError(f"clip {c} is too large for the gamma start: its tail mass "
+                             "Phi(-clip) underflows to 0 (clip must be at most about 37.6)")
         return gamma_quantile(a, p) * (1.0 / b), gamma_quantile(a, p, upper=True) * (1.0 / b)
     if s.family == "normal_mixture":
         mu0, sd0 = mixture_moments(s.params["mixture"])

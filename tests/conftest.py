@@ -34,13 +34,18 @@ def gaussian_product_integral(factors, a=0.0):
     return float(np.exp(log_val))
 
 
+def literal_profile(h, z):
+    """The gaussian profile exp(-(z/h)^2/2) as one literal expression."""
+    return np.exp(-0.5 * (z / h) * (z / h))
+
+
 def literal_gaussian(h, z):
     """The gaussian K_h(z) as one literal expression, with eval_scaled's bits."""
-    return np.exp(-0.5 * (z / h) * (z / h)) / SQRT_2PI / h
+    return literal_profile(h, z) / SQRT_2PI / h
 
 
-# The three grid x data fills written out as whole-array expressions, before
-# they ran in place and with the kernel's tiny and subnormal lanes compacted:
+# The three grid x data fills written out as whole-array expressions, with
+# none of the in-place work or the compacted tiny and subnormal kernel lanes:
 # the oracles of estimator._correction_sum, of gnw_estimate's fill and of
 # mv_estimate's fill, for the gaussian kernel.
 
@@ -53,38 +58,44 @@ def literal_correction(e, x):
 
 
 def literal_gnw(fit, x):
-    """gnw_estimate at every point of x at once, flattened."""
+    """gnw_estimate at every point of x at once, flattened.
+
+    The weights are the unnormalised profile; the mean ratio is a column
+    weight y_i/m(x_i) and a row factor m(x) applied after the sums.
+    """
     from semistart.regression import _clipped_mean
     pts = np.asarray(x, dtype=float).ravel()
-    w = literal_gaussian(fit.h, pts[:, None] - fit.x[None, :])
-    terms = w
-    if fit.mean_start.kind != "constant":
-        terms = terms * (_clipped_mean(fit, pts)[:, None] / _clipped_mean(fit, fit.x)[None, :])
-    return (terms * fit.y[None, :]).sum(axis=1) / w.sum(axis=1)
+    w = literal_profile(fit.h, pts[:, None] - fit.x[None, :])
+    if fit.mean_start.kind == "constant":
+        return (w * fit.y[None, :]).sum(axis=1) / w.sum(axis=1)
+    col = fit.y / _clipped_mean(fit, fit.x)
+    return (w * col[None, :]).sum(axis=1) / w.sum(axis=1) * _clipped_mean(fit, pts)
+
+
+def literal_sphere(e, pts):
+    """Evaluation points in e's sphered coordinates, summing over k in order."""
+    y = np.zeros_like(pts)
+    for j in range(pts.shape[1]):
+        for k in range(pts.shape[1]):
+            y[:, j] += (pts[:, k] - e.mean[k]) * e.inv_root[j, k]
+    return y
 
 
 def literal_mv(e, pts):
-    """mv_estimate at the rows of pts.
+    """mv_estimate at the rows of pts, as one whole-array expression.
 
-    It runs in mv_estimate's row blocks: the BLAS product of the cross term
-    has bits that depend on the number of rows it is given.
+    The squared distances are direct differences summed over k in order,
+    and -q(x)/2 - d log(sqrt(2 pi) h) - log|cov|/2 is one per-row term.
     """
-    from semistart.kernels import row_blocks
     d = e.data.shape[1]
-    yp = (pts - e.mean) @ e.inv_root.T
+    yp = literal_sphere(e, pts)
     q_pts = np.sum(yp * yp, axis=1)
     if e.clip is not None:
         q_pts = np.minimum(q_pts, e.clip**2)
-    yd = e.sphered
-    yd_sq = np.sum(yd * yd, axis=1)[None, :]
-    out = np.empty(yp.shape[0])
-    for rows in row_blocks(yp.shape[0], yd.shape[0]):
-        yr = yp[rows]
-        sq = np.maximum(np.sum(yr * yr, axis=1)[:, None] + yd_sq - 2.0 * yr @ yd.T, 0.0)
-        log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - e.half_logdet
-        log_ratio = -0.5 * q_pts[rows, None] + 0.5 * e.q_data[None, :]
-        out[rows] = np.exp(log_kern + log_ratio).mean(axis=1)
-    return out
+    sq = sum((yp[:, k, None] - e.sphered[None, :, k]) ** 2 for k in range(d))
+    row = -0.5 * q_pts - (d * np.log(SQRT_2PI * e.h) + e.half_logdet)
+    expo = sq * (-0.5 / e.h**2) + (row[:, None] + 0.5 * e.q_data[None, :])
+    return np.exp(expo).mean(axis=1)
 
 
 def ise_new(data, mu_hat, sd_hat, h, m):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from semistart.densities import marron_wand, mixture_sample
-from semistart.estimator import (DensityEstimate, correction_curve,
+from semistart.estimator import (DensityEstimate, _correction_at, correction_curve,
                                  estimate_kernel, estimate_semiparametric,
                                  integral_of_estimate)
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
@@ -94,6 +94,20 @@ def test_correction_curve_basics():
     assert cur1.r_hat[0] == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         correction_curve(single, np.array([]))
+
+
+def test_correction_curve_rejects_a_grid_where_the_start_vanishes():
+    # the unclipped standard normal is subnormal beyond |x| = 37.5 and 0 beyond
+    # 38.6, where z's variance R(K)/(n h fbar(x)) is infinite; the first such
+    # point is named
+    est = DensityEstimate(np.linspace(-1.0, 1.0, 20), G, 0.3,
+                          FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=None))
+    for x, fbar in ((-379.0, "0.0"), (38.0, r"1\.\d+e-314")):
+        assert eval_start(est.start, x) < 1e-300
+        with pytest.raises(ValueError, match=rf"^start density is too small at x={x} "
+                                             rf"\(fbar = {fbar}\) for z's variance"):
+            correction_curve(est, np.array([0.0, 30.0, x, 400.0]))
+    assert not np.any(np.isnan(correction_curve(est, np.array([0.0, 30.0, -37.0])).z))
 
 
 def test_correction_curve_z_is_standard_normal_under_model():
@@ -362,8 +376,12 @@ def test_in_place_correction_sum_is_the_literal_sum(band, start, shape, n, m, se
     if band == "outlier" and start != "constant":
         assert 1.0 / est.den[-1] > np.exp(89.0)
     r = literal_correction(est, x)
-    with np.errstate(divide="ignore", invalid="ignore"):  # z where the start underflows
+    if np.all(eval_start(st0, np.ravel(x)) > 0.0):
         assert np.array_equal(correction_curve(est, np.ravel(x)).r_hat, r)
+    else:  # the unclipped start underflows at a point, where z is undefined
+        with pytest.raises(ValueError, match=r"^start density is too small at x="):
+            correction_curve(est, np.ravel(x))
+        assert np.array_equal(_correction_at(est, np.ravel(x)), r)
     got = estimate_semiparametric(est, x)
     assert np.shape(got) == np.shape(x)
     assert np.array_equal(np.ravel(got), np.atleast_1d(eval_start(st0, np.ravel(x))) * r)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -261,9 +261,16 @@ def test_optimal_h_rescans_when_the_scan_sees_several_minima():
 
 
 def _well_curve(wells):
-    """The lower envelope of quadratic wells (weight, centre, floor): elementwise arithmetic."""
+    """The lower envelope of quadratic wells (weight, centre, floor): elementwise arithmetic.
+
+    The square is a product: (t - c) ** 2 goes through C pow for a NumPy
+    scalar and through a product for an array, which can differ in the last bit.
+    """
     def curve(t):
-        return np.min([w * (t - c) ** 2 + f for w, c, f in wells], axis=0)
+        def well(w, c, f):
+            d = t - c
+            return w * (d * d) + f
+        return np.min([well(w, c, f) for w, c, f in wells], axis=0)
     return curve
 
 
@@ -275,6 +282,7 @@ _brackets = st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 3.0)).map(
 
 @settings(max_examples=60, deadline=None)
 @given(wells=_wells, bracket=_brackets)
+@example(wells=[(1.0, 0.669471762930687, 0.0)], bracket=(0.8046354411837691, 1.1379687745171023))
 def test_optimal_h_matches_the_serial_search_on_drawn_curves(wells, bracket):
     curve = _well_curve(wells)
     assert optimal_h(curve, bracket) == serial_optimal_h(curve, bracket)

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from semistart.bandwidth import rule_delta
 from semistart.densities import NormalMixture, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart import kernels
-from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, kernel_props
+from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SQRT_2PI, kernel_props
 from semistart.multivariate import MvEstimate, mv_bandwidth, mv_estimate, sphere
 from semistart.starts import FittedStart
 
@@ -256,16 +257,76 @@ def test_mv_fill_is_the_literal_fill_on_drawn_data(seed, n, d, m, log_h, clip, f
     assert np.array_equal(mv_estimate(e, pts), literal_mv(e, pts))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known fault: the cross term 2 y @ Y.T is a BLAS product whose bits depend on the "
-    "number of rows it is given, so the values depend on the rows per block"))
 def test_mv_estimate_bits_do_not_depend_on_the_block_rows(monkeypatch):
     e, pts = _mv_case(5, 2000, 2, 0.3, 60, 2.5, False)
-    in_blocks, literal = mv_estimate(e, pts), literal_mv(e, pts)  # 16 rows per block
+    in_blocks = mv_estimate(e, pts)  # 16 rows per block
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 1)  # one row per block
-    # the fault needs a BLAS that rounds a one-row product otherwise than a
-    # block of rows: the literal fill, which forms the cross term the same
-    # way, shows whether this one does
-    if np.array_equal(literal_mv(e, pts), literal):
-        pytest.skip("this BLAS rounds a one-row product as it rounds a block")
     assert np.array_equal(mv_estimate(e, pts), in_blocks)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_lone_point_equals_its_grid_twin(d):
+    e, pts = _mv_case(17, 500, d, 0.3, 60, 2.5, False)
+    grid = mv_estimate(e, pts)
+    assert all(mv_estimate(e, pts[k]) == grid[k] for k in range(len(pts)))
+
+
+def expanded_mv(e, pts):
+    """mv_estimate as first written, over all points at once.
+
+    Sphering and the cross term are BLAS products, |y - Y|^2 is expanded as
+    |y|^2 + |Y|^2 - 2 y.Y and clamped at 0, and the constants are subtracted
+    one by one.
+    """
+    d = e.data.shape[1]
+    yp = (pts - e.mean) @ e.inv_root.T
+    yd = (e.data - e.mean) @ e.inv_root.T
+    q_pts, q_data = np.sum(yp * yp, axis=1), np.sum(yd * yd, axis=1)
+    sq = np.maximum(q_pts[:, None] + q_data[None, :] - 2.0 * yp @ yd.T, 0.0)
+    if e.clip is not None:
+        q_pts, q_data = np.minimum(q_pts, e.clip**2), np.minimum(q_data, e.clip**2)
+    log_kern = -0.5 * sq / e.h**2 - d * np.log(SQRT_2PI * e.h) - e.half_logdet
+    log_ratio = -0.5 * q_pts[:, None] + 0.5 * q_data[None, :]
+    return np.exp(log_kern + log_ratio).mean(axis=1)
+
+
+def mp_mv(e, pts, dps=40):
+    """mv_estimate at the rows of pts in dps-digit arithmetic, from the data,
+    the mean, cov^(-1/2) and the log-determinant, all taken as exact."""
+    with mpmath.workdps(dps):
+        inv_root = mpmath.matrix(e.inv_root.tolist())
+        mean = mpmath.matrix(e.mean.tolist())
+
+        def sphered(x):
+            return inv_root * (mpmath.matrix(x.tolist()) - mean)
+
+        def q(y):
+            r = sum(v * v for v in y)
+            return r if e.clip is None else min(r, mpmath.mpf(e.clip) ** 2)
+
+        d = e.data.shape[1]
+        h = mpmath.mpf(e.h)
+        log_const = d * mpmath.log(mpmath.sqrt(2 * mpmath.pi) * h) + mpmath.mpf(e.half_logdet)
+        data = [(y, q(y)) for y in map(sphered, e.data)]
+        out = []
+        for x in pts:
+            y = sphered(x)
+            qx = q(y)
+            total = mpmath.fsum(mpmath.exp(-sum((a - b) ** 2 for a, b in zip(y, yi)) / (2 * h * h)
+                                           - log_const - qx / 2 + qi / 2) for yi, qi in data)
+            out.append(total / len(data))
+        return np.array([float(v) for v in out])
+
+
+@pytest.mark.parametrize("seed, n, h, clip", [(21, 200, 0.4, 2.5), (22, 300, 0.15, None)])
+def test_mv_estimate_keeps_its_digits(seed, n, h, clip):
+    # the direct differences and the folded constants against 40-digit sums,
+    # and the old expanded form, at points in the bulk of the data (far out,
+    # a value is a few terms of exponent -|y - Y|^2/2h^2, whose own rounding
+    # is about 1e-16 |y - Y|^2/2h^2 relative)
+    e, _ = _mv_case(seed, n, 2, h, 0, clip, False)
+    pts = 0.5 * (e.data[:8] + e.mean)
+    got = mv_estimate(e, pts)
+    assert np.all(got > 1e-3)
+    assert np.all(np.abs(got - mp_mv(e, pts)) <= 5e-14 * got)
+    assert np.all(np.abs(got - expanded_mv(e, pts)) <= 1e-12 * got)

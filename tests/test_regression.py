@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
-from semistart.regression import (RegressionFit, _clipped_mean, fit_mean_start, gnw_estimate,
-                                  nw_estimate)
+from semistart.regression import (MeanStart, RegressionFit, _clipped_mean, fit_mean_start,
+                                  gnw_estimate, nw_estimate)
 
 from conftest import literal_gnw
 
@@ -149,9 +149,10 @@ def test_blocked_smoothers_are_bit_identical(n, x):
     # literal expression may use it unclipped
     assert np.abs(fit.mean_start(xs)).min() > 2.0
     pts = np.atleast_1d(x)
-    w = eval_scaled(G, 0.08, pts[:, None] - xs[None, :])
-    ratio = fit.mean_start(pts)[:, None] / fit.mean_start(xs)[None, :]
-    want_g = (w * ratio * ys[None, :]).sum(axis=1) / w.sum(axis=1)
+    z = (pts[:, None] - xs[None, :]) / 0.08
+    w = np.exp(-0.5 * z * z)  # the unnormalised profile: its factor cancels
+    col = ys / fit.mean_start(xs)
+    want_g = (w * col[None, :]).sum(axis=1) / w.sum(axis=1) * fit.mean_start(pts)
     want_nw = (w * ys[None, :]).sum(axis=1) / w.sum(axis=1)
     got_g, got_nw = gnw_estimate(fit, x), nw_estimate(fit, x)
     assert np.shape(got_g) == np.shape(got_nw) == np.shape(x)
@@ -201,6 +202,64 @@ def test_in_place_smoother_is_the_literal_smoother(band, kind, shape, sign, n, m
     assert np.shape(classic) == np.shape(x)
     flat = RegressionFit.fit(xs, ys, G, h, kind="constant")
     assert np.array_equal(np.ravel(classic), literal_gnw(flat, x))
+
+
+def expanded_gnw(fit, pts):
+    """The smoother as first written, and its scale, at the points pts.
+
+    Normalised kernel weights w_i times the ratio m(x)/m(x_i) times y_i,
+    summed and divided by the summed weights.  The scale is the same mean
+    of the terms' magnitudes, which is the value's magnitude when nothing
+    cancels.
+    """
+    w = eval_scaled(fit.kernel, fit.h, pts[:, None] - fit.x[None, :])
+    terms = w
+    if fit.mean_start.kind != "constant":
+        terms = terms * (_clipped_mean(fit, pts)[:, None] / _clipped_mean(fit, fit.x)[None, :])
+    terms = terms * fit.y[None, :]
+    return terms.sum(axis=1) / w.sum(axis=1), np.abs(terms).sum(axis=1) / w.sum(axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(["gaussian", "epanechnikov", "uniform"]),
+       kind=st.sampled_from(["constant", "linear"]), n=st.integers(2, 300),
+       seed=st.integers(0, 2**32 - 1), cross=st.floats(0.2, 0.8),
+       sign=st.sampled_from([-1.0, 0.0, 1.0]), slope=st.floats(0.1, 5.0),
+       noise=st.just(0.0) | st.floats(0.01, 1.0), log_h=st.floats(-2.0, 0.0))
+def test_smoother_keeps_the_expanded_smoothers_values(shape, kind, n, seed, cross, sign, slope,
+                                                        noise, log_h):
+    # profile weights, a column weight y_i/m(x_i) and a row factor m(x) round
+    # otherwise than the expanded terms, by a few ulps of each term.  The mean
+    # line is 0 at the datum `cross`, so the data near it take the clipped
+    # floor and their terms can cancel: the bound is on the terms' scale.
+    # Every point is a datum, so each has local data under every kernel.  The
+    # responses are normal doubles or 0: subnormal ones would round on their
+    # own absolute scale.
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 1.0, n)
+    xs[0] = cross
+    slope *= sign
+    ys = slope * (xs - cross) + noise * rng.standard_normal(n)
+    beta = [float(ys.mean())] if kind == "constant" else [-slope * cross, slope]
+    fit = RegressionFit(xs, ys, kernel_props(shape), 10.0**log_h, MeanStart(kind, np.array(beta)))
+    if kind == "linear":
+        floor = 0.05 * float(fit.y.std()) or 0.05
+        assert abs(_clipped_mean(fit, xs[:1])[0]) == floor
+    old, scale = expanded_gnw(fit, xs)
+    got = gnw_estimate(fit, xs)
+    assert np.all(np.abs(got - old) <= 1e-14 * scale)
+
+
+def test_far_point_has_no_local_data_under_the_gaussian_kernel():
+    # every profile weight at x = 60 underflows to 0.0 (exponents below -746),
+    # and the smoother reports the point as the compact kernels do
+    fit = RegressionFit.fit(np.array([0.0, 0.1, 0.3]), np.array([1.0, 2.0, 4.0]), G, 1.5,
+                            kind="linear")
+    assert np.all(eval_scaled(G, 1.5, 60.0 - fit.x) == 0.0)
+    for smoother in (gnw_estimate, nw_estimate):
+        with pytest.raises(ValueError,
+                           match=r"^no local data: every kernel weight vanishes at x=60\.0$"):
+            smoother(fit, np.array([0.2, 60.0, 70.0]))
 
 
 @pytest.mark.parametrize("kind", ["constant", "linear"])

@@ -202,6 +202,19 @@ def test_gamma_floor_is_finite_at_a_wide_clip():
     assert np.all(np.isfinite(s.floor)) and 0.0 < s.floor[0] < s.floor[1]
 
 
+def test_gamma_start_rejects_a_clip_whose_tail_mass_underflows():
+    # Phi(-37.6) is subnormal and its edges finite; Phi(-37.7) is 0, which
+    # would put the upper edge at inf and the density there at nan
+    s = FittedStart("gamma", {"alpha": 3.0, "beta": 1.5}, clip=37.6)
+    assert ndtr(-37.6) > 0.0 and np.all(np.isfinite(s.floor))
+    for clip in (37.7, 38.0, 1e6):
+        with pytest.raises(ValueError, match=rf"^clip {clip} is too large for the gamma start: "
+                                             r"its tail mass Phi\(-clip\) underflows to 0"):
+            FittedStart("gamma", {"alpha": 3.0, "beta": 1.5}, clip=clip)
+    # the other families' edges are mu -/+ clip sd, finite at any finite clip
+    assert np.all(np.isfinite(FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=38.0).floor))
+
+
 def _gamma_sample(shape, n, seed):
     return np.random.default_rng(seed).gamma(shape, 1.0, n)
 
