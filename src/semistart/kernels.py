@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["KernelSpec", "kernel_props", "eval_scaled", "exp_into", "require_bandwidth",
-           "for_blocks", "SHAPES"]
+           "for_blocks", "for_each_block", "SHAPES"]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
@@ -130,15 +130,24 @@ def exp_into(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# the smallest normal float: below it 1/h, and so K(0)/h, overflows
+_H_MIN = float(np.finfo(float).tiny)
+
+
 def require_bandwidth(h) -> None:
-    """Raise ValueError unless h, or every entry of an array h, is finite and positive."""
+    """Raise ValueError unless h, or every entry of an array h, is finite and positive
+    and not below the smallest normal float _H_MIN."""
     if isinstance(h, float):  # NaN fails both comparisons
-        ok = 0.0 < h < math.inf
+        ok, normal = 0.0 < h < math.inf, not h < _H_MIN
     else:
         h = np.asarray(h, dtype=float)
         ok = bool(np.all((h > 0.0) & (h < math.inf)))
+        normal = not np.any(h < _H_MIN)
     if not ok:
         raise ValueError("bandwidth h must be finite and positive")
+    if not normal:
+        raise ValueError(f"bandwidth h must be at least {_H_MIN!r}, the smallest normal float: "
+                         "1/h overflows below it")
 
 
 def _profile(shape: str, h: float, z: np.ndarray,
@@ -149,17 +158,19 @@ def _profile(shape: str, h: float, z: np.ndarray,
     densities at z/h; _normalise turns a profile into K_h.  The gaussian
     profile comes without its band (see _exp_core): those lanes are 0.0 in
     out and come back compacted, as (flat indices, values), for the caller
-    to put back.  The other shapes have no band.
+    to put back.  The other shapes have no band.  At a tiny h, |z|/h may
+    overflow to inf, whose weight is 0.0: that overflow raises no warning.
     """
-    if shape == "gaussian":
-        # (z/h)^2 * -0.5 is -0.5 * (z/h) * (z/h) to the bit: scaling by 0.5 is
-        # exact except where the result is subnormal or overflows, and exp
-        # gives 1.0 or 0.0 there either way
-        np.divide(z, h, out=out)
-        np.multiply(out, out, out=out)
-        out *= -0.5
-        return _exp_core(out)
-    out[...] = _base_pdf(shape, z / h)
+    with np.errstate(over="ignore"):
+        if shape == "gaussian":
+            # (z/h)^2 * -0.5 is -0.5 * (z/h) * (z/h) to the bit: scaling by 0.5 is
+            # exact except where the result is subnormal or overflows, and exp
+            # gives 1.0 or 0.0 there either way
+            np.divide(z, h, out=out)
+            np.multiply(out, out, out=out)
+            out *= -0.5
+            return _exp_core(out)
+        out[...] = _base_pdf(shape, z / h)
     return _NO_LANES
 
 
@@ -247,22 +258,27 @@ def _fill_each(fill, blocks) -> None:
 
 
 def for_blocks(rows: int, cols: int, fill) -> None:
-    """Call fill(block) for every slice of row_blocks(rows, cols), in parallel.
+    """Call fill(block) for every slice of row_blocks(rows, cols), in parallel (for_each_block)."""
+    for_each_block(list(row_blocks(rows, cols)), fill)
 
-    The blocks run on a process-wide thread pool, created on first use with
-    one thread per usable CPU up to MAX_BLOCK_THREADS.  They are dealt
-    round-robin, one task per thread, each run in a copy of the caller's
-    context so that np.errstate holds; NumPy releases the GIL inside its
-    loops.  A single block, or a single CPU, runs in the calling thread.
-    Each fill may write only cells that no other block writes (its own rows,
-    or cells such as a mirrored triangle that only it fills) and must leave
-    every reduction across blocks to the caller, whose result then has the
-    same bits whatever the number of threads.  A fill must not call for_blocks.
-    An exception in a fill skips the rest of its thread's share and reaches
-    the caller once every thread has stopped.
+
+def for_each_block(blocks: list, fill) -> None:
+    """Call fill(block) for every item of blocks, in parallel.
+
+    The blocks, which may differ in size, run on a process-wide thread pool,
+    created on first use with one thread per usable CPU up to
+    MAX_BLOCK_THREADS.  They are dealt round-robin, one task per thread, each
+    run in a copy of the caller's context so that np.errstate holds; NumPy
+    releases the GIL inside its loops.  A single block, or a single CPU, runs
+    in the calling thread.  Each fill may write only cells that no other
+    block writes (its own rows, or cells such as a mirrored triangle that
+    only it fills) and must leave every reduction across blocks to the
+    caller, whose result then has the same bits whatever the number of
+    threads.  A fill must not call for_each_block.  An exception in a fill
+    skips the rest of its thread's share and reaches the caller once every
+    thread has stopped.
     """
     global _pool
-    blocks = list(row_blocks(rows, cols))
     threads = min(_worker_count(), MAX_BLOCK_THREADS)
     k = min(threads, len(blocks))
     if k <= 1:

@@ -207,7 +207,8 @@ def _raw_pdf(s: FittedStart, x):
     if s.family == "normal":
         mu, sd = s.params["mu"], s.params["sd"]
         z = (x - mu) / sd
-        return np.exp(-0.5 * (z * z)) / (SQRT_2PI * sd)
+        with np.errstate(over="ignore"):  # z * z = inf far out, where the density is 0.0
+            return np.exp(-0.5 * (z * z)) / (SQRT_2PI * sd)
     if s.family == "lognormal":
         mu, sd = s.params["mu"], s.params["sd"]
 

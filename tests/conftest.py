@@ -46,8 +46,8 @@ def literal_gaussian(h, z):
 
 # The three grid x data fills written out as whole-array expressions, with
 # none of the in-place work or the compacted tiny and subnormal kernel lanes:
-# the oracles of estimator._correction_sum, of gnw_estimate's fill and of
-# mv_estimate's fill, for the gaussian kernel.
+# the oracles of estimator._correction_sum and of mv_estimate's fill, bit for
+# bit, for the gaussian kernel, and the full-row oracle of gnw_estimate.
 
 def literal_correction(e, x):
     """(1/n) sum K_h(X_i - x)/fbar(X_i) at every point of x at once."""
@@ -57,19 +57,62 @@ def literal_correction(e, x):
     return np.sum(vals, axis=-1) / e.n
 
 
-def literal_gnw(fit, x):
-    """gnw_estimate at every point of x at once, flattened.
+def literal_kernel_profile(shape, h, z):
+    """A kernel's unnormalised profile K(z/h) as one literal expression."""
+    if shape == "gaussian":
+        return literal_profile(h, z)
+    u = z / h
+    inside = np.abs(u) <= 0.5
+    return np.where(inside, 1.5 * (1.0 - 4.0 * u * u), 0.0) if shape == "epanechnikov" \
+        else np.where(inside, 1.0, 0.0)
 
-    The weights are the unnormalised profile; the mean ratio is a column
-    weight y_i/m(x_i) and a row factor m(x) applied after the sums.
-    """
+
+def _gnw_factors(fit, pts):
+    """The column weights y_i/m(x_i) and row factors m(x) of gnw_estimate at pts."""
     from semistart.regression import _clipped_mean
-    pts = np.asarray(x, dtype=float).ravel()
-    w = literal_profile(fit.h, pts[:, None] - fit.x[None, :])
     if fit.mean_start.kind == "constant":
-        return (w * fit.y[None, :]).sum(axis=1) / w.sum(axis=1)
-    col = fit.y / _clipped_mean(fit, fit.x)
-    return (w * col[None, :]).sum(axis=1) / w.sum(axis=1) * _clipped_mean(fit, pts)
+        return fit.y, np.ones(pts.size)
+    return fit.y / _clipped_mean(fit, fit.x), _clipped_mean(fit, pts)
+
+
+def literal_gnw(fit, x):
+    """gnw_estimate at every point of x at once, flattened, as the full-row sum.
+
+    Every datum weighs in, by the unnormalised profile; the mean ratio is a
+    column weight y_i/m(x_i) and a row factor m(x) applied after the sums.
+    Returns the values and their terms' scale sum_i w_i |r_i y_i| / sum_i w_i,
+    r_i = m(x)/m(x_i), which is the value's magnitude when nothing cancels.
+    """
+    pts = np.asarray(x, dtype=float).ravel()
+    col, row = _gnw_factors(fit, pts)
+    w = literal_kernel_profile(fit.kernel.shape, fit.h, pts[:, None] - fit.x[None, :])
+    wsum = w.sum(axis=1)
+    return ((w * col[None, :]).sum(axis=1) / wsum * row,
+            (w * np.abs(col)[None, :]).sum(axis=1) / wsum * np.abs(row))
+
+
+def mp_gnw(fit, x, dps=40):
+    """literal_gnw's values and scales with the gaussian sums taken in mpmath.
+
+    The column weights and row factors are the program's floats; the weights
+    exp(-(x - x_i)^2/(2 h^2)) and the three sums carry dps digits, so no
+    weight underflows or loses digits to a large exponent.  Also returns
+    log10 of the normalised kernel's weight sum, sum_i K_h(x - x_i), which
+    the smoother compares with 1e-300 to find points with no local data.
+    """
+    pts = np.asarray(x, dtype=float).ravel()
+    col, row = _gnw_factors(fit, pts)
+    vals, scales, mass = [], [], []
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(fit.h)
+        for p, r in zip(pts, row):
+            w = [mpmath.exp(-(mpmath.mpf(p) - mpmath.mpf(xi)) ** 2 / (2 * h * h)) for xi in fit.x]
+            wsum = mpmath.fsum(w)
+            vals.append(float(mpmath.fsum(wi * mpmath.mpf(c) for wi, c in zip(w, col)) / wsum * r))
+            scales.append(float(mpmath.fsum(wi * abs(mpmath.mpf(c)) for wi, c in zip(w, col))
+                                / wsum * abs(r)))
+            mass.append(float(mpmath.log10(wsum / (mpmath.sqrt(2 * mpmath.pi) * h))))
+    return np.array(vals), np.array(scales), np.array(mass)
 
 
 def literal_sphere(e, pts):

@@ -384,3 +384,48 @@ def test_bad_arguments_are_usage_errors_naming_the_flag(tmp_path, capsys, argv, 
     assert err.startswith("usage error: ") and flag in err
     assert "Warning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("h", ["1e-310", "1e-200", "1e300"])
+def test_extreme_bandwidths_give_finite_rows_or_exit_1(tmp_path, h):
+    # a subnormal h (1/h overflows), a tiny normal one (|x - X_i|/h overflows
+    # to inf, weight 0) and a huge one (h^4 overflows).  Each request prints
+    # finite rows with exit 0, or one error line with exit 1; no traceback or
+    # NumPy warning reaches stderr.  The grids start at a datum.  gof's grid
+    # holds data only: where no datum is within the kernel's reach r_hat is
+    # 0.0 and gof prints log_r = z = -inf by design (correction_curve's tests
+    # pin it), which at h = 1e-200 is every point off the data.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    rng = np.random.default_rng(61)
+    draws = rng.standard_normal(200)
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(repr(float(v)) for v in draws) + "\n")
+    xs = rng.uniform(0.0, 1.0, 200)
+    pairs = tmp_path / "p.csv"
+    pairs.write_text("\n".join(f"{x!r},{1.0 + x + 0.1 * e!r}"
+                               for x, e in zip(xs, rng.standard_normal(200))) + "\n")
+    grid = f"{float(draws[0])!r},{float(draws[0]) + 1.0!r},3"
+    grid_xy = f"{float(xs[0])!r},{float(xs[0]) + 1.0!r},3"
+    requests = [["estimate", "--input", str(data), "--grid", grid],
+                ["estimate", "--input", str(data), "--grid", grid, "--compare"],
+                ["estimate", "--input", str(data), "--grid", grid, "--normalize"],
+                ["gof", "--input", str(data), "--grid",
+                 f"{float(draws.min())!r},{float(draws.max())!r},2"],
+                ["regress", "--input", str(pairs), "--grid", grid_xy]]
+    for argv in requests:
+        proc = subprocess.run([sys.executable, "-m", "semistart.cli", *argv, "--h", h],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, (argv, proc.stderr)
+        if proc.returncode == 0:
+            rows = proc.stdout.splitlines()[1:]
+            assert len(rows) == (2 if argv[0] == "gof" else 3) and proc.stderr == ""
+            assert all(np.isfinite(float(v)) for row in rows for v in row.split(",")), (argv, rows)
+        else:
+            assert proc.returncode == 1 and proc.stdout == "", (argv, proc.stdout)
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -208,10 +208,14 @@ BANDWIDTH_USERS = {
 }
 
 
-@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1e-310])
 @pytest.mark.parametrize("user", sorted(BANDWIDTH_USERS))
 def test_every_bandwidth_must_be_finite_and_positive(user, h):
-    with pytest.raises(ValueError, match="^bandwidth h must be finite and positive$"):
+    # a subnormal h is positive, but 1/h overflows: the message names the bound
+    message = ("^bandwidth h must be at least 2.2250738585072014e-308, the smallest normal "
+               "float: 1/h overflows below it$" if 0.0 < h < 1.0
+               else "^bandwidth h must be finite and positive$")
+    with pytest.raises(ValueError, match=message):
         BANDWIDTH_USERS[user](h)
     BANDWIDTH_USERS[user](0.5)
 

@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semistart import kernels
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
 from semistart.regression import (MeanStart, RegressionFit, _clipped_mean, fit_mean_start,
                                   gnw_estimate, nw_estimate)
 
-from conftest import literal_gnw
+from conftest import literal_gnw, mp_gnw
 
 G = kernel_props("gaussian")
 
@@ -134,74 +137,143 @@ def test_exponential_truth_bias_reduction(h):
 
 @pytest.mark.parametrize("n, x", [
     (BLOCK_ELEMENTS + 7, np.linspace(0.05, 0.95, 9)),  # one row per block
-    (1000, np.linspace(0.0, 1.0, 101)),                # 32 rows per block, 5 left over
+    (1000, np.linspace(0.0, 1.0, 101)),                # many rows per window
     (1000, np.float64(0.37)),                          # scalar
-    # three 32-row blocks per block thread and a partial one
+    # more blocks than block threads, and a partial one
     pytest.param(1000, np.linspace(0.0, 1.0, 96 * MAX_BLOCK_THREADS + 5),
                  id="more_blocks_than_workers"),
 ])
 def test_blocked_smoothers_are_bit_identical(n, x):
+    # each point sums over its own window of the sorted data, so it has the
+    # same bits alone as in the grid, and stays within 1e-14 of the full-row
+    # sum on the terms' scale
     rng = np.random.default_rng(41)
     xs = rng.uniform(0, 1, n)
     ys = 3.0 + xs + np.sin(5 * xs) + rng.normal(0, 0.2, n)
     fit = RegressionFit.fit(xs, ys, G, 0.08, kind="linear")
-    # the fitted line stays near 3..4, far above the small-mean floor, so the
-    # literal expression may use it unclipped
-    assert np.abs(fit.mean_start(xs)).min() > 2.0
-    pts = np.atleast_1d(x)
-    z = (pts[:, None] - xs[None, :]) / 0.08
-    w = np.exp(-0.5 * z * z)  # the unnormalised profile: its factor cancels
-    col = ys / fit.mean_start(xs)
-    want_g = (w * col[None, :]).sum(axis=1) / w.sum(axis=1) * fit.mean_start(pts)
-    want_nw = (w * ys[None, :]).sum(axis=1) / w.sum(axis=1)
+    flat = RegressionFit(xs, ys, G, 0.08, MeanStart("constant", np.array([float(ys.mean())])))
     got_g, got_nw = gnw_estimate(fit, x), nw_estimate(fit, x)
     assert np.shape(got_g) == np.shape(got_nw) == np.shape(x)
-    assert np.array_equal(np.ravel(got_g), want_g)
-    assert np.array_equal(np.ravel(got_nw), want_nw)
+    for got, f in ((got_g, fit), (got_nw, flat)):
+        assert _near(np.ravel(got), *literal_gnw(f, x))
+    pts = np.atleast_1d(x)
+    for k in range(pts.size):
+        assert gnw_estimate(fit, pts[k]) == np.ravel(got_g)[k]
+        assert nw_estimate(fit, pts[k]) == np.ravel(got_nw)[k]
 
 
-@settings(max_examples=100, deadline=None)
-@given(band=st.sampled_from(["none", "few", "most"]), kind=st.sampled_from(["constant", "linear"]),
-       shape=st.sampled_from(["0-d", "1-d", "2-d"]), sign=st.sampled_from([-1.0, 1.0]),
-       n=st.integers(2, 150), m=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
-       scale=st.floats(0.0, 1.0))
-def test_in_place_smoother_is_the_literal_smoother(band, kind, shape, sign, n, m, seed, scale):
-    # a first row with no lanes in (-746, -700), a few, or only those: then
-    # its sums are made of band lanes alone.  The design is mirrored about 0.5
-    # with mirrored responses, so the fitted line crosses zero there, and
-    # x[1:3] sit just either side of it: means of both signs fall under the
-    # clip floor.  The other points are data too, so none lacks local data.
+def test_a_grid_with_far_points_keeps_the_bits_of_its_near_ones():
+    # alone, or in a grid of points near the data, a point's window is all
+    # the data and its weights are squares, found without a search; far
+    # points send the grid through the windows, which must agree
+    rng = np.random.default_rng(43)
+    xs = np.sort(rng.uniform(0.0, 1.0, 60))
+    fit = RegressionFit.fit(xs, 1.0 + xs + rng.normal(0.0, 0.2, 60), G, 0.2)
+    near = np.linspace(xs[0] - 0.15, xs[-1] + 0.15, 57)
+    for smoother in (gnw_estimate, nw_estimate):
+        grid = smoother(fit, near)
+        wide = smoother(fit, np.concatenate([near, [-3.0, 4.0]]))
+        assert np.array_equal(wide[:-2], grid)
+        assert all(smoother(fit, p) == g for p, g in zip(near, grid))
+
+
+def _near(got, want, scale):
+    """got is within 1e-14 of want on the terms' scale."""
+    return bool(np.all(np.abs(got - want) <= 1e-14 * scale))
+
+
+def _pairs(shape, kind, layout, ties, sign, n, seed, log_h):
+    """A fit on pairs mirrored about 0.5, so that a linear mean crosses zero there.
+
+    The data are spread over [0, 1] or clustered within h of 0.5; with ties,
+    half of them repeat the other half's x values with other responses.
+    0.5 -+ 1e-9 are data, whose linear means fall under the clip floor with
+    both signs, and 0 and 1 are data, which anchor a fitted line.
+    """
     rng = np.random.default_rng(seed)
-    x = np.linspace(0.0, 1.0, m)
-    x[1:3] = 0.5 + np.array([-1e-9, 1e-9])
-    if band == "most":  # a cluster 37.5..38.5 h away from the first point
-        h = 10.0 ** (-12.0 + 3.0 * scale)
-        half = 0.5 + h * rng.uniform(-0.5, 0.5, n + 4 * m)
-        x[0] = 0.5 + 38.0 * h
-    else:
-        h = 0.3 + scale if band == "none" else 0.01 + 0.02 * scale
-        half = rng.uniform(0.0, 0.5, n)
-        if band == "few":
-            x[0] = half[0] + 38.0 * h
-    half = np.concatenate([half, [0.0], x[1:] if band == "most" else x])
+    h = 10.0**log_h
+    half = (0.5 + h * rng.uniform(-0.5, 0.5, n) if layout == "cluster"
+            else rng.uniform(0.0, 0.5, n))
+    if ties:
+        half[n // 2:] = half[:n - n // 2]
+    half = np.concatenate([half, [0.0, 0.5 - 1e-9]])
     xs = np.concatenate([half, 1.0 - half])
     noise = 0.1 * rng.standard_normal(half.size)
     ys = sign * (xs - 0.5) + np.concatenate([noise, -noise])
-    fit = RegressionFit.fit(xs, ys, G, h, kind=kind)
+    return RegressionFit.fit(xs, ys, kernel_props(shape), h, kind=kind)
+
+
+_PAIRS = dict(shape=st.sampled_from(["gaussian", "epanechnikov", "uniform"]),
+              kind=st.sampled_from(["constant", "linear"]),
+              layout=st.sampled_from(["spread", "cluster"]), ties=st.booleans(),
+              sign=st.sampled_from([-1.0, 1.0]), n=st.integers(2, 150),
+              seed=st.integers(0, 2**32 - 1), log_h=st.floats(-12.0, -0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(far=st.floats(35.0, 38.6), m=st.integers(3, 40), **_PAIRS)
+def test_in_place_smoother_is_the_literal_smoother(far, m, shape, kind, layout, ties, sign, n,
+                                                   seed, log_h):
+    # within 1e-14 of the full-row sum on the terms' scale, at data points
+    # (each has local data under every kernel) and, for the gaussian kernel,
+    # at a point `far` bandwidths beyond the data.  That point's full-row
+    # weights are below e^-612, tiny or subnormal, and the float sum loses
+    # digits there, so its oracle is a 40-digit mpmath sum.
+    fit = _pairs(shape, kind, layout, ties, sign, n, seed, log_h)
     if kind == "linear":
-        m_pts = _clipped_mean(fit, x[1:3])
-        assert np.all(np.abs(m_pts) == 0.05 * float(fit.y.std())) and m_pts[0] * m_pts[1] < 0
-    expo = -0.5 * ((x[0] - xs) / h) ** 2  # the first point's row
-    share = float(np.mean((expo > -746.0) & (expo < -700.0)))
-    assert share == 0.0 if band == "none" else share > (0.5 if band == "most" else 0.0)
-    x = {"0-d": x[:1].reshape(()), "1-d": x, "2-d": x[:m // 2 * 2].reshape(2, -1)}[shape]
-    got = gnw_estimate(fit, x)
-    assert np.shape(got) == np.shape(x)
-    assert np.array_equal(np.ravel(got), literal_gnw(fit, x))
-    classic = nw_estimate(fit, x)
-    assert np.shape(classic) == np.shape(x)
-    flat = RegressionFit.fit(xs, ys, G, h, kind="constant")
-    assert np.array_equal(np.ravel(classic), literal_gnw(flat, x))
+        m_pts = _clipped_mean(fit, np.array([0.5 - 1e-9, 0.5 + 1e-9]))
+        assert np.all(np.abs(m_pts) == fit.floor) and m_pts[0] * m_pts[1] < 0
+    pts = np.concatenate([fit.x[:m], [0.5 - 1e-9, 0.5 + 1e-9]])
+    flat = RegressionFit(fit.x, fit.y, fit.kernel, fit.h,
+                         MeanStart("constant", np.array([float(fit.y.mean())])))
+    for smoother, f in ((gnw_estimate, fit), (nw_estimate, flat)):
+        assert _near(smoother(f, pts), *literal_gnw(f, pts))
+        if shape == "gaussian":
+            x_far = float(fit.x.max()) + far * fit.h
+            assert np.max(-0.5 * ((x_far - fit.x) / fit.h) ** 2) < -612.0
+            *oracle, (mass,) = mp_gnw(f, [x_far])
+            if mass < -300.0 - 1e-9:  # the normalised weights sum below 1e-300
+                with pytest.raises(ValueError, match="^no local data"):
+                    smoother(f, x_far)
+            elif mass > -300.0 + 1e-9:
+                assert _near(smoother(f, [x_far]), *oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 30), block=st.sampled_from([1, 7, 2**15]), **_PAIRS)
+def test_a_point_has_the_same_bits_alone_in_a_grid_and_at_any_block_size(
+        m, block, shape, kind, layout, ties, sign, n, seed, log_h):
+    fit = _pairs(shape, kind, layout, ties, sign, n, seed, log_h)
+    pts = np.concatenate([fit.x[:m], [fit.x.max() + 36.0 * fit.h] if shape == "gaussian" else []])
+    for smoother in (gnw_estimate, nw_estimate):
+        grid = smoother(fit, pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK_ELEMENTS", block)
+            assert np.array_equal(smoother(fit, pts), grid)
+        for k in range(pts.size):
+            assert smoother(fit, pts[k]) == grid[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm_seed=st.integers(0, 2**32 - 1), **_PAIRS)
+def test_permuting_pairs_with_distinct_x_keeps_every_bit(perm_seed, shape, kind, layout, ties,
+                                                         sign, n, seed, log_h):
+    # the smoothers sum over the pairs sorted by x, and the clip floor is
+    # taken in that order, so the order of the input pairs is immaterial
+    pairs = _pairs(shape, kind, layout, False, sign, n, seed, log_h)
+    keep = np.unique(pairs.x, return_index=True)[1]  # mirrored data may meet at 0.5
+    fit = RegressionFit(pairs.x[keep], pairs.y[keep], pairs.kernel, pairs.h, pairs.mean_start)
+    p = np.random.default_rng(perm_seed).permutation(fit.x.size)
+    moved = RegressionFit(fit.x[p], fit.y[p], fit.kernel, fit.h, fit.mean_start)
+    pts = np.concatenate([fit.x, [0.25, 0.75]])
+    for smoother in (gnw_estimate, nw_estimate):
+        try:
+            want = smoother(fit, pts)
+        except ValueError:  # a compact kernel with no data by 0.25 or 0.75
+            with pytest.raises(ValueError, match="^no local data"):
+                smoother(moved, pts)
+            continue
+        assert np.array_equal(smoother(moved, pts), want)
 
 
 def expanded_gnw(fit, pts):
@@ -213,10 +285,10 @@ def expanded_gnw(fit, pts):
     cancels.
     """
     w = eval_scaled(fit.kernel, fit.h, pts[:, None] - fit.x[None, :])
-    terms = w
+    ratio = np.ones((pts.size, 1))
     if fit.mean_start.kind != "constant":
-        terms = terms * (_clipped_mean(fit, pts)[:, None] / _clipped_mean(fit, fit.x)[None, :])
-    terms = terms * fit.y[None, :]
+        ratio = _clipped_mean(fit, pts)[:, None] / _clipped_mean(fit, fit.x)[None, :]
+    terms = w * ratio * fit.y[None, :]
     return terms.sum(axis=1) / w.sum(axis=1), np.abs(terms).sum(axis=1) / w.sum(axis=1)
 
 
@@ -243,11 +315,24 @@ def test_smoother_keeps_the_expanded_smoothers_values(shape, kind, n, seed, cros
     beta = [float(ys.mean())] if kind == "constant" else [-slope * cross, slope]
     fit = RegressionFit(xs, ys, kernel_props(shape), 10.0**log_h, MeanStart(kind, np.array(beta)))
     if kind == "linear":
-        floor = 0.05 * float(fit.y.std()) or 0.05
-        assert abs(_clipped_mean(fit, xs[:1])[0]) == floor
-    old, scale = expanded_gnw(fit, xs)
-    got = gnw_estimate(fit, xs)
-    assert np.all(np.abs(got - old) <= 1e-14 * scale)
+        assert fit.floor == pytest.approx(0.05 * float(fit.y.std()) or 0.05, rel=1e-14)
+        assert abs(_clipped_mean(fit, xs[:1])[0]) == fit.floor
+    assert _near(gnw_estimate(fit, xs), *expanded_gnw(fit, xs))
+
+
+@pytest.mark.parametrize("tiny", [1e-20, 0.0])
+def test_window_widens_where_the_nearest_responses_are_small(tiny):
+    # responses of 1 from x = 0.5 on and `tiny` before.  10.5-20 bandwidths
+    # before 0.5, beyond the kernel's plain reach sqrt(2 ln n + 120 ln 2) h,
+    # about 9.9 h, the data from 0.5 on still carry much of the value, or
+    # all of it, so the window must take them in
+    x = np.linspace(0.0, 1.0, 1001)
+    fit = RegressionFit(x, np.where(x < 0.5, tiny, 1.0), G, 0.01,
+                        MeanStart("constant", np.array([0.5])))
+    pts = 0.5 - 0.01 * np.linspace(10.5, 20.0, 20)
+    want, scale = literal_gnw(fit, pts)
+    assert np.all(want > 0.0)
+    assert _near(gnw_estimate(fit, pts), want, scale)
 
 
 def test_far_point_has_no_local_data_under_the_gaussian_kernel():
@@ -273,3 +358,43 @@ def test_smoother_takes_a_grid_of_any_shape(kind):
         got = smoother(fit, x)
         assert got.shape == (2, 3)
         assert np.array_equal(got, smoother(fit, x.ravel()).reshape(2, 3))
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "epanechnikov", "uniform"])
+def test_extreme_bandwidths_smooth_without_warnings(shape):
+    # at a tiny h the window holds the point's own datum; at a huge one every
+    # weight is 1.  No scaled distance, square or reach may overflow, divide
+    # by zero or warn
+    x = np.linspace(0.0, 1.0, 50)
+    pts = x[[3, 10]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (2.3e-308, 1e-200, 1e200, 1e300):
+            fit = RegressionFit.fit(x, 1.0 + x, kernel_props(shape), h)
+            np.testing.assert_allclose(gnw_estimate(fit, pts), 1.0 + pts, rtol=1e-12)
+            want = 1.0 + (pts if h < 1.0 else x.mean())  # the classic smoother's mean
+            np.testing.assert_allclose(nw_estimate(fit, pts), want, rtol=1e-12)
+        # the normalised weights, about n/(sqrt(2 pi) h), sum below 1e-300
+        fit = RegressionFit.fit(x, 1.0 + x, kernel_props(shape), 1.7e308)
+        with pytest.raises(ValueError, match="^no local data"):
+            gnw_estimate(fit, pts)
+
+
+def test_smoother_has_the_same_bits_on_any_number_of_block_threads(machine):
+    # every block writes only its own points' sums, so the result cannot
+    # depend on how the blocks interleave on the pool
+    import sys
+    rng = np.random.default_rng(47)
+    xs = rng.uniform(0.0, 1.0, 3000)
+    fit = RegressionFit.fit(xs, 1.0 + xs + rng.normal(0.0, 0.2, 3000), G, 0.01)
+    pts = np.linspace(-0.2, 1.2, 20001)  # both forms of the weights: off the data too
+    machine(1)
+    want = gnw_estimate(fit, pts)
+    old = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (2, 8):
+            machine(cpus)
+            assert np.array_equal(gnw_estimate(fit, pts), want)
+    finally:
+        sys.setswitchinterval(old)
