@@ -41,7 +41,10 @@ class DensityEstimate:
 
     Built with it: den, the start density at the data (None for the constant
     start, whose ratio is 1), and divisor, the raw total mass when normalize
-    is set and 1.0 otherwise.
+    is set and 1.0 otherwise.  data is the estimate's own read-only copy, so
+    a later write to the caller's array changes no evaluation.  The
+    correction sums at the points of the last evaluation are kept, so that
+    the estimate and its correction curve on one grid sum it once.
     """
 
     data: np.ndarray
@@ -51,14 +54,18 @@ class DensityEstimate:
     normalize: bool = False
     den: np.ndarray | None = field(init=False, repr=False)
     divisor: float = field(init=False, repr=False)
+    # one slot: (raveled points, correction sums) of the last evaluation
+    _last: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.data, dtype=float).ravel()
+        x = np.array(self.data, dtype=float).ravel()
         if x.size == 0:
             raise ValueError("data must be nonempty")
         _require_finite(x)
         require_bandwidth(self.h)
+        x.flags.writeable = False
         object.__setattr__(self, "data", x)
+        object.__setattr__(self, "_last", [None])
         den = None
         if self.start.family != "constant":
             den = np.atleast_1d(eval_start(self.start, x))
@@ -66,6 +73,7 @@ class DensityEstimate:
                 raise ValueError(
                     "start density vanishes at a data point; enable clipping or "
                     "choose a start family supported there")
+            den.flags.writeable = False
         object.__setattr__(self, "den", den)
         # the mass integral reads den, never divisor
         divisor = float(integral_of_estimate(self)[0]) if self.normalize else 1.0
@@ -105,13 +113,22 @@ def _correction_sum(e: DensityEstimate, pts):
 
 
 def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
+    """The correction sums at the points of x, in x's shape, as a fresh array.
+
+    Points equal to those of e's last evaluation take its stored sums (-0.0
+    and 0.0 compare equal, and their sums have the same bits).
+    """
     pts = x.ravel()
+    last = e._last[0]
+    if last is not None and np.array_equal(last[0], pts):
+        return last[1].reshape(x.shape).copy()
     out = np.empty(pts.size)
 
     def fill(rows):
         out[rows] = _correction_sum(e, pts[rows, None])
 
     for_blocks(pts.size, e.n, fill)
+    e._last[0] = (pts.copy(), out.copy())
     return out.reshape(x.shape)
 
 
@@ -125,6 +142,10 @@ def estimate_semiparametric(e: DensityEstimate, x):
         out = out[0]
     out = out / e.divisor
     return out if np.ndim(out) else float(out)
+
+
+# the smallest normal float: log rhat loses digits below it, and is -inf at 0.0
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +177,42 @@ def correction_curve(e: DensityEstimate, grid) -> CorrectionCurve:
     r = _correction_at(e, grid)
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
+    if e.kernel.shape == "gaussian":  # a compact kernel's 0.0 is exact
+        far = np.flatnonzero(r < _TINY)
+        if far.size:
+            log_r[far] = _log_correction(e, grid[far])
     z = (log_r + 0.5 * v) / np.sqrt(v)
     return CorrectionCurve(grid, r, log_r, z)
+
+
+def _log_correction(e: DensityEstimate, pts: np.ndarray) -> np.ndarray:
+    """log rhat at points where rhat underflows, gaussian kernel, as a log-sum-exp.
+
+    The terms -((x - X_i)/h)^2/2 - log fbar(X_i) are shifted by the row's
+    largest before the exponentials, and log(n sqrt(2 pi) h) is taken off
+    the result.  A row whose every term is -inf (|x - X_i|/h overflows at a
+    tiny h) gives -inf.
+    """
+    log_den = 0.0 if e.den is None else np.log(e.den)
+    offset = math.log(e.n) + 0.5 * math.log(2.0 * math.pi) + math.log(e.h)
+    out = np.empty(pts.size)
+
+    def fill(rows):
+        with np.errstate(over="ignore"):
+            u = np.subtract(e.data, pts[rows, None])
+            u /= e.h
+            u *= u
+        u *= -0.5
+        u -= log_den
+        top = u.max(axis=1)
+        live = top > -math.inf
+        u -= np.where(live, top, 0.0)[:, None]
+        total = np.sum(np.exp(u), axis=1)
+        total[~live] = 1.0  # top is -inf there, and so is the result
+        out[rows] = top + np.log(total) - offset
+
+    for_blocks(pts.size, e.n, fill)
+    return out
 
 
 def integral_of_estimate(e: DensityEstimate) -> tuple[float, float | None]:
@@ -175,13 +230,18 @@ def integral_of_estimate(e: DensityEstimate) -> tuple[float, float | None]:
         mu, sd = e.start.params["mu"], e.start.params["sd"]
         z = (e.data - mu) / sd
         g4 = float(np.mean(z**4)) - 3.0
-        u = e.h / sd
+        u = float(e.h) / float(sd)
         approx = 1.0 + g4 * (u * u) * (u * u) / 8.0  # float products overflow to inf, never raise
         if e.start.clip is None:
-            h2 = e.h * e.h
-            val = float(np.mean(np.exp(0.5 * h2 * (e.data - mu) ** 2 /
-                                       (sd * sd * (sd * sd + h2)))))
-            return val / np.sqrt(1.0 + h2 / (sd * sd)), approx
+            # exp(z^2/2 * u^2/(1 + u^2)) averaged, over sqrt(1 + u^2); u^2
+            # below u = 1 and u^-2 above it may underflow, but never overflow
+            if u <= 1.0:
+                w = u * u
+                expo = 0.5 * (z * z) * w / (1.0 + w)
+            else:
+                w = (1.0 / u) * (1.0 / u)
+                expo = 0.5 * (z * z) / (1.0 + w)
+            return float(np.mean(np.exp(expo))) / math.hypot(1.0, u), approx
     from .quadpack import qags
     lo = float(e.data.min()) - 12.0 * e.h
     hi = float(e.data.max()) + 12.0 * e.h

@@ -392,9 +392,10 @@ def test_extreme_bandwidths_give_finite_rows_or_exit_1(tmp_path, h):
     # to inf, weight 0) and a huge one (h^4 overflows).  Each request prints
     # finite rows with exit 0, or one error line with exit 1; no traceback or
     # NumPy warning reaches stderr.  The grids start at a datum.  gof's grid
-    # holds data only: where no datum is within the kernel's reach r_hat is
-    # 0.0 and gof prints log_r = z = -inf by design (correction_curve's tests
-    # pin it), which at h = 1e-200 is every point off the data.
+    # holds data only: where r_hat underflows, log_r and z are still finite
+    # (a log-sum-exp), but where |x - X_i|/h overflows for every datum, as at
+    # h = 1e-200 at every point off the data, every term is -inf and gof
+    # prints log_r = z = -inf by design (correction_curve's tests pin it).
     import os
     import subprocess
     import sys

@@ -1,5 +1,7 @@
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,7 +258,9 @@ def test_blocked_evaluation_is_bit_identical(case):
     assert np.shape(kde) == np.shape(x)
     assert np.array_equal(kde, np.mean(eval_scaled(G, h, data - np.asarray(x)[..., None]),
                                        axis=-1))
-    assert np.array_equal(correction_curve(est, np.ravel(x)).r_hat, r_want.ravel())
+    # a fresh estimate: est keeps the sums of x, and would not compute them
+    fresh = DensityEstimate(data, G, h, st)
+    assert np.array_equal(correction_curve(fresh, np.ravel(x)).r_hat, r_want.ravel())
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "epanechnikov", "uniform"])
@@ -382,9 +386,171 @@ def test_in_place_correction_sum_is_the_literal_sum(band, start, shape, n, m, se
         with pytest.raises(ValueError, match=r"^start density is too small at x="):
             correction_curve(est, np.ravel(x))
         assert np.array_equal(_correction_at(est, np.ravel(x)), r)
-    got = estimate_semiparametric(est, x)
+    # a fresh estimate: est keeps the sums of x, and would not compute them
+    got = estimate_semiparametric(DensityEstimate(data, G, h, st0), x)
     assert np.shape(got) == np.shape(x)
     assert np.array_equal(np.ravel(got), np.atleast_1d(eval_start(st0, np.ravel(x))) * r)
     kde = estimate_kernel(data, G, h, x)
     assert np.array_equal(np.ravel(kde), literal_correction(
         DensityEstimate(data, G, h, FittedStart("constant")), x))
+
+
+def test_an_estimate_sums_its_correction_once_per_grid(monkeypatch):
+    from semistart import estimator
+    sizes = []  # the row blocks _correction_sum has summed (append is thread-safe)
+    inner = estimator._correction_sum
+
+    def counted(e, pts):
+        sizes.append(pts.shape[0])
+        return inner(e, pts)
+
+    monkeypatch.setattr(estimator, "_correction_sum", counted)
+    x = mixture_sample(marron_wand(2), 3000, seed=11)
+    st = fit_start("normal", x)
+    grid = np.linspace(-3.0, 3.0, 161)
+    est = DensityEstimate(x, G, 0.2, st)
+    f_hat = estimate_semiparametric(est, grid)
+    assert sum(sizes) == 161
+    cur = correction_curve(est, grid)
+    assert sum(sizes) == 161  # the curve on the same grid sums nothing
+    assert np.array_equal(f_hat, eval_start(st, grid) * cur.r_hat)
+    assert np.array_equal(estimate_semiparametric(est, grid.reshape(7, 23)).ravel(), f_hat)
+    assert sum(sizes) == 161  # the same points in another shape
+    # a reordered grid, another grid and a new estimate each sum again, to the same bits
+    assert np.array_equal(correction_curve(est, grid[::-1]).r_hat, cur.r_hat[::-1])
+    assert sum(sizes) == 2 * 161
+    assert np.array_equal(correction_curve(est, grid[:80]).r_hat, cur.r_hat[:80])
+    assert sum(sizes) == 2 * 161 + 80
+    assert np.array_equal(correction_curve(est, grid).r_hat, cur.r_hat)
+    assert sum(sizes) == 3 * 161 + 80
+    fresh = DensityEstimate(x, G, 0.2, st)
+    assert np.array_equal(correction_curve(fresh, grid).r_hat, cur.r_hat)
+    assert sum(sizes) == 4 * 161 + 80
+
+
+def test_returned_arrays_are_the_callers_own():
+    x = mixture_sample(marron_wand(1), 500, seed=12)
+    st = fit_start("normal", x)
+    grid = np.linspace(-2.0, 2.0, 41)
+    fresh = DensityEstimate(x, G, 0.3, st)
+    want_r = correction_curve(fresh, grid).r_hat
+    want_f = estimate_semiparametric(DensityEstimate(x, G, 0.3, st), grid)
+    est = DensityEstimate(x, G, 0.3, st)
+    cur = correction_curve(est, grid)  # sums and keeps
+    cur.r_hat[:] = -1.0
+    f_hat = estimate_semiparametric(est, grid)  # from the kept sums
+    assert np.array_equal(f_hat, want_f)
+    f_hat[:] = -1.0
+    again = correction_curve(est, grid)
+    assert np.array_equal(again.r_hat, want_r)
+    again.r_hat[:] = -1.0
+    assert np.array_equal(estimate_semiparametric(est, grid), want_f)
+    grid[:] = 0.0  # the caller's grid, written after the evaluations
+    assert np.array_equal(correction_curve(est, grid).r_hat,
+                          correction_curve(DensityEstimate(x, G, 0.3, st), np.zeros(41)).r_hat)
+
+
+def test_an_estimate_keeps_its_own_read_only_data():
+    x = mixture_sample(marron_wand(1), 400, seed=13)
+    st = fit_start("normal", x)
+    est = DensityEstimate(x, G, 0.3, st)
+    grid = np.linspace(-2.0, 2.0, 21)
+    want = estimate_semiparametric(est, grid)
+    want_r = correction_curve(DensityEstimate(x.copy(), G, 0.3, st), grid[::-1]).r_hat
+    x[:] = 5.0  # the caller's array, written after construction
+    assert np.array_equal(estimate_semiparametric(est, grid), want)
+    assert np.array_equal(correction_curve(est, grid[::-1]).r_hat, want_r)
+    assert not est.data.flags.writeable and not est.den.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        est.data[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        est.den[0] = 1.0
+
+
+@pytest.mark.parametrize("h", [1e300, 2.2250738585072014e-308])
+def test_closed_form_mass_is_finite_at_extreme_bandwidths(h):
+    # h*h overflows at 1e300 and underflows at the smallest normal float;
+    # neither may reach the closed form, whose mass is finite and positive
+    x = np.random.default_rng(14).standard_normal(200)
+    st = FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mass, _ = integral_of_estimate(DensityEstimate(x, G, h, st))
+        assert 0.0 < mass < np.inf
+        norm = DensityEstimate(x, G, h, st, normalize=True)
+    assert norm.divisor == mass
+    z = x * x / 2.0
+    want = float(np.mean(np.exp(z))) / h if h > 1.0 else 1.0
+    assert mass == pytest.approx(want, rel=1e-14)
+
+
+def _mp_log_correction(est, pts, dps=40):
+    """log rhat at each point with the sum of the program's float terms in mpmath."""
+    den = np.ones(est.n) if est.den is None else est.den
+    out = []
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(est.h)
+        scale = est.n * mpmath.sqrt(2 * mpmath.pi) * h
+        for p in pts:
+            terms = (mpmath.exp(-((mpmath.mpf(xi) - mpmath.mpf(p)) / h) ** 2 / 2) / mpmath.mpf(d)
+                     for xi, d in zip(est.data, den))
+            out.append(float(mpmath.log(mpmath.fsum(terms) / scale)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("start", ["normal", "constant", "outlier"])
+def test_log_correction_stays_finite_where_rhat_underflows(start):
+    # past the data, rhat is normal, then subnormal, then 0.0; log rhat is
+    # finite throughout, and where rhat is normal log_r and every r_hat keep
+    # their bits
+    x = np.random.default_rng(0).standard_normal(200)
+    grid = np.linspace(2.5, 8.0, 56)
+    st = FittedStart("constant") if start == "constant" else fit_start("normal", x)
+    if start == "outlier":  # a 1/fbar weight of about e^90 on the datum 13.4
+        x = np.append(x, 13.4)
+        st = FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=None)
+        grid = np.linspace(12.5, 16.5, 201)
+    est = DensityEstimate(x, G, 0.05, st)
+    cur = correction_curve(est, grid)
+    assert np.array_equal(cur.r_hat, literal_correction(est, grid))
+    normal = cur.r_hat >= np.finfo(float).tiny
+    assert np.any(normal) and np.any(cur.r_hat == 0.0)
+    # with the outlier, r_hat drops from about e^-650 to 0.0 where its kernel
+    # lanes underflow before the weight lifts them: no row is subnormal, and
+    # log rhat is finite past that edge as well
+    assert np.any((cur.r_hat > 0.0) & ~normal) == (start != "outlier")
+    assert np.array_equal(cur.log_r[normal], np.log(cur.r_hat[normal]))
+    assert np.all(np.isfinite(cur.log_r)) and np.all(np.isfinite(cur.z))
+    # the log-sum-exp rows against the 40-digit sum of the same terms
+    np.testing.assert_allclose(cur.log_r[~normal], _mp_log_correction(est, grid[~normal]),
+                               rtol=1e-13, atol=0)
+
+
+def test_log_correction_on_gaussian_draws():
+    # 200 standard normal draws, a fitted normal start and h = 0.05: at x = 3
+    # rhat is about e^-199, at 4.5 and 6 it underflows to 0.0
+    x = np.random.default_rng(0).standard_normal(200)
+    cur = correction_curve(DensityEstimate(x, G, 0.05, fit_start("normal", x)),
+                           np.array([3.0, 4.5, 6.0]))
+    assert cur.r_hat[0] > 0.0 and cur.log_r[0] == np.log(cur.r_hat[0])
+    assert np.array_equal(cur.r_hat[1:], [0.0, 0.0])
+    np.testing.assert_allclose(cur.log_r, [-199.249245144, -1247.813694989, -3196.378144802],
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", ["epanechnikov", "uniform"])
+def test_compact_kernel_log_correction_is_minus_inf_beyond_its_reach(shape):
+    x = np.random.default_rng(15).standard_normal(100)
+    cur = correction_curve(DensityEstimate(x, kernel_props(shape), 0.3, fit_start("normal", x)),
+                           np.array([0.0, 9.0]))
+    assert cur.r_hat[1] == 0.0 and cur.log_r[1] == -np.inf and cur.z[1] == -np.inf
+    assert np.isfinite(cur.log_r[0])
+
+
+def test_log_correction_is_minus_inf_where_every_distance_overflows():
+    # at h = 1e-300, |x - X_i|/h overflows to inf off the data: every term is
+    # -inf and so is log rhat, with no warning; at a datum it is finite
+    x = np.random.default_rng(16).standard_normal(50)
+    cur = correction_curve(DensityEstimate(x, G, 1e-300, fit_start("normal", x)),
+                           np.array([x[0], 0.5]))
+    assert np.isfinite(cur.log_r[0]) and cur.log_r[1] == -np.inf

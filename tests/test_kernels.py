@@ -189,7 +189,9 @@ def test_outlier_weight_keeps_tiny_kernel_terms():
     thin = (expo < -700.0) & (expo > -745.0)
     assert np.any(thin & (r_want > 0.0))
     assert np.array_equal(correction_curve(est, x).r_hat, r_want)
-    assert np.array_equal(estimate_semiparametric(est, x), eval_start(st0, x) * r_want)
+    # a fresh estimate: est keeps the sums of x, and would not compute them
+    assert np.array_equal(estimate_semiparametric(DensityEstimate(data, G, h, st0), x),
+                          eval_start(st0, x) * r_want)
 
 
 G = kernel_props("gaussian")

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semistart import kernels
@@ -298,6 +298,9 @@ def expanded_gnw(fit, pts):
        seed=st.integers(0, 2**32 - 1), cross=st.floats(0.2, 0.8),
        sign=st.sampled_from([-1.0, 0.0, 1.0]), slope=st.floats(0.1, 5.0),
        noise=st.just(0.0) | st.floats(0.01, 1.0), log_h=st.floats(-2.0, 0.0))
+# the value at the datum `cross` is -1.137e-315, one term of weight e^-724.65
+@example(shape="gaussian", kind="constant", n=2, seed=162777, cross=0.203125, sign=-1.0,
+         slope=1.0, noise=0.0, log_h=-1.8125)
 def test_smoother_keeps_the_expanded_smoothers_values(shape, kind, n, seed, cross, sign, slope,
                                                         noise, log_h):
     # profile weights, a column weight y_i/m(x_i) and a row factor m(x) round
@@ -306,7 +309,9 @@ def test_smoother_keeps_the_expanded_smoothers_values(shape, kind, n, seed, cros
     # floor and their terms can cancel: the bound is on the terms' scale.
     # Every point is a datum, so each has local data under every kernel.  The
     # responses are normal doubles or 0: subnormal ones would round on their
-    # own absolute scale.
+    # own absolute scale.  So does a value whose scale is subnormal, and the
+    # float expanded smoother with it: such a value is held to mp_gnw's
+    # 40-digit sum instead, with one subnormal spacing 2^-1074 per term.
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, n)
     xs[0] = cross
@@ -317,7 +322,13 @@ def test_smoother_keeps_the_expanded_smoothers_values(shape, kind, n, seed, cros
     if kind == "linear":
         assert fit.floor == pytest.approx(0.05 * float(fit.y.std()) or 0.05, rel=1e-14)
         assert abs(_clipped_mean(fit, xs[:1])[0]) == fit.floor
-    assert _near(gnw_estimate(fit, xs), *expanded_gnw(fit, xs))
+    got = gnw_estimate(fit, xs)
+    want, scale = expanded_gnw(fit, xs)
+    sub = (scale > 0.0) & (scale < np.finfo(float).tiny)
+    if np.any(sub):
+        mp_want, mp_scale, _ = mp_gnw(fit, xs[sub])
+        assert np.all(np.abs(got[sub] - mp_want) <= 1e-14 * mp_scale + n * 2.0**-1074)
+    assert _near(got[~sub], want[~sub], scale[~sub])
 
 
 @pytest.mark.parametrize("tiny", [1e-20, 0.0])
