@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, eval_scaled, for_blocks, require_bandwidth
+from .kernels import (SQRT_2PI, KernelSpec, _base_pdf, eval_scaled, for_blocks,
+                      require_bandwidth)
+from .special import _erf as erf, ndtr
 from .starts import FittedStart, _require_finite, eval_start
 
 __all__ = [
@@ -76,7 +78,7 @@ class DensityEstimate:
             den.flags.writeable = False
         object.__setattr__(self, "den", den)
         # the mass integral reads den, never divisor
-        divisor = float(integral_of_estimate(self)[0]) if self.normalize else 1.0
+        divisor = integral_of_estimate(self) if self.normalize else 1.0
         if not 0.0 < divisor < math.inf:
             raise ValueError(f"cannot normalise: the raw estimate's total mass came out "
                              f"{divisor!r} at h={self.h!r}, not a finite positive number")
@@ -146,6 +148,7 @@ def estimate_semiparametric(e: DensityEstimate, x):
 
 # the smallest normal float: log rhat loses digits below it, and is -inf at 0.0
 _TINY = float(np.finfo(float).tiny)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,37 +218,125 @@ def _log_correction(e: DensityEstimate, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def integral_of_estimate(e: DensityEstimate) -> tuple[float, float | None]:
-    """Total mass of the raw estimate, plus the small-h kurtosis approximation.
+def integral_of_estimate(e: DensityEstimate) -> float:
+    """Total mass of the raw estimate.
 
-    A constant start integrates to 1 exactly.  The normal-start gaussian-kernel
-    pair has a closed form (valid for the unclipped start); anything else is
-    integrated numerically.  The second value, 1 + g4 h^4 / (8 sd^4) with g4
-    the sample excess kurtosis, is returned on the normal/gaussian path only.
+    A constant start integrates to 1 exactly and the normal start has a
+    closed form (_normal_start_mass); the other starts are integrated by
+    quadpack.qags.
     """
     if e.start.family == "constant":
-        return 1.0, None
-    approx = None
-    if e.start.family == "normal" and e.kernel.shape == "gaussian":
-        mu, sd = e.start.params["mu"], e.start.params["sd"]
-        z = (e.data - mu) / sd
-        g4 = float(np.mean(z**4)) - 3.0
-        u = float(e.h) / float(sd)
-        approx = 1.0 + g4 * (u * u) * (u * u) / 8.0  # float products overflow to inf, never raise
-        if e.start.clip is None:
-            # exp(z^2/2 * u^2/(1 + u^2)) averaged, over sqrt(1 + u^2); u^2
-            # below u = 1 and u^-2 above it may underflow, but never overflow
-            if u <= 1.0:
-                w = u * u
-                expo = 0.5 * (z * z) * w / (1.0 + w)
-            else:
-                w = (1.0 / u) * (1.0 / u)
-                expo = 0.5 * (z * z) / (1.0 + w)
-            return float(np.mean(np.exp(expo))) / math.hypot(1.0, u), approx
+        return 1.0
+    if e.start.family == "normal":
+        return _normal_start_mass(e)
     from .quadpack import qags
     lo = float(e.data.min()) - 12.0 * e.h
     hi = float(e.data.max()) + 12.0 * e.h
     # the raw estimate: the divisor is not built yet
     val, _ = qags(lambda t: eval_start(e.start, t) * _correction_at(e, t), lo, hi,
                   limit=400, epsabs=1e-10)
-    return val, approx
+    return val
+
+
+# A compact kernel's piece of the central region is integrated by a fixed
+# Gauss-Legendre rule up to this width, in start sds, and by truncated-normal
+# moments beyond it: the moments cancel O(1) terms to an O(w^3) result on a
+# short piece, and the rule's error grows with the piece's width.
+_GL_NODES = 24
+_GL_MAX_WIDTH = 6.0
+
+
+def _normal_start_mass(e: DensityEstimate) -> float:
+    """(1/n) sum_i M_i/fbar(X_i), M_i = int fbar(x) K_h(x - X_i) dx, for the normal start.
+
+    In the start's sd units, with z_i = (X_i - mu)/sd, u = h/sd and the
+    central region [-c, c] (the whole line when unclipped), M_i is the floor
+    times the kernel's mass beyond each clip edge, plus the integral of
+    phi(y) K((y - z_i)/u)/u over the region.  With the gaussian kernel that
+    is a gaussian product: phi_s(z_i) times the normal mass of the region
+    under N(z_i q, tau^2), s^2 = 1 + u^2, q = 1/s^2, tau = u/s.  A compact kernel's
+    integral is taken over its support within the region, in t = (y - z_i)/u.
+    Each inside term is divided by fbar(X_i) as exp(-z_r^2/2)/(sqrt(2 pi) sd),
+    z_r = min(|z_i|, c), inside the exponent, so that no far datum's ratio
+    underflows, and no product h*h is formed, so none overflows.
+    """
+    mu, sd = e.start.params["mu"], e.start.params["sd"]
+    shape, h = e.kernel.shape, float(e.h)
+    u = h / sd
+    z = (e.data - mu) / sd
+    c = math.inf if e.start.clip is None else float(e.start.clip)
+    zr = np.minimum(np.abs(z), c)
+    ratio = np.zeros(e.n)
+    with np.errstate(over="ignore", divide="ignore"):  # +-inf limits at a tiny h
+        half_gap = 0.5 * (zr * zr - z * z)  # log phi(z)/phi(z_r): 0.0 inside the region
+        if e.start.floor is not None:
+            lo, hi, flo, fhi = e.start.floor
+            ratio += (flo * _kernel_cdf(shape, (lo - e.data) / h)
+                      + fhi * _kernel_cdf(shape, (e.data - hi) / h)) / e.den
+        if shape == "gaussian":
+            # s = sqrt(1 + u^2), tau = u/s <= 1, q = 1/s^2 and p = 1 - q = tau^2;
+            # the squares of 1/s and tau may underflow but never overflow
+            s = math.hypot(1.0, u)
+            tau = u / s
+            # phi_s(z)/phi(z) = exp(z^2 p/2)/s, as z^2 - z^2 q = z^2 p
+            inside = np.exp(half_gap + 0.5 * (z * z) * (tau * tau)) / s
+            if c < math.inf:
+                m = z * ((1.0 / s) * (1.0 / s))
+                inside *= [_normal_mass((-c - mi) / tau, (c - mi) / tau) for mi in m.tolist()]
+            ratio += inside
+        else:
+            t_lo = np.maximum((-c - z) / u, -0.5)
+            t_hi = np.minimum((c - z) / u, 0.5)
+            live = t_lo < t_hi
+            narrow = live & ((t_hi - t_lo) * u <= _GL_MAX_WIDTH)
+            if narrow.any():
+                nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+                a, b, zn = t_lo[narrow, None], t_hi[narrow, None], z[narrow, None]
+                t = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+                # log phi(z + u t)/phi(z_r) = half_gap - u t (z + u t/2)
+                f = _base_pdf(shape, t) * np.exp(half_gap[narrow, None]
+                                                 - u * t * (zn + 0.5 * u * t))
+                ratio[narrow] += 0.5 * (b[:, 0] - a[:, 0]) * (f @ weights)
+            wide = live & ~narrow
+            if wide.any():
+                ratio[wide] += _compact_moments(shape, z[wide], u, zr[wide],
+                                                t_lo[wide], t_hi[wide])
+    return float(np.sum(ratio)) / e.n
+
+
+def _kernel_cdf(shape: str, t: np.ndarray) -> np.ndarray:
+    """The kernel's mass below each point of t."""
+    if shape == "gaussian":
+        return np.array([ndtr(v) for v in t.tolist()])
+    s = np.clip(t, -0.5, 0.5)
+    if shape == "uniform":
+        return s + 0.5
+    return (1.0 + 2.0 * s) ** 2 * (1.0 - s) / 2.0  # epanechnikov, no cancellation at -1/2
+
+
+def _normal_mass(a: float, b: float) -> float:
+    """Phi(b) - Phi(a) for a <= b, from the tail nearer each limit or from erf."""
+    if a >= 0.0:
+        return ndtr(-a) - ndtr(-b)
+    if b <= 0.0:
+        return ndtr(b) - ndtr(a)
+    return 0.5 * (erf(b * _SQRT_HALF) + erf(-a * _SQRT_HALF))
+
+
+def _compact_moments(shape: str, z: np.ndarray, u: float, zr: np.ndarray,
+                     t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
+    """int phi(y) K((y - z)/u)/u dy over y = z + u t, t in [t_lo, t_hi], over phi(z_r).
+
+    From the truncated-normal moments about z of order <= 2 (Johnson, Kotz &
+    Balakrishnan 1994, ch. 13), each over phi(z_r): J_0 = Phi(b) - Phi(a),
+    J_1 = phi(a) - phi(b) - z J_0 and J_2 = (a - z) phi(a) - (b - z) phi(b) + J_0 - z J_1.
+    """
+    a, b = z + u * t_lo, z + u * t_hi
+    pa, pb = np.exp(0.5 * (zr * zr - a * a)), np.exp(0.5 * (zr * zr - b * b))
+    j0 = np.array([_normal_mass(ai, bi) for ai, bi in zip(a.tolist(), b.tolist())])
+    j0 *= SQRT_2PI * np.exp(0.5 * (zr * zr))
+    if shape == "uniform":
+        return j0 / u
+    j1 = pa - pb - z * j0
+    j2 = (a - z) * pa - (b - z) * pb + j0 - z * j1
+    return 1.5 / u * (j0 - 4.0 * j2 / u / u)

@@ -31,6 +31,8 @@ EM_MAX_ITER = 200
 EM_TOL = 1e-8
 EM_RESTARTS = 5
 
+_LOG_SQRT_2PI = float(np.log(SQRT_2PI))
+
 
 @dataclass(frozen=True, eq=False)
 class FittedStart:
@@ -123,7 +125,11 @@ def _em_once(x: np.ndarray, k: int,
 
     The mixture is None when a component collapsed, or when the
     log-likelihood decreased between iterations, which EM never does in
-    exact arithmetic; decreased tells the two apart.
+    exact arithmetic; decreased tells the two apart.  Each component has one
+    contiguous row of n values in two (k, n) buffers, and every E and M step
+    runs in place: dev holds x - mu_j and then the log-density terms; resp
+    the shifted exponentials, the responsibilities and then the weighted
+    squared deviations.
     """
     n = x.size
     sd_all = x.std()
@@ -139,24 +145,37 @@ def _em_once(x: np.ndarray, k: int,
     sd = np.full(k, max(sd_all / k, 1e-3 * sd_all))
     w = np.full(k, 1.0 / k)
 
+    dev = np.subtract(x, mu[:, None])
+    resp = np.empty((k, n))
+    top = np.empty(n)
+    lse = np.empty(n)
     last_ll = -np.inf
     floor = 1e-6 * sd_all
     for _ in range(EM_MAX_ITER):
-        logp = (np.log(w)[None, :] - np.log(sd)[None, :] - np.log(SQRT_2PI)
-                - 0.5 * ((x[:, None] - mu[None, :]) / sd[None, :]) ** 2)
-        m = logp.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))
+        # log w_j + log phi((x - mu_j)/sd_j) - log sd_j, then its log-sum-exp over j
+        dev /= sd[:, None]
+        np.square(dev, out=dev)
+        dev *= -0.5
+        dev += (np.log(w) - np.log(sd) - _LOG_SQRT_2PI)[:, None]
+        np.max(dev, axis=0, out=top)
+        np.subtract(dev, top, out=resp)
+        np.exp(resp, out=resp)
+        np.sum(resp, axis=0, out=lse)
+        resp /= lse
+        np.log(lse, out=lse)
+        lse += top
         ll = float(lse.sum())
         if ll + 1e-9 < last_ll:
             return None, True
-        resp = np.exp(logp - lse[:, None])
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         if np.any(nk <= 0):
             return None, False
         w = nk / n
-        mu = resp.T @ x / nk
-        var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
-        sd = np.sqrt(var)
+        mu = resp @ x / nk
+        np.subtract(x, mu[:, None], out=dev)
+        resp *= dev
+        resp *= dev
+        sd = np.sqrt(resp.sum(axis=1) / nk)
         if np.any(sd < floor):
             return None, False
         if ll - last_ll < EM_TOL and np.isfinite(last_ll):

@@ -141,6 +141,102 @@ def literal_mv(e, pts):
     return np.exp(expo).mean(axis=1)
 
 
+def literal_em(x, k, rng, max_iter=None):
+    """One seeded EM run with (n, k) whole-array E and M expressions.
+
+    The oracle of starts._em_once: the same seeding, stopping rule, collapse
+    floor and decrease check, with each step written as one expression.
+    Returns (mixture, decreased, iterations); max_iter defaults to
+    EM_MAX_ITER, and a smaller one stops the run early.
+    """
+    from semistart.densities import NormalMixture
+    from semistart.starts import EM_MAX_ITER, EM_TOL
+
+    n = x.size
+    sd_all = x.std()
+    centers = [x[rng.integers(n)]]
+    for _ in range(k - 1):
+        d2 = np.min((x[:, None] - np.asarray(centers)[None, :]) ** 2, axis=1)
+        if d2.sum() <= 0:
+            centers.append(x[rng.integers(n)])
+        else:
+            centers.append(x[rng.choice(n, p=d2 / d2.sum())])
+    mu = np.asarray(centers, dtype=float)
+    sd = np.full(k, max(sd_all / k, 1e-3 * sd_all))
+    w = np.full(k, 1.0 / k)
+
+    last_ll = -np.inf
+    floor = 1e-6 * sd_all
+    it = 0
+    for it in range(1, (EM_MAX_ITER if max_iter is None else max_iter) + 1):
+        logp = (np.log(w)[None, :] - np.log(sd)[None, :] - np.log(SQRT_2PI)
+                - 0.5 * ((x[:, None] - mu[None, :]) / sd[None, :]) ** 2)
+        m = logp.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))
+        ll = float(lse.sum())
+        if ll + 1e-9 < last_ll:
+            return None, True, it
+        resp = np.exp(logp - lse[:, None])
+        nk = resp.sum(axis=0)
+        if np.any(nk <= 0):
+            return None, False, it
+        w = nk / n
+        mu = resp.T @ x / nk
+        var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        sd = np.sqrt(var)
+        if np.any(sd < floor):
+            return None, False, it
+        if ll - last_ll < EM_TOL and np.isfinite(last_ll):
+            break
+        last_ll = ll
+    return NormalMixture(weights=w / w.sum(), means=mu, sds=sd), False, it
+
+
+def split_quad_mass(e):
+    """The normal start's raw mass (1/n) sum_i M_i/fbar(X_i), each M_i by quad.
+
+    M_i = int fbar(x) K_h(x - X_i) dx is integrated piece by piece between
+    the kinks of its integrand, the clip edges and, for a compact kernel, the
+    support's ends X_i +/- h/2, each piece with epsrel=1e-13.  A gaussian
+    kernel's pieces run from X_i - 40h to X_i + 40h and are also split at
+    every h within 12h of X_i, so that no piece hides its bump from quad.
+    """
+    from scipy.integrate import quad
+
+    mu, sd = e.start.params["mu"], e.start.params["sd"]
+    shape, h, floor = e.kernel.shape, float(e.h), e.start.floor
+
+    def fbar(t):
+        if floor is not None and t < floor[0]:
+            return floor[2]
+        if floor is not None and t > floor[1]:
+            return floor[3]
+        return math.exp(-0.5 * ((t - mu) / sd) ** 2) / (SQRT_2PI * sd)
+
+    terms = []
+    for xi, den in zip(e.data.tolist(), e.den.tolist()):
+        if shape == "gaussian":
+            a, b = xi - 40.0 * h, xi + 40.0 * h
+            cuts = [xi + j * h for j in range(-12, 13)]
+
+            def kh(t):
+                return math.exp(-0.5 * ((t - xi) / h) ** 2) / (SQRT_2PI * h)
+        else:
+            a, b = xi - 0.5 * h, xi + 0.5 * h
+            cuts = []
+
+            def kh(t):
+                v = (t - xi) / h
+                return (1.5 * (1.0 - 4.0 * v * v) if shape == "epanechnikov" else 1.0) / h
+        if floor is not None:
+            cuts += floor[:2]
+        pts = sorted({a, b, *(p for p in cuts if a < p < b)})
+        mass = math.fsum(quad(lambda t: fbar(t) * kh(t), p, q, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0] for p, q in zip(pts[:-1], pts[1:]))
+        terms.append(mass / den)
+    return math.fsum(terms) / e.n
+
+
 def ise_new(data, mu_hat, sd_hat, h, m):
     """Exact int (fhat - f)^2 for the corrected estimator built from `data`.
 

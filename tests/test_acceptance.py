@@ -264,7 +264,7 @@ def test_criterion_7_closed_forms_vs_quadrature(capsys):
     x = ss.mixture_sample(ss.marron_wand(1), 500, seed=77)
     st = FittedStart("normal", {"mu": float(x.mean()), "sd": float(x.std())}, clip=None)
     est = DensityEstimate(x, G, 0.3, st)
-    closed, _ = ss.integral_of_estimate(est)
+    closed = ss.integral_of_estimate(est)
     val, _ = quad(lambda t: estimate_semiparametric(est, t), x.min() - 4, x.max() + 4,
                   limit=400, epsabs=1e-12)
     checks.append(abs(closed - val) <= 1e-8)

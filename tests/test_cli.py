@@ -309,15 +309,17 @@ def test_malformed_mixture_json_exits_1_naming_the_problem(tmp_path, capsys, doc
 
 _KINKED_QUAD = pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="known red, the IntegrationWarning FOUND line of CHANGES.md: "
-           "integral_of_estimate's adaptive rule (quadpack.qags) meets the kernel's kinks "
-           "at every X_i +/- h/2 and warns that it missed its tolerance (ROADMAP item 2)")
+    reason="known red, the IntegrationWarning FOUND line of CHANGES.md: the lognormal, "
+           "gamma and mixture starts integrate their mass by quadpack.qags, which meets a "
+           "compact kernel's kinks at every X_i +/- h/2 and warns that it missed its tolerance")
 
 
-@pytest.mark.parametrize("kernel", ["gaussian",
-                                    pytest.param("epanechnikov", marks=_KINKED_QUAD),
-                                    pytest.param("uniform", marks=_KINKED_QUAD)])
-def test_normalize_emits_no_integration_warning(tmp_path, kernel):
+@pytest.mark.parametrize("start,kernel", [
+    ("normal", "gaussian"), ("normal", "epanechnikov"), ("normal", "uniform"),
+    ("lognormal", "gaussian"),
+    pytest.param("lognormal", "epanechnikov", marks=_KINKED_QUAD),
+    pytest.param("lognormal", "uniform", marks=_KINKED_QUAD)])
+def test_normalize_emits_no_integration_warning(tmp_path, start, kernel):
     from scipy.integrate import IntegrationWarning
 
     data = tmp_path / "d.csv"
@@ -325,8 +327,9 @@ def test_normalize_emits_no_integration_warning(tmp_path, kernel):
     data.write_text("\n".join(repr(v) for v in draws.tolist()) + "\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(["estimate", "--input", str(data), "--kernel", kernel, "--h", "0.6",
-                    "--normalize", "--grid", "0,10,11", "--out", str(tmp_path / "out")]) == 0
+        assert run(["estimate", "--input", str(data), "--start", start, "--kernel", kernel,
+                    "--h", "0.6", "--normalize", "--grid", "0,10,11",
+                    "--out", str(tmp_path / "out")]) == 0
     assert not [w for w in caught if issubclass(w.category, IntegrationWarning)]
 
 

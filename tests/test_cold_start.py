@@ -98,11 +98,13 @@ def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
         ["bench-amise", "--cases", "1,6"],
         ["sample", "--mixture", inputs["mix"], "--n", "20", "--seed", "4"],
     ]
-    # the lognormal start and --normalize integrate with semistart.quadpack
+    # the lognormal start integrates with semistart.quadpack, and the normal
+    # start's --normalize mass is closed-form for every kernel
     requests += [["bandwidth", *data, "--start", start, "--method", method]
                  for start in ("normal", "constant", "lognormal", "gamma")
                  for method in ("bcv", "ucv", "plugin")]
-    requests.append(["estimate", *data, "--kernel", "gaussian", "--normalize", *grid])
+    requests += [["estimate", *data, "--kernel", kernel, "--normalize", *grid]
+                 for kernel in ("gaussian", "epanechnikov", "uniform")]
     proc = _fresh(_CHILD, json.dumps([argv + out for argv in requests]), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []

@@ -15,7 +15,7 @@ from semistart.estimator import (DensityEstimate, _correction_at, correction_cur
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
 from semistart.starts import FittedStart, eval_start, fit_start
 
-from conftest import literal_correction, phi, phi_scaled
+from conftest import literal_correction, phi, phi_scaled, split_quad_mass
 
 G = kernel_props("gaussian")
 
@@ -127,28 +127,30 @@ def test_correction_curve_z_is_standard_normal_under_model():
 def test_integral_constant_start_exact():
     x = mixture_sample(marron_wand(6), 100, seed=5)
     est = DensityEstimate(x, G, 0.5, FittedStart("constant"))
-    assert integral_of_estimate(est) == (1.0, None)
+    assert integral_of_estimate(est) == 1.0
 
 
 def test_integral_closed_form_vs_quadrature():
     x = mixture_sample(marron_wand(1), 1000, seed=6)
     st = FittedStart("normal", {"mu": float(x.mean()), "sd": float(x.std())}, clip=None)
     est = DensityEstimate(x, G, 0.3, st)
-    closed, approx = integral_of_estimate(est)
+    closed = integral_of_estimate(est)
     val, _ = quad(lambda t: estimate_semiparametric(est, t),
                   x.min() - 12 * 0.3, x.max() + 12 * 0.3, limit=400, epsabs=1e-12)
     assert closed == pytest.approx(val, abs=1e-8)
-    assert approx is not None
 
 
 def test_integral_kurtosis_approximation_decay():
-    # closed form minus the kurtosis approximation shrinks like h^6
+    # closed form minus the small-h approximation 1 + g4 h^4/(8 sd^4), g4 the
+    # sample excess kurtosis, shrinks like h^6
     x = mixture_sample(marron_wand(1), 500, seed=7)
-    st = FittedStart("normal", {"mu": float(x.mean()), "sd": float(x.std())}, clip=None)
+    mu, sd = float(x.mean()), float(x.std())
+    st = FittedStart("normal", {"mu": mu, "sd": sd}, clip=None)
+    g4 = float(np.mean(((x - mu) / sd) ** 4)) - 3.0
 
     def err(h):
-        closed, approx = integral_of_estimate(DensityEstimate(x, G, h, st))
-        return abs(closed - approx)
+        closed = integral_of_estimate(DensityEstimate(x, G, h, st))
+        return abs(closed - (1.0 + g4 * (h / sd) ** 4 / 8.0))
 
     assert err(0.4) / err(0.2) >= 2.0**5
 
@@ -305,13 +307,13 @@ def test_normalized_estimate_is_its_raw_twin_over_the_raw_mass(family):
     norm = DensityEstimate(data, G, 0.5, st, normalize=True)
     mass = integral_of_estimate(raw)
     assert integral_of_estimate(norm) == mass
-    assert raw.divisor == 1.0 and norm.divisor == mass[0] and type(norm.divisor) is float
+    assert raw.divisor == 1.0 and norm.divisor == mass and type(norm.divisor) is float
     assert np.array_equal(norm.den, eval_start(st, data))
     ts = np.linspace(-1.0, 15.0, 161)  # x <= 0 and both clip tails
     assert np.array_equal(estimate_semiparametric(norm, ts),
-                          estimate_semiparametric(raw, ts) / mass[0])
+                          estimate_semiparametric(raw, ts) / mass)
     assert all(estimate_semiparametric(norm, float(t))
-               == estimate_semiparametric(raw, float(t)) / mass[0] for t in ts)
+               == estimate_semiparametric(raw, float(t)) / mass for t in ts)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -475,13 +477,56 @@ def test_closed_form_mass_is_finite_at_extreme_bandwidths(h):
     st = FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mass, _ = integral_of_estimate(DensityEstimate(x, G, h, st))
+        mass = integral_of_estimate(DensityEstimate(x, G, h, st))
         assert 0.0 < mass < np.inf
         norm = DensityEstimate(x, G, h, st, normalize=True)
     assert norm.divisor == mass
     z = x * x / 2.0
     want = float(np.mean(np.exp(z))) / h if h > 1.0 else 1.0
     assert mass == pytest.approx(want, rel=1e-14)
+
+
+def _normal_start_with_an_outlier(clip):
+    """80 gamma(3) draws and a normal start at the moments of the first 79.
+
+    The last datum sits 9 of the start's sds above its mean.
+    """
+    x = np.random.default_rng(52).gamma(3.0, 1.0, 80)
+    mu, sd = float(x[:-1].mean()), float(x[:-1].std())
+    x[-1] = mu + 9.0 * sd
+    return x, FittedStart("normal", {"mu": mu, "sd": sd}, clip=clip)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.6, 3.0])
+@pytest.mark.parametrize("clip", [2.5, 1.0, None])
+@pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov", "uniform"])
+def test_normal_start_mass_matches_quad_split_at_every_kink(kernel, clip, h):
+    x, st = _normal_start_with_an_outlier(clip)
+    e = DensityEstimate(x, kernel_props(kernel), h, st)
+    assert integral_of_estimate(e) == pytest.approx(split_quad_mass(e), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("clip", [2.5, None])
+@pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov", "uniform"])
+def test_normal_start_mass_at_extreme_bandwidths(kernel, clip):
+    # as h -> 0, M_i -> fbar(X_i) and the mass -> 1; as h -> inf, M_i -> K(0)/h
+    # unclipped, and clipped it tends to half of each floor, the kernel's mass
+    # beyond each edge times the floor
+    x, st = _normal_start_with_an_outlier(clip)
+    k = kernel_props(kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = DensityEstimate(x, k, 2.2250738585072014e-308, st, normalize=True).divisor
+        big = DensityEstimate(x, k, 1e300, st, normalize=True)
+    assert tiny == pytest.approx(1.0, rel=1e-14)
+    if clip is None:
+        k0 = {"gaussian": 1.0 / np.sqrt(2.0 * np.pi), "epanechnikov": 1.5, "uniform": 1.0}
+        want = k0[kernel] / 1e300 * float(np.mean(1.0 / big.den))
+    else:
+        _, _, flo, fhi = st.floor
+        want = float(np.mean(0.5 * (flo + fhi) / big.den))
+    assert 0.0 < big.divisor < np.inf
+    assert big.divisor == pytest.approx(want, rel=1e-12)
 
 
 def _mp_log_correction(est, pts, dps=40):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from semistart import starts
 from semistart.densities import NormalMixture, marron_wand, mixture_sample
 from semistart.special import gamma_quantile, ndtr
-from semistart.starts import FittedStart, _clip_edges, em_fit_mixture, eval_start, fit_start
+from semistart.starts import (FittedStart, _clip_edges, _em_once, em_fit_mixture, eval_start,
+                              fit_start)
 
-from conftest import phi, quantile_miss
+from conftest import literal_em, phi, quantile_miss
 
 
 def test_fit_normal_two_points():
@@ -114,6 +115,50 @@ def test_em_deterministic_and_validated():
     np.testing.assert_array_equal(a.params["mixture"].weights, b.params["mixture"].weights)
     with pytest.raises(ValueError):
         em_fit_mixture(x[:15], k=2, seed=0)  # fewer than 10 per component
+
+
+def _bimodal_draws(input_set):
+    """The benchmark's two-humped sample: 1000 draws of Marron-Wand case 6 from PCG64."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([input_set, 4])))
+    idx = rng.choice(2, size=1000, p=[0.5, 0.5])
+    return np.array([-1.0, 1.0])[idx] + (2.0 / 3.0) * rng.standard_normal(1000)
+
+
+def _em_samples():
+    """(sample, components, seed, benchmark's): the benchmark's 8 samples with
+    k = 1, 2 and 3, and the samples of the EM tests above with their k."""
+    out = [(_bimodal_draws(s), k, s, True) for s in range(8) for k in (1, 2, 3)]
+    out.append((mixture_sample(NormalMixture(weights=[1.0], means=[0.0], sds=[1.0]), 500,
+                               seed=21), 1, 0, False))
+    far = NormalMixture(weights=[0.5, 0.5], means=[-5.0, 5.0], sds=[1.0, 1.0])
+    out += [(mixture_sample(far, 1000, seed=100 + s), 2, s, False) for s in range(20)]
+    near = NormalMixture(weights=[0.5, 0.5], means=[-2.0, 2.0], sds=[1.0, 1.0])
+    out += [(mixture_sample(near, 200, seed=5), k, 9, False) for k in (2, 3)]
+    return out
+
+
+def test_em_once_matches_the_literal_em():
+    # the in-place (k, n) rows sum in another order than the (n, k) expressions,
+    # so the parameters agree to 1e-12 relative, not to the bit
+    def params(mix):
+        return np.concatenate([mix.weights, mix.means, mix.sds])
+
+    for x, k, seed, benchmarks in _em_samples():
+        got, got_decreased = _em_once(x, k, np.random.Generator(np.random.Philox(seed)))
+        want, want_decreased, iterations = literal_em(
+            x, k, np.random.Generator(np.random.Philox(seed)))
+        assert got_decreased == want_decreased
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        scale = np.abs(params(want))
+        assert np.all(np.abs(params(got) - params(want)) <= 1e-12 * scale), (k, seed)
+        if benchmarks and k > 1:
+            # the benchmark's samples converge slowly: one iteration fewer moves
+            # the parameters by more than the bound, so it pins the iteration count
+            early, _, _ = literal_em(x, k, np.random.Generator(np.random.Philox(seed)),
+                                     max_iter=iterations - 1)
+            assert np.any(np.abs(params(got) - params(early)) > 1e-12 * scale), (k, seed)
 
 
 def test_mixture_clip_edges_use_the_mixture_moments():
