@@ -96,21 +96,11 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
 
 
 def _correction_sum(e: DensityEstimate, pts):
-    """(1/n) sum K_h(X_i - x)/fbar(X_i) for a column of points.
-
-    The kernel's tiny and subnormal lanes are divided by fbar(X_i) compacted,
-    and go back into the block just before the sum.
-    """
+    """(1/n) sum K_h(X_i - x)/fbar(X_i) for a column of points."""
     vals = np.subtract(e.data, pts)
-    band = []
-    eval_scaled(e.kernel, e.h, vals, out=vals, _band=band)
-    [(idx, tiny)] = band
+    eval_scaled(e.kernel, e.h, vals, out=vals)
     if e.den is not None:
         vals /= e.den
-        if idx.size:
-            tiny /= e.den[idx % e.n]
-    if idx.size:
-        np.put(vals, idx, tiny)
     return np.sum(vals, axis=-1) / e.n
 
 

@@ -83,29 +83,19 @@ def _base_pdf(shape: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported kernel shape: {shape!r}")
 
 
-# the band of an array with no lanes in it: (no flat indices, no values);
-# size 0, so the in-place operations callers apply to a band change nothing
-_NO_LANES = (np.empty(0, dtype=np.intp), np.empty(0))
+def exp_into(a: np.ndarray) -> np.ndarray:
+    """Overwrite the float array a with np.exp(a), bit for bit, and return it.
 
-
-def _exp_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite the float array a with np.exp(a), bit for bit, but for its band.
-
-    The band is the lanes in (_EXP_ZERO, _EXP_FAST_MIN), whose results are
-    tiny or subnormal.  They are left 0.0 in a, and their flat C-order
-    indices and np.exp values come back compacted: a vector instruction with
-    one subnormal lane takes a slow microcode path, so a caller may apply
-    further per-lane factors to the compacted values before it puts them
-    back.  Lanes at or above _EXP_FAST_MIN go through one np.exp of the
-    clamped array, which stays on NumPy's vector loop; lanes at or below
-    _EXP_ZERO are 0.0, as np.exp gives there.  NaN and +-inf come out as
-    np.exp gives them.  take indexes a through a.flat, so any memory layout
-    is read correctly.
+    Lanes at or above _EXP_FAST_MIN go through one np.exp of the clamped
+    array, which stays on NumPy's vector loop; lanes at or below _EXP_ZERO
+    are 0.0, as np.exp gives there.  The band between, whose results are
+    tiny or subnormal, goes through np.exp on a compacted array: take and
+    put index a through a.flat, so any memory layout is read and written
+    correctly.  NaN and +-inf come out as np.exp gives them.
     """
     keep = a >= _EXP_FAST_MIN
     if keep.all():
-        np.exp(a, out=a)
-        return _NO_LANES
+        return np.exp(a, out=a)
     tiny = ~keep
     tiny &= a > _EXP_ZERO
     idx = np.flatnonzero(tiny)
@@ -115,18 +105,7 @@ def _exp_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a multiply, not a masked write, which branches on every lane: it zeroes
     # the clamped lanes and keeps NaN, whose keep is False too
     np.multiply(a, keep, out=a)
-    return idx, vals
-
-
-def exp_into(a: np.ndarray) -> np.ndarray:
-    """Overwrite the float array a with np.exp(a), bit for bit, and return it.
-
-    Only the lanes in (_EXP_ZERO, _EXP_FAST_MIN) are computed by np.exp on a
-    compacted array (see _exp_core); put writes them back through a.flat.
-    """
-    idx, vals = _exp_core(a)
-    if idx.size:
-        np.put(a, idx, vals)
+    np.put(a, idx, vals)
     return a
 
 
@@ -150,16 +129,13 @@ def require_bandwidth(h) -> None:
                          "1/h overflows below it")
 
 
-def _profile(shape: str, h: float, z: np.ndarray,
-             out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _profile(shape: str, h: float, z: np.ndarray, out: np.ndarray) -> None:
     """Write the unnormalised profile K(z/h) of a kernel shape into out, which may be z.
 
     The gaussian profile is exp(-(z/h)^2/2) and the compact ones are their
-    densities at z/h; _normalise turns a profile into K_h.  The gaussian
-    profile comes without its band (see _exp_core): those lanes are 0.0 in
-    out and come back compacted, as (flat indices, values), for the caller
-    to put back.  The other shapes have no band.  At a tiny h, |z|/h may
-    overflow to inf, whose weight is 0.0: that overflow raises no warning.
+    densities at z/h; eval_scaled turns a profile into K_h.  At a tiny h,
+    |z|/h may overflow to inf, whose weight is 0.0: that overflow raises no
+    warning.
     """
     with np.errstate(over="ignore"):
         if shape == "gaussian":
@@ -169,41 +145,25 @@ def _profile(shape: str, h: float, z: np.ndarray,
             np.divide(z, h, out=out)
             np.multiply(out, out, out=out)
             out *= -0.5
-            return _exp_core(out)
-        out[...] = _base_pdf(shape, z / h)
-    return _NO_LANES
+            exp_into(out)
+        else:
+            out[...] = _base_pdf(shape, z / h)
 
 
-def _normalise(shape: str, h: float, a: np.ndarray) -> None:
-    """Divide profile values a in place by the shape's 1/(sqrt(2 pi) h) or 1/h factor."""
-    if shape == "gaussian":
-        a /= SQRT_2PI
-    a /= h
-
-
-def eval_scaled(kernel: KernelSpec, h: float, z, out=None, *, _band: list | None = None):
+def eval_scaled(kernel: KernelSpec, h: float, z, out=None):
     """K_h(z) = K(z/h)/h, vectorised over z.  Requires a finite h > 0.
 
     out, a float array of z's shape, receives the values and is returned; it
     may be z itself.  The gaussian kernel then runs in place, with no
     temporary of z's size.  Without out, a 0-d z gives a float.
-
-    _band, a list, is for the package's own grid sums: it receives the pair
-    (flat indices, values) of the gaussian kernel's tiny and subnormal lanes
-    (see _exp_core), which then stay 0.0 in the result until the caller has
-    applied its own per-lane factors to both and put the values back.
     """
     require_bandwidth(h)
     z = np.asarray(z, dtype=float)
     res = np.empty_like(z) if out is None else out
-    idx, vals = _profile(kernel.shape, h, z, res)
-    _normalise(kernel.shape, h, res)
-    if idx.size:  # the band lanes take the same divisions, compacted
-        _normalise(kernel.shape, h, vals)
-    if _band is not None:
-        _band.append((idx, vals))
-    elif idx.size:
-        np.put(res, idx, vals)
+    _profile(kernel.shape, h, z, res)
+    if kernel.shape == "gaussian":
+        res /= SQRT_2PI
+    res /= h
     return res if out is not None or res.ndim else float(res)
 
 

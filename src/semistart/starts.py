@@ -13,6 +13,7 @@ any compact set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .densities import NormalMixture, mixture_moments, mixture_pdf
 from .kernels import SQRT_2PI
-from .special import gamma_quantile, lgam, ndtr
+from .special import _LOG_2PI, _lgam1p, _stirling, gamma_quantile, ndtr
 
 __all__ = ["FittedStart", "fit_start", "em_fit_mixture", "eval_start", "FAMILIES"]
 
@@ -219,6 +220,32 @@ def _positive_part(pdf, x):
     return out
 
 
+def _gamma_pdf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The gamma density of shape a and rate b at positive points x.
+
+    It is (a/x) exp(l), taken as exp(l + log a - log x), where l, the log of
+    y^a e^-y / Gamma(a + 1) at y = b x, is taken as special._log_prefactor
+    takes it: for a >= 1 as a log1pmx(y/a - 1) less Stirling's terms, so
+    that no terms of order a log x cancel at a large shape.  log y is
+    log x + log b, which keeps its digits where b x is subnormal or overflows.
+    """
+    log_x = np.log(x)
+    log_y = log_x + math.log(b)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = b * x
+        if a < 1.0:
+            ell = a * log_y - y - _lgam1p(a)
+        else:
+            r = y / a
+            t = r - 1.0
+            # log1p(t) - t cancels only near t = 0: away from it, log r - r + 1
+            # keeps the low bits of r that t has lost, and is -inf at r = inf
+            far = (t < -0.6) | (t > 1.0)
+            lpm = np.where(far, log_y - math.log(a) - r + 1.0, np.log1p(t) - t)
+            ell = a * lpm - 0.5 * (_LOG_2PI + math.log(a)) - _stirling(a)
+    return np.exp(ell + math.log(a) - log_x)
+
+
 def _raw_pdf(s: FittedStart, x):
     """Family density at an array of points."""
     if s.family == "constant":
@@ -236,9 +263,7 @@ def _raw_pdf(s: FittedStart, x):
             return np.exp(-0.5 * (z * z)) / (SQRT_2PI * sd * xp)
         return _positive_part(pdf, x)
     if s.family == "gamma":
-        a, b = s.params["alpha"], s.params["beta"]
-        return _positive_part(lambda xp: np.exp(
-            a * np.log(b) + (a - 1.0) * np.log(xp) - b * xp - lgam(a)), x)
+        return _positive_part(lambda xp: _gamma_pdf(s.params["alpha"], s.params["beta"], xp), x)
     if s.family == "normal_mixture":
         return mixture_pdf(s.params["mixture"], x)
     raise ValueError(f"unsupported start family: {s.family!r}")

@@ -160,6 +160,14 @@ def test_gaussian_eval_scaled_is_the_literal_expression(h):
     same = block.copy()
     assert eval_scaled(G, h, same, out=same) is same
     assert np.array_equal(same, out)
+    # exp_into puts the band lanes back through out's flat index: a transposed
+    # view, and every other column of a wider array, whose other lanes stay
+    wide = np.full((25, 2000), 7.0)
+    for view in (np.empty((1000, 25)).T, wide[:, ::2]):
+        assert not view.flags.c_contiguous
+        assert eval_scaled(G, h, block, out=view) is view
+        assert np.array_equal(view, out)
+    assert np.all(wide[:, 1::2] == 7.0)
 
 
 @pytest.mark.parametrize("shape", ["epanechnikov", "uniform"])

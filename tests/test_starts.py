@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -285,8 +287,6 @@ def test_gamma_clip_edges_ignore_the_data_order(shape, n, seed):
     assert hi_p == pytest.approx(hi, rel=1e-13, abs=0)
 
 
-@pytest.mark.xfail(strict=True, reason="a log b + (a - 1) log x - b x - lgam(a) cancels "
-                   "terms of order a log x, so a shape near 1e10 keeps 4 to 5 digits")
 def test_gamma_log_density_keeps_its_digits_at_large_shape():
     # 500 points at 1000 (1 + cv N(0, 1)) with cv = 1e-5, so alpha is about 1e10
     x = 1000.0 * (1.0 + 1e-5 * np.random.default_rng(8).standard_normal(500))
@@ -298,3 +298,26 @@ def test_gamma_log_density_keeps_its_digits_at_large_shape():
                                           - b * mpmath.mpf(v) - mpmath.loggamma(a)))
                          for v in x.tolist()])
     assert np.max(np.abs(got / want - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5, 40.0])
+def test_gamma_density_matches_mpmath_from_subnormal_to_overflowing_points(alpha):
+    # shapes on both sides of a = 1; points from a subnormal x, where b x keeps
+    # few digits, through both sides of the mean to an x where b x overflows,
+    # whose density is 0.0 with no warning
+    beta = 1.5
+    s = FittedStart("gamma", {"alpha": alpha, "beta": beta}, clip=None)
+    mean = alpha / beta
+    x = np.array([1e-320, 1e-300, 1e-8, 0.1, 0.5 * mean, mean, 1.5 * mean, 4.0 * mean + 5.0,
+                  300.0, 1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_start(s, x)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        want = np.array([float(mpmath.exp(a * mpmath.log(b) + (a - 1) * mpmath.log(v) - b * v
+                                          - mpmath.loggamma(a)))
+                         for v in map(mpmath.mpf, x.tolist())])
+    assert want[-1] == 0.0
+    # log f sums terms up to |log x| ~ 737 in size, a few roundings of each
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
