@@ -177,15 +177,41 @@ def _plugin_normal_closed(x: np.ndarray, mu: float, sd: float, h: float) -> floa
     log_rat = _normal_log_ratio(u, sd, h)
 
     def block(r, c):
-        # product-gaussian centre relative to mu, then offsets to the two data points
-        mloc = tau2 * (u[r, None] + u[None, c]) / h**2
-        a = mloc - u[r, None]
-        b = mloc - u[None, c]
-        poly = (3.0 * tau2**2 + tau2 * (a * a + b * b + 4.0 * a * b - 2.0 * h * h)
-                + (a * a - h * h) * (b * b - h * h))
-        expo = (log_rat[r, None] + log_rat[None, c]
-                + 0.5 * tau2 * ((u[r, None] + u[None, c]) / h**2) ** 2)
-        return poly * exp_into(expo)
+        # in place on four buffers, with the bits of
+        #   mloc = tau2 * (u_r + u_c) / h**2,  a = mloc - u_r,  b = mloc - u_c
+        #   poly = 3 tau2**2 + tau2 (a a + b b + 4 a b - 2 h h) + (a a - h h)(b b - h h)
+        #   expo = log_rat_r + log_rat_c + 0.5 tau2 ((u_r + u_c) / h**2)**2
+        # and poly * exp(expo): mloc is the product-gaussian centre relative to
+        # mu, a and b its offsets to the two data points
+        ur, uc = u[r, None], u[None, c]
+        s = np.add(ur, uc)
+        a = np.multiply(s, tau2)
+        a /= h**2
+        b = np.subtract(a, uc)
+        a -= ur
+        poly = np.multiply(a, a)
+        np.multiply(b, b, out=s)
+        poly += s
+        np.multiply(a, 4.0, out=s)
+        s *= b
+        poly += s
+        poly -= 2.0 * h * h
+        poly *= tau2
+        poly += 3.0 * tau2**2
+        a *= a
+        a -= h * h
+        b *= b
+        b -= h * h
+        a *= b
+        poly += a
+        np.add(ur, uc, out=s)
+        s /= h**2
+        s *= s
+        s *= 0.5 * tau2
+        np.add(log_rat[r, None], log_rat[None, c], out=a)
+        s += a
+        poly *= exp_into(s)
+        return poly
 
     total = _pair_sum(n, block, symmetric=True)
     return np.sqrt(tau2) / (SQRT_2PI * sd * sd) * total / (n * n * h**8)

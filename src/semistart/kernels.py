@@ -23,10 +23,6 @@ SQRT_PI = np.sqrt(np.pi)
 
 SHAPES = ("gaussian", "epanechnikov", "uniform")
 
-# Elements per block of a (grid x data) sum: 2^15 float64 values, 256 KB.
-# No result's bits depend on it (see row_blocks).
-BLOCK_ELEMENTS = 2**15
-
 # NumPy's SIMD exp leaves its fast loop for a whole vector when one lane is
 # below about -707.7; np.exp is 0.0 at and below _EXP_ZERO (tests check it).
 _EXP_FAST_MIN = -700.0
@@ -181,10 +177,14 @@ def row_blocks(rows: int, cols: int):
         yield slice(start, min(start + step, rows))
 
 
-# At most this many blocks of a sum are in flight at once, so its working
-# memory is a fixed few blocks (about 1.5 MB each with their temporaries)
-# however many CPUs the machine has.
+# At most this many blocks of a sum are in flight at once, one per thread.
 MAX_BLOCK_THREADS = 4
+
+# The blocks in flight hold at most this many float64 values together, 1 MB,
+# whatever the number of CPUs: a block of a sum on one thread is as long as
+# the four blocks of a sum on four.  Longer blocks pay better for the GIL
+# hand-off between a block's NumPy calls.
+IN_FLIGHT_ELEMENTS = 2**17
 
 # the block executor once a parallel block sum has run; see for_blocks
 _pool = None
@@ -210,6 +210,17 @@ def _drop_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _block_elements(cpus: int) -> int:
+    """Elements per block with that many usable CPUs: the budget over the block threads."""
+    return IN_FLIGHT_ELEMENTS // min(cpus, MAX_BLOCK_THREADS)
+
+
+# Elements per block of a (grid x data) sum: 2^15 float64 values (256 KB) from
+# four usable CPUs on, 2^16 at two and 2^17 at one.  No result's bits depend
+# on it (see row_blocks).
+BLOCK_ELEMENTS = _block_elements(_worker_count())
 
 
 def _fill_each(fill, blocks) -> None:

@@ -33,8 +33,16 @@ _SQRT_2 = math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class MeanStart:
+    """A constant or straight-line mean, with its own read-only copy of beta, so that
+    no later write to the caller's array changes a fit's kept sums."""
+
     kind: str
     beta: np.ndarray
+
+    def __post_init__(self):
+        beta = np.array(self.beta, dtype=float)
+        beta.flags.writeable = False
+        object.__setattr__(self, "beta", beta)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -71,10 +79,12 @@ def fit_mean_start(x, y, kind: str = "linear") -> MeanStart:
 class RegressionFit:
     """Pairs (x, y), a kernel, a bandwidth and a mean start.
 
-    Built with them: the pairs sorted by x (xs, ys), which the smoothers sum
-    in, the widest gap between consecutive xs, and the clip floor of the mean
-    start, 5% of sd(y) (or 0.05 when y is constant), taken over ys, so that
-    no value depends on the order of pairs with distinct x.
+    Built with them: the pairs sorted by x (xs, ys, read-only), which the
+    smoothers sum in, the widest gap between consecutive xs, and the clip
+    floor of the mean start, 5% of sd(y) (or 0.05 when y is constant), taken
+    over ys, so that no value depends on the order of pairs with distinct x.
+    The sums of both smoothers at the points of the last evaluation are
+    kept, so that the two smoothers on one grid sum it once.
     """
 
     x: np.ndarray
@@ -86,6 +96,9 @@ class RegressionFit:
     ys: np.ndarray = field(init=False, repr=False)
     floor: float = field(init=False, repr=False)
     gap: float = field(init=False, repr=False)
+    # one slot: (raveled points, weight sums, classic and corrected numerators)
+    # of the last evaluation
+    _last: list = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float).ravel()
@@ -96,11 +109,13 @@ class RegressionFit:
         _require_finite(y)
         require_bandwidth(self.h)
         order = np.argsort(x)
-        ys = y[order]
+        xs, ys = x[order], y[order]
+        xs.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "xs", x[order])
+        object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "_last", [None])
         object.__setattr__(self, "floor", _CLIP_FRACTION * float(ys.std()) or _CLIP_FRACTION)
         object.__setattr__(self, "gap", float(np.diff(self.xs).max(initial=0.0)))
 
@@ -124,8 +139,10 @@ def _clipped_mean(fit: RegressionFit, x) -> np.ndarray:
 # out: together they move the numerator by below 2^-60 of x0's term and the
 # weight sum by below 2^-60 of x0's weight, so the value by below 2^-59 of
 # the terms' scale sum_i w_i |r_i y_i| / sum_i w_i.  (A c0 of 0 keeps every
-# datum.)  Within one bandwidth of the data the weights take the form of
-# squares, exp(((x - x_i)/h)^2 * -0.5), the profile's; their exponents stay
+# datum.)  The window serves both smoothers, so 2 ln(c/c0) is the larger of
+# their columns' (y_i and y_i/m(x_i)): a wider reach only leaves out less.
+# Within one bandwidth of the data the weights take the form of squares,
+# exp(((x - x_i)/h)^2 * -0.5), the profile's; their exponents stay
 # above -(1/2 + ln n + 60 ln 2 + ln(c/c0)) within the reach, so none is tiny
 # or subnormal unless c/c0 is above about e^600.  Farther out the exponent is
 # measured from x0's, -(x0 - x_i)((x - x_i) + (x - x0))/(2 h^2), whose
@@ -147,14 +164,15 @@ _LOG_MIN_WEIGHT = math.log(1e-300)
 
 
 @np.errstate(over="ignore", divide="ignore")
-def _plan(fit: RegressionFit, pts: np.ndarray, col: np.ndarray):
+def _plan(fit: RegressionFit, pts: np.ndarray, cols: list):
     """The blocks of points that share a window and a form, and their nearest data.
 
     Each point's window [lo, hi) of the sorted data holds every datum within
-    the kernel's reach of it.  It is rounded outward to multiples of a
-    granule g that depends on n alone, so that a grid has few distinct
-    windows while each stays a function of its point.  A gaussian point more
-    than _FAR bandwidths from the data gets an empty window.  Returns the
+    the kernel's reach of it for every column weight of cols.  It is rounded
+    outward to multiples of a granule g that depends on n alone, so that a
+    grid has few distinct windows while each stays a function of its point.
+    A gaussian point more than _FAR bandwidths from the data gets an empty
+    window.  Returns the
     blocks (_blocks) and, for the gaussian kernel, each point's offset
     x - x0 from its nearest datum x0, x0 itself, and whether its weights
     take the form of squares: where the point lies within one bandwidth of
@@ -182,9 +200,12 @@ def _plan(fit: RegressionFit, pts: np.ndarray, col: np.ndarray):
         off = pts - x0
         dist = np.abs(off)
         near = (tight & (first - h <= pts) & (pts <= last + h)) | (dist <= h)
-        c = np.abs(col)
-        top = float(c.max())
-        widen = 2.0 * (math.log(top) - np.log(c[j0])) if top > 0.0 else 0.0
+        widen = 0.0
+        for col in cols:
+            c = np.abs(col)
+            top = float(c.max())
+            if top > 0.0:
+                widen = np.maximum(widen, 2.0 * (math.log(top) - np.log(c[j0])))
         reach = np.hypot(dist, h * np.sqrt(_gauss_reach(n) ** 2 + widen))
         # the window holds x0 however x -+ reach rounds
         below, above = np.minimum(pts - reach, x0), np.maximum(pts + reach, x0)
@@ -212,22 +233,42 @@ def _plan(fit: RegressionFit, pts: np.ndarray, col: np.ndarray):
 def _smooth(fit: RegressionFit, x, corrected: bool):
     """The smoother at x, in x's shape; one point gives a float.
 
-    Each point sums over its own window of the sorted data (_plan), so it
-    has the same bits alone as in a grid.  The weights are the kernel's
-    unnormalised profile K((x - x_i)/h), whose factor cancels in the ratio;
-    the gaussian's take one of the two forms described above _gauss_reach.
     The mean ratio m(x)/m(x_i) splits into a column weight y_i/m(x_i) and a
-    row factor m(x), applied after the sums.
+    row factor m(x), applied after the sums (_sums).
     """
     x = np.asarray(x, dtype=float)
     _require_finite(np.atleast_1d(x), "evaluation point")
     pts = x.ravel()
-    shape, h, xs = fit.kernel.shape, float(fit.h), fit.xs
-    col = fit.ys / _clipped_mean(fit, xs) if corrected else fit.ys
-    blocks, off, x0, near = _plan(fit, pts, col)
+    wsum, num, cnum = _sums(fit, pts)
+    if corrected:
+        out = cnum / wsum
+        out *= _clipped_mean(fit, pts)
+    else:
+        out = num / wsum
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _sums(fit: RegressionFit, pts: np.ndarray):
+    """The weight sums and the classic and corrected numerators at the points pts.
+
+    The numerators sum the column weights y_i and y_i/m(x_i); a constant mean
+    start has only the first, which then stands for both.  Points equal to
+    those of fit's last evaluation take its stored sums; other points fill
+    one windowed block for all three.  Each point sums over its own window
+    of the sorted data (_plan), so it has the same bits alone as in a grid.
+    The weights are the kernel's unnormalised profile K((x - x_i)/h), whose
+    factor cancels in the ratio; the gaussian's take one of the two forms
+    described above _gauss_reach.
+    """
+    last = fit._last[0]
+    if last is not None and np.array_equal(last[0], pts):
+        return last[1:]
+    shape, h, xs, ys = fit.kernel.shape, float(fit.h), fit.xs, fit.ys
+    cols = [ys] if fit.mean_start.kind == "constant" else [ys, ys / _clipped_mean(fit, xs)]
+    blocks, off, x0, near = _plan(fit, pts, cols)
     hs = h * _SQRT_2
     wsum = np.zeros(pts.size)
-    num = np.zeros(pts.size)
+    nums = [np.zeros(pts.size) for _ in cols]
 
     @np.errstate(over="ignore")  # a datum the granule adds may lie far out: weight 0.0
     def fill(block):
@@ -248,8 +289,10 @@ def _smooth(fit: RegressionFit, x, corrected: bool):
             w *= d
             np.exp(w, out=w)
         wsum[rows] = w.sum(axis=1)
-        w *= col[None, a:b]
-        num[rows] = w.sum(axis=1)
+        if len(cols) == 2:
+            nums[0][rows] = np.multiply(w, ys[None, a:b]).sum(axis=1)
+        w *= cols[-1][None, a:b]
+        nums[-1][rows] = w.sum(axis=1)
 
     for_each_block(blocks, fill)
     # no local data: the normalised kernel's weights, summed, fall below
@@ -267,10 +310,8 @@ def _smooth(fit: RegressionFit, x, corrected: bool):
     bad = ~(logw >= _LOG_MIN_WEIGHT)
     if np.any(bad):
         raise ValueError(f"no local data: every kernel weight vanishes at x={float(pts[bad][0])}")
-    out = num / wsum
-    if corrected:
-        out *= _clipped_mean(fit, pts)
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    fit._last[0] = (pts.copy(), wsum, nums[0], nums[-1])
+    return wsum, nums[0], nums[-1]
 
 
 def _blocks(lo, hi, near, n: int) -> list:

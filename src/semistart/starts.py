@@ -121,12 +121,14 @@ def fit_start(family: str, data) -> FittedStart:
 
 
 def _em_once(x: np.ndarray, k: int,
-             rng: np.random.Generator) -> tuple[NormalMixture | None, bool]:
-    """One seeded EM run: (mixture, decreased).
+             rng: np.random.Generator) -> tuple[dict | None, bool]:
+    """One seeded EM run: (params, decreased).
 
-    The mixture is None when a component collapsed, or when the
-    log-likelihood decreased between iterations, which EM never does in
-    exact arithmetic; decreased tells the two apart.  Each component has one
+    params holds the mixture, the iterations run and whether the last one
+    gained less than EM_TOL (converged), as the fitted start takes them.
+    It is None when a component collapsed, or when the log-likelihood
+    decreased between iterations, which EM never does in exact arithmetic;
+    decreased tells the two apart.  Each component has one
     contiguous row of n values in two (k, n) buffers, and every E and M step
     runs in place: dev holds x - mu_j and then the log-density terms; resp
     the shifted exponentials, the responsibilities and then the weighted
@@ -152,7 +154,8 @@ def _em_once(x: np.ndarray, k: int,
     lse = np.empty(n)
     last_ll = -np.inf
     floor = 1e-6 * sd_all
-    for _ in range(EM_MAX_ITER):
+    converged = False
+    for it in range(1, EM_MAX_ITER + 1):
         # log w_j + log phi((x - mu_j)/sd_j) - log sd_j, then its log-sum-exp over j
         dev /= sd[:, None]
         np.square(dev, out=dev)
@@ -180,19 +183,22 @@ def _em_once(x: np.ndarray, k: int,
         if np.any(sd < floor):
             return None, False
         if ll - last_ll < EM_TOL and np.isfinite(last_ll):
-            last_ll = ll
+            converged = True
             break
         last_ll = ll
-    return NormalMixture(weights=w / w.sum(), means=mu, sds=sd), False
+    mix = NormalMixture(weights=w / w.sum(), means=mu, sds=sd)
+    return {"mixture": mix, "iterations": it, "converged": converged}, False
 
 
 def em_fit_mixture(data, k: int, seed: int) -> FittedStart:
     """Fit a k-component normal mixture start by EM.
 
     Deterministic for a fixed seed.  A run stops after EM_MAX_ITER
-    iterations or once the log-likelihood gains less than EM_TOL.  A run
-    that collapses a component below 1e-6 of the sample scale is restarted
-    (fresh seeding) up to EM_RESTARTS times before giving up.
+    iterations or once the log-likelihood gains less than EM_TOL; the
+    start's params record which, as "iterations" and "converged", next to
+    the "mixture".  A run that collapses a component below 1e-6 of the
+    sample scale is restarted (fresh seeding) up to EM_RESTARTS times before
+    giving up.
     """
     x = _as_clean_sample(data)
     if k < 1:
@@ -203,12 +209,12 @@ def em_fit_mixture(data, k: int, seed: int) -> FittedStart:
         raise ValueError("sample variance is zero")
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(EM_RESTARTS):
-        mix, decreased = _em_once(x, k, rng)
+        params, decreased = _em_once(x, k, rng)
         if decreased:
             raise RuntimeError("EM log-likelihood decreased between iterations; "
                                "the fit is numerically unstable for this sample")
-        if mix is not None:
-            return FittedStart("normal_mixture", {"mixture": mix})
+        if params is not None:
+            return FittedStart("normal_mixture", params)
     raise RuntimeError(f"EM produced a degenerate component in {EM_RESTARTS} restarts")
 
 

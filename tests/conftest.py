@@ -146,7 +146,8 @@ def literal_em(x, k, rng, max_iter=None):
 
     The oracle of starts._em_once: the same seeding, stopping rule, collapse
     floor and decrease check, with each step written as one expression.
-    Returns (mixture, decreased, iterations); max_iter defaults to
+    Returns (mixture, decreased, iterations, converged), converged when the
+    last iteration gained less than EM_TOL; max_iter defaults to
     EM_MAX_ITER, and a smaller one stops the run early.
     """
     from semistart.densities import NormalMixture
@@ -175,21 +176,21 @@ def literal_em(x, k, rng, max_iter=None):
         lse = m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))
         ll = float(lse.sum())
         if ll + 1e-9 < last_ll:
-            return None, True, it
+            return None, True, it, False
         resp = np.exp(logp - lse[:, None])
         nk = resp.sum(axis=0)
         if np.any(nk <= 0):
-            return None, False, it
+            return None, False, it, False
         w = nk / n
         mu = resp.T @ x / nk
         var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
         sd = np.sqrt(var)
         if np.any(sd < floor):
-            return None, False, it
+            return None, False, it, False
         if ll - last_ll < EM_TOL and np.isfinite(last_ll):
-            break
+            return NormalMixture(weights=w / w.sum(), means=mu, sds=sd), False, it, True
         last_ll = ll
-    return NormalMixture(weights=w / w.sum(), means=mu, sds=sd), False, it
+    return NormalMixture(weights=w / w.sum(), means=mu, sds=sd), False, it, False
 
 
 def split_quad_mass(e):

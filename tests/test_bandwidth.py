@@ -1,13 +1,15 @@
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from semistart.bandwidth import (DegenerateRoughness, _loo_params, amise_h, bcv,
-                                 h_oversmoothed, plugin_roughness, rule_delta,
+from semistart import kernels
+from semistart.bandwidth import (DegenerateRoughness, _loo_log_ratio, _loo_params, amise_h,
+                                 bcv, h_oversmoothed, plugin_roughness, rule_delta,
                                  rule_gamma, rule_plugin, select, ucv)
 from semistart.densities import marron_wand, mixture_sample
 from semistart.estimator import (DensityEstimate, correction_curve, estimate_kernel,
@@ -214,6 +216,27 @@ def test_ucv_rejects_a_nonpositive_datum_before_any_log_as_bcv_does(start):
             warnings.simplefilter("error")  # numpy's log of x <= 0 warns
             with pytest.raises(ValueError, match="^start density vanishes at a data point$"):
                 selector(x, start, G, np.linspace(0.1, 1.0, 5))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="known red, the bandwidth._loo_log_ratio FOUND line of CHANGES.md: each gamma log "
+           "density takes terms of order a log x that cancel in the ratio; the stable form "
+           "changes ucv's gamma bits, which the pair-sum test pins")
+def test_gamma_leave_one_out_ratios_keep_their_digits_at_large_shape():
+    # 60 points at 1000 (1 + 1e-5 N(0, 1)): shapes about 7.5e9, and misses of
+    # 6.3e-5 today against the 40-digit (a_i - 1)(log X_i - log X_j) - b_i (X_i - X_j)
+    # at the program's own leave-one-out a_i and b_i
+    x = 1000.0 * (1.0 + 1e-5 * np.random.default_rng(8).standard_normal(60))
+    mu_i, var_i = _loo_params(x, "gamma")
+    want = np.empty((x.size, x.size))
+    with mpmath.workdps(40):
+        for i, (a, b) in enumerate(zip((mu_i**2 / var_i).tolist(), (mu_i / var_i).tolist())):
+            xi = mpmath.mpf(x[i])
+            want[i] = [float((a - 1) * (mpmath.log(xi) - mpmath.log(xj)) - b * (xi - xj))
+                       for xj in map(mpmath.mpf, x.tolist())]
+    got = _loo_log_ratio(x, "gamma")(slice(0, x.size))
+    assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_rule_plugin_runs_and_caps():
@@ -444,13 +467,16 @@ def _sample_and_start(family, n):
     return x, start
 
 
+# the row blocks at 2^15 elements per block, the size the pair-sum test pins
 BLOCK_ROWS = {1000: [32] * 31 + [8], 3: [3]}  # a partial last block; one block
 
 
 def _n_with_more_blocks_than(k):
-    n = 3
-    while len(list(row_blocks(n, n))) <= k:
-        n += 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK_ELEMENTS", 2**15)
+        n = 3
+        while len(list(row_blocks(n, n))) <= k:
+            n += 1
     return n
 
 
@@ -461,7 +487,8 @@ MANY_BLOCKS_N = _n_with_more_blocks_than(3 * MAX_BLOCK_THREADS)
 @pytest.mark.parametrize("n", sorted(BLOCK_ROWS)
                          + [pytest.param(MANY_BLOCKS_N, id="many_blocks")])
 @pytest.mark.parametrize("family", ["constant", "normal", "lognormal", "gamma"])
-def test_pair_sums_bit_identical_to_full_matrix(family, n):
+def test_pair_sums_bit_identical_to_full_matrix(family, n, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)
     if n in BLOCK_ROWS:
         assert [r.stop - r.start for r in row_blocks(n, n)] == BLOCK_ROWS[n]
     x, start = _sample_and_start(family, n)

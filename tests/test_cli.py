@@ -333,6 +333,26 @@ def test_normalize_emits_no_integration_warning(tmp_path, start, kernel):
     assert not [w for w in caught if issubclass(w.category, IntegrationWarning)]
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="known red, the bandwidth._plugin_quadrature FOUND line of CHANGES.md: the "
+           "unclipped gamma start of shape 0.51 is singular at 0, and the curvature integral "
+           "stops at QUADPACK ier = 4; the same integrand makes the lognormal selectors' "
+           "reference bytes")
+def test_plugin_with_a_gamma_start_emits_no_integration_warning(tmp_path):
+    from scipy.integrate import IntegrationWarning
+
+    r = np.random.default_rng(1)
+    r.standard_normal(200)
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(repr(v) for v in np.exp(r.standard_normal(200)).tolist()) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["bandwidth", "--input", str(data), "--method", "plugin", "--start", "gamma",
+                    "--out", str(tmp_path / "out")]) == 0
+    assert not [w for w in caught if issubclass(w.category, IntegrationWarning)]
+
+
 def test_em_likelihood_decrease_exits_1(tmp_path, monkeypatch, capsys):
     from semistart import starts
     monkeypatch.setattr(starts, "_em_once", lambda *args: (None, True))

@@ -15,7 +15,7 @@ from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, 
                        correction_curve, estimate_kernel, estimate_semiparametric,
                        eval_start, marron_wand, mise_kernel, mise_new, plugin_roughness, ucv)
 from semistart import kernels
-from semistart.kernels import (BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SHAPES,
+from semistart.kernels import (MAX_BLOCK_THREADS, SHAPES,
                                eval_scaled, exp_into, for_blocks, kernel_props, row_blocks)
 
 from conftest import literal_gaussian, phi
@@ -235,11 +235,12 @@ def test_every_bandwidth_must_be_finite_and_positive(user, h):
     (0, 10),                  # no block: fill is never called
     (1, 10),                  # one block
     (1000, 1000),             # 31 blocks of 32 rows and one of 8
-    (7, BLOCK_ELEMENTS + 1),  # one row per block
+    (7, 2**15 + 1),           # one row per block
     (1029, 2**9),             # four blocks per block thread and a partial one
 ])
-def test_for_blocks_visits_every_block_once(rows, cols, cpus, machine):
+def test_for_blocks_visits_every_block_once(rows, cols, cpus, machine, monkeypatch):
     machine(cpus)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # the geometry the cases describe
     lock = threading.Lock()
     seen, threads, in_flight, peak = [], set(), [0], [0]
 
@@ -263,8 +264,24 @@ def test_for_blocks_visits_every_block_once(rows, cols, cpus, machine):
         assert kernels._pool is None
 
 
-def test_for_blocks_raises_the_fills_exception_and_keeps_working(machine):
+@pytest.mark.parametrize("cpus, block", [
+    (1, 2**17), (2, 2**16), (3, 43690), (4, 2**15), (8, 2**15), (64, 2**15)])
+def test_blocks_in_flight_hold_at_most_two_to_the_17_elements(cpus, block, monkeypatch):
+    # one block per block thread is in flight: together they hold at most
+    # 2^17 elements, or one row each where a row alone is longer.  From four
+    # usable CPUs on the block is 2^15 elements, as with four threads before
+    assert kernels.BLOCK_ELEMENTS == kernels._block_elements(kernels._worker_count())
+    assert kernels._block_elements(cpus) == block
+    threads = min(cpus, MAX_BLOCK_THREADS)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+    for cols in (1, 7, 1000, 2**9 + 3, 2**15, 2**15 + 1, 2**17, 2**17 + 1, 10**6):
+        rows = max(b.stop - b.start for b in row_blocks(3 * 2**17, cols))
+        assert rows == 1 or threads * rows * cols <= 2**17
+
+
+def test_for_blocks_raises_the_fills_exception_and_keeps_working(machine, monkeypatch):
     machine(8)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # a block of 32 rows at row 64
     out = np.zeros(1000)
 
     def failing(block):
@@ -299,6 +316,7 @@ def test_for_blocks_fills_keep_the_callers_error_state(machine):
 
 def test_concurrent_callers_share_one_pool(monkeypatch):
     monkeypatch.setattr(kernels, "_worker_count", lambda: 2)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # two blocks of 64 rows and one of 5
     made = []
 
     class CountingPool(concurrent.futures.ThreadPoolExecutor):
@@ -346,10 +364,11 @@ def _estimate_in_child(conn):
     conn.close()
 
 
-def test_a_forked_child_runs_block_sums(machine):
+def test_a_forked_child_runs_block_sums(machine, monkeypatch):
     # the parent's pool is running: a child forked now has none of its
     # worker threads and must build its own, or wait forever on the first sum
     machine(2)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # 4 blocks of the grid
     want = estimate_kernel(_FORK_DATA, G, 0.3, _FORK_GRID).tobytes()
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)

@@ -10,7 +10,7 @@ from semistart.bandwidth import rule_delta
 from semistart.densities import NormalMixture, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart import kernels
-from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, SQRT_2PI, kernel_props
+from semistart.kernels import MAX_BLOCK_THREADS, SQRT_2PI, kernel_props
 from semistart.multivariate import MvEstimate, mv_bandwidth, mv_estimate, sphere
 from semistart.starts import FittedStart
 
@@ -138,12 +138,13 @@ def _full_mv_estimate(e, pts):
 
 
 @pytest.mark.parametrize("n, side", [
-    (BLOCK_ELEMENTS + 7, 3),  # one row per block
+    (2**15 + 7, 3),           # one row per block
     (2000, 23),               # 16 rows per block, 529 points: 1 left over
     # 16 rows per block, over three blocks per block thread
     pytest.param(2000, int(np.sqrt(48 * MAX_BLOCK_THREADS)) + 1, id="more_blocks_than_workers"),
 ])
-def test_blocked_mv_estimate_matches_full_sum(n, side):
+def test_blocked_mv_estimate_matches_full_sum(n, side, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # the geometry the cases describe
     data = rng_data(11, n, 2, mix=True)
     e = MvEstimate.fit(data, h=0.3)
     g = np.linspace(-4.0, 4.0, side)
@@ -237,10 +238,11 @@ def _mv_case(seed, n, d, h, m, clip, far):
     (2000, 2, 0.3, 101),    # 16 rows per block, over two blocks per thread and a partial one
     (2000, 2, 0.02, 101),   # most lanes far below -746, some in (-746, -700)
     (300, 3, 0.15, 40),
-    (BLOCK_ELEMENTS + 7, 1, 0.1, 9),  # one row per block
+    (2**15 + 7, 1, 0.1, 9),  # one row per block
 ])
-def test_in_place_mv_fill_is_the_literal_fill(threads, n, d, h, m, machine):
+def test_in_place_mv_fill_is_the_literal_fill(threads, n, d, h, m, machine, monkeypatch):
     machine(threads)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # the geometry the cases describe
     for clip, far in ((2.5, False), (None, True)):
         e, pts = _mv_case(7, n, d, h, m, clip, far)
         assert np.array_equal(mv_estimate(e, pts), literal_mv(e, pts))
@@ -259,7 +261,7 @@ def test_mv_fill_is_the_literal_fill_on_drawn_data(seed, n, d, m, log_h, clip, f
 
 def test_mv_estimate_bits_do_not_depend_on_the_block_rows(monkeypatch):
     e, pts = _mv_case(5, 2000, 2, 0.3, 60, 2.5, False)
-    in_blocks = mv_estimate(e, pts)  # 16 rows per block
+    in_blocks = mv_estimate(e, pts)  # several rows per block
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 1)  # one row per block
     assert np.array_equal(mv_estimate(e, pts), in_blocks)
 

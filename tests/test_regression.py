@@ -6,13 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semistart import kernels
-from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
+from semistart.kernels import MAX_BLOCK_THREADS, eval_scaled, kernel_props
 from semistart.regression import (MeanStart, RegressionFit, _clipped_mean, fit_mean_start,
                                   gnw_estimate, nw_estimate)
 
 from conftest import literal_gnw, mp_gnw
 
 G = kernel_props("gaussian")
+
+
+def _refit(fit):
+    """A fresh fit on fit's pairs: it keeps no sums, so its first evaluation sums."""
+    return RegressionFit(fit.x, fit.y, fit.kernel, fit.h, fit.mean_start)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -136,14 +141,15 @@ def test_exponential_truth_bias_reduction(h):
 
 
 @pytest.mark.parametrize("n, x", [
-    (BLOCK_ELEMENTS + 7, np.linspace(0.05, 0.95, 9)),  # one row per block
+    (2**15 + 7, np.linspace(0.05, 0.95, 9)),           # one row per block
     (1000, np.linspace(0.0, 1.0, 101)),                # many rows per window
     (1000, np.float64(0.37)),                          # scalar
     # more blocks than block threads, and a partial one
     pytest.param(1000, np.linspace(0.0, 1.0, 96 * MAX_BLOCK_THREADS + 5),
                  id="more_blocks_than_workers"),
 ])
-def test_blocked_smoothers_are_bit_identical(n, x):
+def test_blocked_smoothers_are_bit_identical(n, x, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # the geometry the cases describe
     # each point sums over its own window of the sorted data, so it has the
     # same bits alone as in the grid, and stays within 1e-14 of the full-row
     # sum on the terms' scale
@@ -158,8 +164,8 @@ def test_blocked_smoothers_are_bit_identical(n, x):
         assert _near(np.ravel(got), *literal_gnw(f, x))
     pts = np.atleast_1d(x)
     for k in range(pts.size):
-        assert gnw_estimate(fit, pts[k]) == np.ravel(got_g)[k]
-        assert nw_estimate(fit, pts[k]) == np.ravel(got_nw)[k]
+        assert gnw_estimate(_refit(fit), pts[k]) == np.ravel(got_g)[k]
+        assert nw_estimate(_refit(fit), pts[k]) == np.ravel(got_nw)[k]
 
 
 def test_a_grid_with_far_points_keeps_the_bits_of_its_near_ones():
@@ -246,12 +252,12 @@ def test_a_point_has_the_same_bits_alone_in_a_grid_and_at_any_block_size(
     fit = _pairs(shape, kind, layout, ties, sign, n, seed, log_h)
     pts = np.concatenate([fit.x[:m], [fit.x.max() + 36.0 * fit.h] if shape == "gaussian" else []])
     for smoother in (gnw_estimate, nw_estimate):
-        grid = smoother(fit, pts)
+        grid = smoother(_refit(fit), pts)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "BLOCK_ELEMENTS", block)
-            assert np.array_equal(smoother(fit, pts), grid)
+            assert np.array_equal(smoother(_refit(fit), pts), grid)
         for k in range(pts.size):
-            assert smoother(fit, pts[k]) == grid[k]
+            assert smoother(_refit(fit), pts[k]) == grid[k]
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,7 +374,7 @@ def test_smoother_takes_a_grid_of_any_shape(kind):
     for smoother in (gnw_estimate, nw_estimate):
         got = smoother(fit, x)
         assert got.shape == (2, 3)
-        assert np.array_equal(got, smoother(fit, x.ravel()).reshape(2, 3))
+        assert np.array_equal(got, smoother(_refit(fit), x.ravel()).reshape(2, 3))
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "epanechnikov", "uniform"])
@@ -406,6 +412,50 @@ def test_smoother_has_the_same_bits_on_any_number_of_block_threads(machine):
         sys.setswitchinterval(1e-6)
         for cpus in (2, 8):
             machine(cpus)
-            assert np.array_equal(gnw_estimate(fit, pts), want)
+            assert np.array_equal(gnw_estimate(_refit(fit), pts), want)
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear"])
+def test_a_fit_smooths_once_per_grid(kind, monkeypatch):
+    from semistart import regression
+    passes = []  # one windowed pass over a grid per call
+    inner = regression.for_each_block
+
+    def counted(blocks, fill):
+        passes.append(len(blocks))
+        inner(blocks, fill)
+
+    monkeypatch.setattr(regression, "for_each_block", counted)
+    rng = np.random.default_rng(49)
+    xs = rng.uniform(0.0, 1.0, 3000)
+    ys = 2.0 + xs + 0.5 * np.sin(2.0 * np.pi * xs) + rng.normal(0.0, 0.3, 3000)
+    grid = np.linspace(0.0, 1.0, 161)
+    fit = RegressionFit.fit(xs, ys, G, 0.02, kind=kind)
+    m_hat = gnw_estimate(fit, grid)
+    m_classic = nw_estimate(fit, grid)
+    assert len(passes) == 1  # the classic smoother on the same grid sums nothing
+    if kind == "constant":
+        assert np.array_equal(m_hat, m_classic)
+    # a fresh fit, with either smoother first, gives the same bits
+    assert np.array_equal(gnw_estimate(_refit(fit), grid), m_hat)
+    assert np.array_equal(nw_estimate(_refit(fit), grid), m_classic)
+    assert len(passes) == 3
+    got = nw_estimate(fit, grid.reshape(7, 23))  # the same points in another shape
+    assert len(passes) == 3
+    assert np.array_equal(got.ravel(), m_classic)
+    got[:] = 0.0  # the returned array is the caller's own
+    assert np.array_equal(gnw_estimate(fit, grid), m_hat)
+    assert len(passes) == 3
+    # a reordered grid and another grid each sum again, to the same bits
+    assert np.array_equal(gnw_estimate(fit, grid[::-1]), m_hat[::-1])
+    assert len(passes) == 4
+    assert np.array_equal(nw_estimate(fit, grid[:80]), m_classic[:80])
+    assert len(passes) == 5
+    assert np.array_equal(nw_estimate(fit, grid), m_classic)
+    assert len(passes) == 6
+    # the sorted pairs and the mean the sums were taken with cannot change under them
+    for kept in (fit.xs, fit.ys, fit.mean_start.beta):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0

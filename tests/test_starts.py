@@ -146,21 +146,36 @@ def test_em_once_matches_the_literal_em():
         return np.concatenate([mix.weights, mix.means, mix.sds])
 
     for x, k, seed, benchmarks in _em_samples():
-        got, got_decreased = _em_once(x, k, np.random.Generator(np.random.Philox(seed)))
-        want, want_decreased, iterations = literal_em(
+        fitted, got_decreased = _em_once(x, k, np.random.Generator(np.random.Philox(seed)))
+        want, want_decreased, iterations, converged = literal_em(
             x, k, np.random.Generator(np.random.Philox(seed)))
         assert got_decreased == want_decreased
-        assert (got is None) == (want is None)
+        assert (fitted is None) == (want is None)
         if want is None:
             continue
+        got = fitted["mixture"]
+        assert fitted["iterations"] == iterations
+        assert fitted["converged"] == converged
         scale = np.abs(params(want))
         assert np.all(np.abs(params(got) - params(want)) <= 1e-12 * scale), (k, seed)
         if benchmarks and k > 1:
             # the benchmark's samples converge slowly: one iteration fewer moves
             # the parameters by more than the bound, so it pins the iteration count
-            early, _, _ = literal_em(x, k, np.random.Generator(np.random.Philox(seed)),
-                                     max_iter=iterations - 1)
+            early, *_ = literal_em(x, k, np.random.Generator(np.random.Philox(seed)),
+                                   max_iter=iterations - 1)
             assert np.any(np.abs(params(got) - params(early)) > 1e-12 * scale), (k, seed)
+
+
+@pytest.mark.parametrize("k, converged", [(2, True), (3, False)])
+def test_em_reports_its_iterations_and_convergence(k, converged):
+    # the benchmark's bimodal set 0 meets EM_TOL with two components; with
+    # three, every run stops at EM_MAX_ITER still moving its parameters
+    start = em_fit_mixture(_bimodal_draws(0), k=k, seed=0)
+    assert start.params["converged"] is converged
+    if converged:
+        assert 1 < start.params["iterations"] < starts.EM_MAX_ITER
+    else:
+        assert start.params["iterations"] == starts.EM_MAX_ITER
 
 
 def test_mixture_clip_edges_use_the_mixture_moments():
