@@ -24,7 +24,6 @@ from typing import Any
 import numpy as np
 
 from . import hermite
-from .estimator import DensityEstimate, estimate_semiparametric
 from .kernels import (SQRT_2PI, KernelSpec, eval_scaled, exp_into, for_blocks, kernel_props,
                       require_bandwidth)
 from .special import lgam
@@ -360,12 +359,39 @@ def _ucv_integral_term(x: np.ndarray, start: FittedStart, h: float) -> float:
         return total / (SQRT_2PI * np.sqrt(2.0) * h * n * n)
     if start.family == "normal":
         return _normal_square_integral(x, start.params["mu"], start.params["sd"], h)
-    # generic: numeric integral of the squared estimate with the raw start
+    return _ucv_square_quadrature(x, start, h)
+
+
+def _ucv_square_quadrature(x: np.ndarray, start: FittedStart, h: float) -> float:
+    """int fhat_h^2 by qags, with the raw start and the gaussian kernel.
+
+    The integrand is fbar(t) (1/n) sum_i K_h(X_i - t)/fbar(X_i) summed over
+    every datum, squared by float_power.  ucv's curve is written at full
+    repr, and the windowed sums of a DensityEstimate, which add in another
+    order, would move it in its last bits.
+    """
+    f0 = start.unclipped()
+    den = np.atleast_1d(eval_start(f0, x))
+    if np.any(den <= 0):
+        raise ValueError("start density vanishes at a data point")
+    kernel = kernel_props("gaussian")
+    n = x.size
+
+    def integrand(t):
+        r = np.empty(t.size)
+
+        def fill(rows):
+            vals = np.subtract(x, t[rows, None])
+            eval_scaled(kernel, h, vals, out=vals)
+            vals /= den
+            r[rows] = np.sum(vals, axis=-1) / n
+
+        for_blocks(t.size, n, fill)
+        return np.float_power(eval_start(f0, t) * r, 2.0)
+
     from .quadpack import qags
-    est = DensityEstimate(x, kernel_props("gaussian"), h, start.unclipped())
     lo, hi = float(x.min()) - 10 * h, float(x.max()) + 10 * h
-    val, _ = qags(lambda t: np.float_power(estimate_semiparametric(est, t), 2.0),
-                  lo, hi, limit=400)
+    val, _ = qags(integrand, lo, hi, limit=400)
     return val
 
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (SQRT_2PI, KernelSpec, _base_pdf, eval_scaled, for_blocks,
-                      require_bandwidth)
+from .kernels import SQRT_2PI, KernelSpec, _base_pdf, require_bandwidth, window_sums
 from .special import _erf as erf, ndtr
 from .starts import FittedStart, _require_finite, eval_start
 
@@ -44,9 +43,11 @@ class DensityEstimate:
     Built with it: den, the start density at the data (None for the constant
     start, whose ratio is 1), and divisor, the raw total mass when normalize
     is set and 1.0 otherwise.  data is the estimate's own read-only copy, so
-    a later write to the caller's array changes no evaluation.  The
-    correction sums at the points of the last evaluation are kept, so that
-    the estimate and its correction curve on one grid sum it once.
+    a later write to the caller's array changes no evaluation; the sums run
+    over private copies of data and den sorted by the data, with the widest
+    gap between consecutive data.  The correction sums at the points of the
+    last evaluation are kept, so that the estimate and its correction curve
+    on one grid sum it once.
     """
 
     data: np.ndarray
@@ -56,7 +57,11 @@ class DensityEstimate:
     normalize: bool = False
     den: np.ndarray | None = field(init=False, repr=False)
     divisor: float = field(init=False, repr=False)
-    # one slot: (raveled points, correction sums) of the last evaluation
+    # the data and den sorted by the data, and the widest gap between the data
+    _xs: np.ndarray = field(init=False, repr=False)
+    _dens: np.ndarray | None = field(init=False, repr=False)
+    _gap: float = field(init=False, repr=False)
+    # one slot: (raveled points, correction sums, their logs) of the last evaluation
     _last: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -77,6 +82,10 @@ class DensityEstimate:
                     "choose a start family supported there")
             den.flags.writeable = False
         object.__setattr__(self, "den", den)
+        order = np.argsort(x)
+        object.__setattr__(self, "_xs", x[order])
+        object.__setattr__(self, "_dens", None if den is None else den[order])
+        object.__setattr__(self, "_gap", float(np.diff(self._xs).max(initial=0.0)))
         # the mass integral reads den, never divisor
         divisor = integral_of_estimate(self) if self.normalize else 1.0
         if not 0.0 < divisor < math.inf:
@@ -95,33 +104,49 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
     return estimate_semiparametric(DensityEstimate(data, kernel, h, flat), x)
 
 
-def _correction_sum(e: DensityEstimate, pts):
-    """(1/n) sum K_h(X_i - x)/fbar(X_i) for a column of points."""
-    vals = np.subtract(e.data, pts)
-    eval_scaled(e.kernel, e.h, vals, out=vals)
-    if e.den is not None:
-        vals /= e.den
-    return np.sum(vals, axis=-1) / e.n
+# The gaussian weights take the form of squares while every exponent within
+# a point's reach stays above -700, off np.exp's slow underflow path; farther
+# out they are measured from the nearest datum (kernels.window_sums).
+_SQUARES_LIMIT = 1400.0
+
+
+def _sums_at(e: DensityEstimate, pts: np.ndarray):
+    """The correction sums rhat and their logs at the points pts, as stored arrays.
+
+    Each point sums sum_i K_h(x - X_i)/fbar(X_i) over its window of the
+    sorted data (kernels.window_sums), so it has the same bits alone as in a
+    grid.  log rhat is log S - t0^2/2 - log(n sqrt(2 pi) h), S the windowed
+    sum of the profile's weights over fbar and t0 the point's offset from the
+    nearest datum in bandwidths, 0 where the weights take the form of
+    squares; where t0 is not 0, rhat is exp(log rhat), as exp(-t0^2/2) alone
+    may underflow.  Points equal to those of e's last evaluation take its
+    stored sums (-0.0 and 0.0 compare equal, and their sums have the same
+    bits).
+    """
+    last = e._last[0]
+    if last is not None and np.array_equal(last[0], pts):
+        return last[1], last[2]
+    h = float(e.h)
+    gaussian = e.kernel.shape == "gaussian"
+    (s,), t0 = window_sums(e.kernel.shape, h, e._xs, e._gap, pts, [None], divisor=e._dens,
+                           squares_limit=_SQUARES_LIMIT)
+    r = s / SQRT_2PI if gaussian else s.copy()
+    r /= h
+    r /= e.n
+    with np.errstate(divide="ignore", over="ignore"):
+        log_r = np.log(s)
+        log_r -= math.log(e.n) + math.log(h) + (math.log(SQRT_2PI) if gaussian else 0.0)
+        if t0 is not None:
+            log_r -= 0.5 * t0 * t0
+            far = t0 != 0.0
+            r[far] = np.exp(log_r[far])
+    e._last[0] = (pts.copy(), r, log_r)
+    return r, log_r
 
 
 def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
-    """The correction sums at the points of x, in x's shape, as a fresh array.
-
-    Points equal to those of e's last evaluation take its stored sums (-0.0
-    and 0.0 compare equal, and their sums have the same bits).
-    """
-    pts = x.ravel()
-    last = e._last[0]
-    if last is not None and np.array_equal(last[0], pts):
-        return last[1].reshape(x.shape).copy()
-    out = np.empty(pts.size)
-
-    def fill(rows):
-        out[rows] = _correction_sum(e, pts[rows, None])
-
-    for_blocks(pts.size, e.n, fill)
-    e._last[0] = (pts.copy(), out.copy())
-    return out.reshape(x.shape)
+    """The correction sums at the points of x, in x's shape, as a fresh array."""
+    return _sums_at(e, x.ravel())[0].reshape(x.shape).copy()
 
 
 def estimate_semiparametric(e: DensityEstimate, x):
@@ -136,7 +161,7 @@ def estimate_semiparametric(e: DensityEstimate, x):
     return out if np.ndim(out) else float(out)
 
 
-# the smallest normal float: log rhat loses digits below it, and is -inf at 0.0
+# the smallest normal float
 _TINY = float(np.finfo(float).tiny)
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -167,45 +192,15 @@ def correction_curve(e: DensityEstimate, grid) -> CorrectionCurve:
         raise ValueError(f"start density is too small at x={float(grid[k])} "
                          f"(fbar = {float(fth[k])!r}) for z's variance R(K)/(n h fbar(x)) "
                          "to be finite; enable clipping or choose a start family supported there")
-    r = _correction_at(e, grid)
+    r, log_sum = _sums_at(e, grid)
+    r = r.copy()
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
-    if e.kernel.shape == "gaussian":  # a compact kernel's 0.0 is exact
-        far = np.flatnonzero(r < _TINY)
-        if far.size:
-            log_r[far] = _log_correction(e, grid[far])
+    # below the smallest normal float np.log(r) loses digits, and is -inf at 0.0
+    low = r < _TINY
+    log_r[low] = log_sum[low]
     z = (log_r + 0.5 * v) / np.sqrt(v)
     return CorrectionCurve(grid, r, log_r, z)
-
-
-def _log_correction(e: DensityEstimate, pts: np.ndarray) -> np.ndarray:
-    """log rhat at points where rhat underflows, gaussian kernel, as a log-sum-exp.
-
-    The terms -((x - X_i)/h)^2/2 - log fbar(X_i) are shifted by the row's
-    largest before the exponentials, and log(n sqrt(2 pi) h) is taken off
-    the result.  A row whose every term is -inf (|x - X_i|/h overflows at a
-    tiny h) gives -inf.
-    """
-    log_den = 0.0 if e.den is None else np.log(e.den)
-    offset = math.log(e.n) + 0.5 * math.log(2.0 * math.pi) + math.log(e.h)
-    out = np.empty(pts.size)
-
-    def fill(rows):
-        with np.errstate(over="ignore"):
-            u = np.subtract(e.data, pts[rows, None])
-            u /= e.h
-            u *= u
-        u *= -0.5
-        u -= log_den
-        top = u.max(axis=1)
-        live = top > -math.inf
-        u -= np.where(live, top, 0.0)[:, None]
-        total = np.sum(np.exp(u), axis=1)
-        total[~live] = 1.0  # top is -inf there, and so is the result
-        out[rows] = top + np.log(total) - offset
-
-    for_blocks(pts.size, e.n, fill)
-    return out
 
 
 def integral_of_estimate(e: DensityEstimate) -> float:

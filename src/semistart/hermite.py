@@ -23,6 +23,7 @@ from .starts import _require_finite
 __all__ = [
     "HermiteCoeffs",
     "hermite_poly",
+    "hermite_rows",
     "classic_coeffs",
     "robust_coeffs",
     "roughness_from_coeffs",
@@ -55,6 +56,24 @@ def hermite_poly(j: int, x):
     for k in range(1, j):
         prev, cur = cur, x * cur - k * prev
     return cur if cur.ndim else float(cur)
+
+
+def hermite_rows(x: np.ndarray, degree: int) -> np.ndarray:
+    """H_0(x), ..., H_degree(x) as the rows of one array, from one run of the recurrence.
+
+    Each row has hermite_poly's bits: the same products and differences in
+    the same order.
+    """
+    rows = np.empty((degree + 1,) + x.shape)
+    rows[0] = 1.0
+    if degree:
+        rows[1] = x
+    term = np.empty_like(rows[0])
+    for k in range(1, degree):
+        np.multiply(x, rows[k], out=rows[k + 1, ...])
+        np.multiply(rows[k - 1], k, out=term)
+        rows[k + 1] -= term
+    return rows
 
 
 def _standardize(data) -> tuple[np.ndarray, float]:
@@ -90,8 +109,9 @@ def robust_coeffs(data) -> HermiteCoeffs:
     """Bounded-summand coefficients d_j = mean of sqrt(2) H_j(sqrt(2) z) exp(-z^2/2), j = 0..5."""
     z, sd = _standardize(data)
     w = np.sqrt(2.0) * np.exp(-0.5 * z * z)
-    vals = np.array([float(np.mean(w * hermite_poly(j, np.sqrt(2.0) * z)))
-                     for j in range(6)])
+    rows = hermite_rows(np.sqrt(2.0) * z, 5)
+    rows *= w
+    vals = np.mean(rows, axis=1)
     return HermiteCoeffs("robust_delta", vals, sd)
 
 

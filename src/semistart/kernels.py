@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["KernelSpec", "kernel_props", "eval_scaled", "exp_into", "require_bandwidth",
-           "for_blocks", "for_each_block", "SHAPES"]
+           "for_blocks", "for_each_block", "window_sums", "SHAPES"]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
@@ -237,10 +237,11 @@ def for_each_block(blocks: list, fill) -> None:
     """Call fill(block) for every item of blocks, in parallel.
 
     The blocks, which may differ in size, run on a process-wide thread pool,
-    created on first use with one thread per usable CPU up to
-    MAX_BLOCK_THREADS.  They are dealt round-robin, one task per thread, each
-    run in a copy of the caller's context so that np.errstate holds; NumPy
-    releases the GIL inside its loops.  A single block, or a single CPU, runs
+    created on first use with one thread per usable CPU, up to
+    MAX_BLOCK_THREADS and to the IN_FLIGHT_ELEMENTS // BLOCK_ELEMENTS blocks
+    that the in-flight budget was split for.  They are dealt round-robin,
+    one task per thread, each run in a copy of the caller's context so that
+    np.errstate holds; NumPy releases the GIL inside its loops.  A single block, or a single CPU, runs
     in the calling thread.  Each fill may write only cells that no other
     block writes (its own rows, or cells such as a mirrored triangle that
     only it fills) and must leave every reduction across blocks to the
@@ -250,7 +251,10 @@ def for_each_block(blocks: list, fill) -> None:
     thread has stopped.
     """
     global _pool
-    threads = min(_worker_count(), MAX_BLOCK_THREADS)
+    # at most the blocks the in-flight budget was split for at import, if the
+    # CPUs this process may use have grown since
+    threads = min(_worker_count(), MAX_BLOCK_THREADS,
+                  max(1, IN_FLIGHT_ELEMENTS // BLOCK_ELEMENTS))
     k = min(threads, len(blocks))
     if k <= 1:
         _fill_each(fill, blocks)
@@ -266,3 +270,196 @@ def for_each_block(blocks: list, fill) -> None:
     wait(futures)
     for f in futures:
         f.result()
+
+
+# Windowed sums.  Each point x sums the kernel's profile K((x - x_i)/h) times
+# a positive datum weight c_i (a column over the data, or 1/d_i for a
+# divisor d) over a window of the data sorted by x, within the kernel's
+# reach of x.  For the gaussian kernel, with x's nearest datum x0 at
+# d = |x - x0| and t0 = d/h, data farther than
+# R = hypot(d, h * sqrt(_gauss_reach(n)^2 + 2 ln(c/c0))), with c the largest
+# weight and c0 x0's, each weigh below 2^-60 c0/(n c) of x0's term
+# c0 exp(-t0^2/2), and are left out: together they move a sum by below
+# 2^-60 of x0's term, and a ratio of two sums, the regression's value, by
+# below 2^-59 of its terms' scale.  (A c0 of 0 keeps every datum.)  Near the
+# data the weights take the form of squares, exp(((x - x_i)/h)^2 * -0.5),
+# the profile's; their exponents stay above -(t0^2 + _gauss_reach(n)^2 +
+# 2 ln(c/c0))/2 within the reach.  Farther out the exponent is measured from
+# x0's, -(x0 - x_i)((x - x_i) + (x - x0))/(2 h^2), whose factors are
+# differences of the data: x0's weight is exactly 1, no exponent within the
+# reach is below -R^2/(2 h^2) + t0^2/2, and nothing is lost to the large
+# squares that would cancel in (x - x_i)^2 - d^2; the factor exp(-t0^2/2) is
+# left to the caller, in logs.  The squares take 8 passes over a block and
+# the form measured from x0 10: using the latter everywhere made a
+# regression call 30-45% slower.  The data a window's rounding adds lie
+# beyond the reach, and may weigh a tiny or subnormal amount, or 0.0.
+def _gauss_reach(n: int) -> float:
+    return math.sqrt(2.0 * math.log(n) + 120.0 * math.log(2.0))
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _plan(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarray, cols: list,
+          divisor, squares_limit: float):
+    """The blocks of points that share a window and a form, and their nearest data.
+
+    Each point's window [lo, hi) of the sorted data xs holds every datum
+    within the kernel's reach of it for every weight of cols and divisor.  It
+    is rounded outward to multiples of a granule g that depends on n alone,
+    so that a grid has few distinct windows while each stays a function of
+    its point.  A gaussian point takes the form of squares within one
+    bandwidth of the data, and farther out while its squared reach in
+    bandwidths, (R/h)^2, stays within squares_limit; a point whose t0^2
+    overflows gets an empty window, as each of its weights underflows.  Returns the
+    blocks (_blocks) and, for the gaussian kernel, each point's offset
+    x - x0 from its nearest datum x0, x0 itself, and whether its weights
+    take the form of squares.  The compact kernels get None for all three;
+    so do the gaussian grids whose every window is all the data and whose
+    every point takes the form of squares, found without a search.
+    Reaches, distances and ratios that overflow to inf make full or empty
+    windows.
+    """
+    n = xs.size
+    first, last = float(xs[0]), float(xs[-1])
+    lowest, highest = float(pts.min(initial=np.inf)), float(pts.max(initial=-np.inf))
+    if shape == "gaussian":
+        r = 0.99 * h * _gauss_reach(n)  # below the least reach, however that rounds
+        # no gap between the data wider than 2 h: every point of
+        # [first - h, last + h] lies within h of a datum
+        tight = gap <= 2.0 * h
+        if (tight and first - h <= lowest and highest <= last + h
+                and highest - r <= first and lowest + r >= last):
+            return [(rows, 0, n, True) for rows in row_blocks(pts.size, n)], None, None, None
+        j = np.searchsorted(xs, pts)
+        left, right = np.maximum(j - 1, 0), np.minimum(j, n - 1)
+        j0 = np.where(pts - xs[left] <= xs[right] - pts, left, right)
+        x0 = xs[j0]
+        off = pts - x0
+        dist = np.abs(off)
+        widen = 0.0
+        for col in cols:
+            if col is not None:
+                c = np.abs(col)
+                top = float(c.max())
+                if top > 0.0:
+                    widen = np.maximum(widen, 2.0 * (math.log(top) - np.log(c[j0])))
+        if divisor is not None:  # the weights 1/d_i
+            widen = np.maximum(widen, 2.0 * (np.log(divisor[j0]) - math.log(divisor.min())))
+        rho2 = _gauss_reach(n) ** 2 + widen
+        reach = np.hypot(dist, h * np.sqrt(rho2))
+        near = ((tight & (first - h <= pts) & (pts <= last + h))
+                | (dist <= h * np.sqrt(np.maximum(1.0, squares_limit - rho2))))
+        # the window holds x0 however x -+ reach rounds
+        below, above = np.minimum(pts - reach, x0), np.maximum(pts + reach, x0)
+    else:
+        # the support |x - x_i| <= h/2, widened by a few ulps of h and of x
+        # so that no datum whose weight is not 0.0 falls outside
+        reach = h * (0.5 + 2.0**-50) + 4.0 * np.spacing(np.abs(pts) + h)
+        below, above = pts - reach, pts + reach
+        off = x0 = near = None
+    # lo is the greatest multiple of g with every datum before it below the
+    # reach, and hi the least multiple of g (or n) with every datum from it on
+    # above; the searches are skipped where every window starts at 0 or ends at n
+    g = max(1, math.isqrt(n))
+    firsts, lasts = xs[g - 1::g], xs[::g]
+    lo = (np.zeros(pts.size, dtype=np.intp) if below.max(initial=-np.inf) <= firsts[0]
+          else g * np.searchsorted(firsts, below, side="left"))
+    hi = (np.full(pts.size, n) if above.min(initial=np.inf) >= lasts[-1]
+          else np.minimum(g * np.searchsorted(lasts, above, side="right"), n))
+    if off is not None:
+        t = off / h
+        gone = ~(t * t < np.inf)
+        hi[gone] = lo[gone]
+    return _blocks(lo, hi, near, n), off, x0, near
+
+
+def _blocks(lo, hi, near, n: int) -> list:
+    """Row blocks (rows, lo, hi, squares) of the points sharing a window and a form.
+
+    Point k's window is [lo[k], hi[k]) and near[k] (all False where near is
+    None) says whether its weights take the form of squares.  Each block
+    holds at most BLOCK_ELEMENTS weights, or one row when a window alone is
+    longer; points with an empty window get none.  rows is a slice where the
+    points of a block are consecutive, as in a sorted grid.
+    """
+    key = lo * (n + 1) + hi
+    if near is not None:
+        key = key * 2 + near
+    rows = np.flatnonzero(hi > lo)
+    if rows.size < key.size:
+        key = key[rows]
+    if np.any(key[1:] < key[:-1]):  # a grid out of order
+        order = np.argsort(key, kind="stable")  # keeps the rows of a window in order
+        key, rows = key[order], rows[order]
+    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    out = []
+    for s, e in zip([0] + cuts, cuts + [key.size]) if key.size else ():
+        r = int(rows[s])
+        a, b = int(lo[r]), int(hi[r])
+        squares = near is not None and bool(near[r])
+        step = max(1, BLOCK_ELEMENTS // (b - a))
+        run = int(rows[e - 1]) - r == e - s - 1
+        out += [(slice(r + i - s, r + min(i + step, e) - s) if run else rows[i:min(i + step, e)],
+                 a, b, squares)
+                for i in range(s, e, step)]
+    return out
+
+
+def window_sums(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarray, cols: list,
+                divisor=None, squares_limit: float = 0.0):
+    """Kernel-weighted sums over the sorted data xs at the points pts, one per column.
+
+    Each point sums its window of xs (_plan), so it has the same bits alone
+    as in a grid.  The weights are the kernel's unnormalised profile
+    K((x - x_i)/h), divided by divisor[i] where a divisor is given (d_i > 0,
+    so that a weight of 0.0 stays 0.0); the gaussian's take one of the two
+    forms described above _gauss_reach.  Column k of cols gives the sums of
+    the weights where it is None and of the weights times its values
+    otherwise; the block takes the product with the last column in place.
+    gap is the widest gap between consecutive xs.  squares_limit widens the
+    form of squares (see _plan): 0.0 keeps it within one bandwidth of the
+    data.  Returns the sums and t0, the offsets (x - x0)/h from each point's
+    nearest datum x0 whose factor exp(-t0^2/2) the form measured from x0
+    leaves out: 0.0 where the weights take the form of squares, and None
+    where every point does.
+    """
+    h = float(h)
+    blocks, off, x0, near = _plan(shape, h, xs, gap, pts, cols, divisor, squares_limit)
+    hs = h * math.sqrt(2.0)
+    sums = [np.zeros(pts.size) for _ in cols]
+
+    @np.errstate(over="ignore")  # a datum the granule adds may lie far out: weight 0.0
+    def fill(block):
+        rows, a, b, squares = block
+        w = np.subtract(pts[rows, None], xs[None, a:b])
+        if shape != "gaussian":
+            _profile(shape, h, w, w)
+        elif squares:
+            w /= h
+            np.multiply(w, w, out=w)
+            w *= -0.5
+            np.exp(w, out=w)
+        else:
+            w += off[rows, None]
+            w /= hs
+            d = np.subtract(x0[rows, None], xs[None, a:b])
+            d /= -hs
+            w *= d
+            np.exp(w, out=w)
+        if divisor is not None:
+            w /= divisor[None, a:b]
+        for k, col in enumerate(cols):
+            if col is None:
+                sums[k][rows] = w.sum(axis=1)
+            elif k < len(cols) - 1:
+                sums[k][rows] = np.multiply(w, col[None, a:b]).sum(axis=1)
+            else:
+                w *= col[None, a:b]
+                sums[k][rows] = w.sum(axis=1)
+
+    lanes = sum((b - a) * (rows.stop - rows.start if isinstance(rows, slice) else rows.size)
+                for rows, a, b, _ in blocks)
+    if lanes <= BLOCK_ELEMENTS:  # no more work than one block: the hand-off would cost more
+        _fill_each(fill, blocks)
+    else:
+        for_each_block(blocks, fill)
+    return sums, None if off is None else np.where(near, 0.0, off) / h

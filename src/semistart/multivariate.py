@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .bandwidth import BandwidthChoice
-from .hermite import hermite_poly
+from .hermite import hermite_rows
 from .kernels import SQRT_2PI, for_blocks, require_bandwidth
 from .starts import _require_finite
 
@@ -199,10 +199,7 @@ def mv_bandwidth(data) -> BandwidthChoice:
     n, d = y.shape
     w = np.exp(-0.5 * np.sum(y * y, axis=1))
     # per-axis Hermite values up to MV_MAX_DEGREE + 2
-    H = np.empty((d, MV_MAX_DEGREE + 3, n))
-    for k in range(d):
-        for j in range(MV_MAX_DEGREE + 3):
-            H[k, j] = hermite_poly(j, np.sqrt(2.0) * y[:, k])
+    H = np.stack([hermite_rows(np.sqrt(2.0) * y[:, k], MV_MAX_DEGREE + 2) for k in range(d)])
 
     def delta(J):
         prod_h = w.copy()

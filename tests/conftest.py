@@ -44,17 +44,82 @@ def literal_gaussian(h, z):
     return literal_profile(h, z) / SQRT_2PI / h
 
 
-# The three grid x data fills written out as whole-array expressions, with
-# none of the in-place work or the compacted tiny and subnormal kernel lanes:
-# the oracles of estimator._correction_sum and of mv_estimate's fill, bit for
-# bit, for the gaussian kernel, and the full-row oracle of gnw_estimate.
+# The grid x data sums written out as whole-array expressions, with none of
+# the in-place work, the windows or the compacted tiny and subnormal kernel
+# lanes: the full-row oracles of the density sums and of gnw_estimate, and
+# mv_estimate's fill, bit for bit.
 
 def literal_correction(e, x):
-    """(1/n) sum K_h(X_i - x)/fbar(X_i) at every point of x at once."""
-    vals = literal_gaussian(e.h, e.data - np.asarray(x, dtype=float).ravel()[:, None])
+    """(1/n) sum K_h(X_i - x)/fbar(X_i) at every point of x at once, summing every datum."""
+    z = e.data - np.asarray(x, dtype=float).ravel()[:, None]
+    if e.kernel.shape == "gaussian":
+        vals = literal_gaussian(e.h, z)
+    else:
+        vals = literal_kernel_profile(e.kernel.shape, e.h, z) / e.h
     if e.den is not None:
         vals = vals / e.den
     return np.sum(vals, axis=-1) / e.n
+
+
+def mp_log_correction(e, pts, dps=40):
+    """log rhat at each point, gaussian kernel, with the sum of the program's floats in mpmath.
+
+    The data, fbar(X_i), the points and h are the program's floats; the terms
+    exp(-((X_i - x)/h)^2/2)/fbar(X_i) and their sum carry dps digits, so no
+    term underflows or loses digits to a large exponent.  Terms whose
+    exponent, estimated in floats, lies more than 100 below the largest are
+    left out: together they weigh below n e^-100 of the sum.
+    """
+    den = np.ones(e.n) if e.den is None else e.den
+    out = []
+    with np.errstate(over="ignore"):
+        expo = -0.5 * ((e.data[None, :] - np.ravel(pts)[:, None]) / e.h) ** 2 - np.log(den)
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(e.h)
+        scale = e.n * mpmath.sqrt(2 * mpmath.pi) * h
+        for p, row in zip(np.ravel(pts), expo):
+            keep = np.flatnonzero(row >= row.max() - 100.0)
+            terms = (mpmath.exp(-((mpmath.mpf(e.data[i]) - mpmath.mpf(p)) / h) ** 2 / 2)
+                     / mpmath.mpf(den[i]) for i in keep)
+            out.append(float(mpmath.log(mpmath.fsum(terms) / scale)))
+    return np.array(out)
+
+
+# Within this many bandwidths of the data every lane that can move a full-row
+# sum by 1e-16 of it lies above e^-700, normal, wherever the 1/fbar weights
+# span below about e^120, as in every test here
+LITERAL_REACH = 30.0
+
+
+def check_correction(e, x, r, log_r=None):
+    """Assert that r (and log_r) are e's correction sums rhat (and their logs) at x.
+
+    Within LITERAL_REACH bandwidths of the data, and everywhere for a compact
+    kernel, r lies within 1e-14 of the full-row sum literal_correction: the
+    terms are positive, so the value is their scale.  Farther out the
+    gaussian full-row terms are tiny or subnormal, and the oracle is
+    mp_log_correction: there log_r, and r where its oracle is not 0, may miss
+    by an allowance of 1e-14 plus 2^-51 (t0^2 + |log rhat|), t0 the point's
+    distance to the nearest datum in bandwidths.  A value is exp(y) with
+    y = log S - t0^2/2 - log(n sqrt(2 pi) h), so it carries y's absolute
+    rounding, a few ulps of its terms, as its relative error; a subnormal
+    value is held to that plus one subnormal spacing 2^-1074.
+    """
+    pts = np.asarray(x, dtype=float).ravel()
+    r = np.asarray(r).ravel()
+    t0 = np.min(np.abs(pts[:, None] - e.data[None, :]), axis=1) / e.h
+    near = (t0 <= LITERAL_REACH) | (e.kernel.shape != "gaussian")
+    want = literal_correction(e, pts[near])
+    assert np.all(np.abs(r[near] - want) <= 1e-14 * want)
+    if np.all(near):
+        return
+    mp = mp_log_correction(e, pts[~near])
+    allow = 1e-14 + 2.0**-51 * (t0[~near] ** 2 + np.abs(mp))
+    with np.errstate(under="ignore"):
+        mp_r = np.exp(mp)
+    assert np.all(np.abs(r[~near] - mp_r) <= allow * mp_r + 2.0**-1074)
+    if log_r is not None:
+        assert np.all(np.abs(np.asarray(log_r).ravel()[~near] - mp) <= allow)
 
 
 def literal_kernel_profile(shape, h, z):

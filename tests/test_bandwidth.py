@@ -417,10 +417,16 @@ def _full_ucv_integral(x, start, h):
         expo = (log_rat[:, None] + log_rat[None, :]
                 + 0.5 * st2 * ((u[:, None] + u[None, :]) / h**2) ** 2)
         return float(np.sqrt(st2) / (SQRT_2PI * sd * sd) * np.sum(np.exp(expo))) / n**2
-    est = DensityEstimate(x, G, h, start.unclipped())
+    # the squared estimate with the raw start, each point summing every datum
+    f0 = start.unclipped()
+    den = eval_start(f0, x)
+
+    def f_hat(t):
+        r = np.sum(eval_scaled(G, h, x - t) / den) / n
+        return float(eval_start(f0, np.array([t]))[0] * r)
+
     lo, hi = float(x.min()) - 10 * h, float(x.max()) + 10 * h
-    return float(quad(lambda t: float(estimate_semiparametric(est, np.array([t]))[0]) ** 2,
-                      lo, hi, limit=400)[0])
+    return float(quad(lambda t: f_hat(t) ** 2, lo, hi, limit=400)[0])
 
 
 def _full_ucv_curve(x, start, h_grid):

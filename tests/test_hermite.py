@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from semistart.densities import mixture_sample, marron_wand
-from semistart.hermite import (classic_coeffs, hermite_poly, robust_coeffs,
+from semistart.hermite import (classic_coeffs, hermite_poly, hermite_rows, robust_coeffs,
                                roughness_from_coeffs, HermiteCoeffs)
 
 from conftest import phi, SQRT_PI
@@ -142,3 +142,26 @@ def test_degree5_closed_form_matches_overlap_sums():
         closed = roughness_from_coeffs(
             HermiteCoeffs("classic_gamma", [1, 0, 0, g3, g4, g5], sigma))
         assert closed == pytest.approx(r_new, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 500)])
+def test_hermite_rows_have_hermite_polys_bits_at_every_degree(shape):
+    # one run of the recurrence gives every degree, each with the bits of its
+    # own hermite_poly call
+    x = np.random.default_rng(61).normal(0.0, 3.0, shape)
+    for degree in (0, 1, 2, 8):
+        rows = hermite_rows(x, degree)
+        assert rows.shape == (degree + 1,) + np.shape(x)
+        for j in range(degree + 1):
+            assert np.array_equal(rows[j], hermite_poly(j, x))
+
+
+def test_robust_coeffs_keep_the_per_degree_bits():
+    # rule_delta's pilot h is in the plug-in's output bytes: the coefficients
+    # from one recurrence are those of one hermite_poly call per degree
+    for seed in range(4):
+        x = mixture_sample(marron_wand(2 + seed), 5000, seed=seed)
+        z = (x - x.mean()) / x.std()
+        w = np.sqrt(2.0) * np.exp(-0.5 * z * z)
+        want = [float(np.mean(w * hermite_poly(j, np.sqrt(2.0) * z))) for j in range(6)]
+        assert np.array_equal(robust_coeffs(x).values, want)
