@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["KernelSpec", "kernel_props", "eval_scaled", "exp_into", "require_bandwidth",
-           "for_blocks", "for_each_block", "window_sums", "SHAPES"]
+           "for_blocks", "window_sums", "SHAPES"]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
@@ -229,32 +229,27 @@ def _fill_each(fill, blocks) -> None:
 
 
 def for_blocks(rows: int, cols: int, fill) -> None:
-    """Call fill(block) for every slice of row_blocks(rows, cols), in parallel (for_each_block)."""
-    for_each_block(list(row_blocks(rows, cols)), fill)
+    """Call fill(block) for every slice of row_blocks(rows, cols), in parallel.
 
-
-def for_each_block(blocks: list, fill) -> None:
-    """Call fill(block) for every item of blocks, in parallel.
-
-    The blocks, which may differ in size, run on a process-wide thread pool,
-    created on first use with one thread per usable CPU, up to
-    MAX_BLOCK_THREADS and to the IN_FLIGHT_ELEMENTS // BLOCK_ELEMENTS blocks
-    that the in-flight budget was split for.  They are dealt round-robin,
-    one task per thread, each run in a copy of the caller's context so that
-    np.errstate holds; NumPy releases the GIL inside its loops.  A single block, or a single CPU, runs
-    in the calling thread.  Each fill may write only cells that no other
-    block writes (its own rows, or cells such as a mirrored triangle that
-    only it fills) and must leave every reduction across blocks to the
-    caller, whose result then has the same bits whatever the number of
-    threads.  A fill must not call for_each_block.  An exception in a fill
-    skips the rest of its thread's share and reaches the caller once every
-    thread has stopped.
+    The blocks run on a process-wide thread pool, created on first use with
+    one thread per usable CPU, up to MAX_BLOCK_THREADS and to the
+    IN_FLIGHT_ELEMENTS // BLOCK_ELEMENTS blocks that the in-flight budget was
+    split for.  They are dealt round-robin, one task per thread, each run in
+    a copy of the caller's context so that np.errstate holds; NumPy releases
+    the GIL inside its loops.  A single block, or a single CPU, runs in the
+    calling thread.  Each fill may write only cells that no other block
+    writes (its own rows, or cells such as a mirrored triangle that only it
+    fills) and must leave every reduction across blocks to the caller, whose
+    result then has the same bits whatever the number of threads.  A fill
+    must not call for_blocks.  An exception in a fill skips the rest of its
+    thread's share and reaches the caller once every thread has stopped.
     """
     global _pool
     # at most the blocks the in-flight budget was split for at import, if the
     # CPUs this process may use have grown since
     threads = min(_worker_count(), MAX_BLOCK_THREADS,
                   max(1, IN_FLIGHT_ELEMENTS // BLOCK_ELEMENTS))
+    blocks = list(row_blocks(rows, cols))
     k = min(threads, len(blocks))
     if k <= 1:
         _fill_each(fill, blocks)
@@ -409,7 +404,9 @@ def window_sums(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarra
     """Kernel-weighted sums over the sorted data xs at the points pts, one per column.
 
     Each point sums its window of xs (_plan), so it has the same bits alone
-    as in a grid.  The weights are the kernel's unnormalised profile
+    as in a grid.  The blocks (_blocks) run in order in the calling thread:
+    on two CPUs the block pool bought these sums no wall time and cost them
+    CPU time.  The weights are the kernel's unnormalised profile
     K((x - x_i)/h), divided by divisor[i] where a divisor is given (d_i > 0,
     so that a weight of 0.0 stays 0.0); the gaussian's take one of the two
     forms described above _gauss_reach.  Column k of cols gives the sums of
@@ -427,39 +424,31 @@ def window_sums(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarra
     hs = h * math.sqrt(2.0)
     sums = [np.zeros(pts.size) for _ in cols]
 
-    @np.errstate(over="ignore")  # a datum the granule adds may lie far out: weight 0.0
-    def fill(block):
-        rows, a, b, squares = block
-        w = np.subtract(pts[rows, None], xs[None, a:b])
-        if shape != "gaussian":
-            _profile(shape, h, w, w)
-        elif squares:
-            w /= h
-            np.multiply(w, w, out=w)
-            w *= -0.5
-            np.exp(w, out=w)
-        else:
-            w += off[rows, None]
-            w /= hs
-            d = np.subtract(x0[rows, None], xs[None, a:b])
-            d /= -hs
-            w *= d
-            np.exp(w, out=w)
-        if divisor is not None:
-            w /= divisor[None, a:b]
-        for k, col in enumerate(cols):
-            if col is None:
-                sums[k][rows] = w.sum(axis=1)
-            elif k < len(cols) - 1:
-                sums[k][rows] = np.multiply(w, col[None, a:b]).sum(axis=1)
+    with np.errstate(over="ignore"):  # a datum the granule adds may lie far out: weight 0.0
+        for rows, a, b, squares in blocks:
+            w = np.subtract(pts[rows, None], xs[None, a:b])
+            if shape != "gaussian":
+                _profile(shape, h, w, w)
+            elif squares:
+                w /= h
+                np.multiply(w, w, out=w)
+                w *= -0.5
+                np.exp(w, out=w)
             else:
-                w *= col[None, a:b]
-                sums[k][rows] = w.sum(axis=1)
-
-    lanes = sum((b - a) * (rows.stop - rows.start if isinstance(rows, slice) else rows.size)
-                for rows, a, b, _ in blocks)
-    if lanes <= BLOCK_ELEMENTS:  # no more work than one block: the hand-off would cost more
-        _fill_each(fill, blocks)
-    else:
-        for_each_block(blocks, fill)
+                w += off[rows, None]
+                w /= hs
+                d = np.subtract(x0[rows, None], xs[None, a:b])
+                d /= -hs
+                w *= d
+                np.exp(w, out=w)
+            if divisor is not None:
+                w /= divisor[None, a:b]
+            for k, col in enumerate(cols):
+                if col is None:
+                    sums[k][rows] = w.sum(axis=1)
+                elif k < len(cols) - 1:
+                    sums[k][rows] = np.multiply(w, col[None, a:b]).sum(axis=1)
+                else:
+                    w *= col[None, a:b]
+                    sums[k][rows] = w.sum(axis=1)
     return sums, None if off is None else np.where(near, 0.0, off) / h

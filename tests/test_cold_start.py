@@ -68,13 +68,44 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_import_starts_no_thread_pool(tmp_path):
-    # the block pool and concurrent.futures load with the first block sum
+    # the block pool and concurrent.futures load with the first pooled block sum
     child = ("import json, sys; sys.path.insert(0, sys.argv[1]); import semistart.cli; "
              "from semistart import kernels; "
              "print(json.dumps(['concurrent.futures' in sys.modules, kernels._pool is None]))")
     proc = _fresh(child, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [False, True]
+
+
+def test_windowed_requests_start_no_thread_pool(tmp_path):
+    # estimate, gof and regress sum through kernels.window_sums, which runs
+    # every block in the calling thread: over 10^4 data, many blocks each
+    rng = np.random.default_rng(13)
+    data, pairs, positive = (tmp_path / name for name in ("data.csv", "pairs.csv", "pos.csv"))
+    x = rng.normal(0.0, 1.0, 10_000)
+    np.savetxt(data, x)
+    np.savetxt(positive, np.exp(0.5 * x))
+    np.savetxt(pairs, np.column_stack([x, 1.0 + x + rng.normal(0.0, 0.2, x.size)]),
+               delimiter=",")
+    out, grid = ["--out", str(tmp_path / "out")], ["--grid", "-4,4,161"]
+    requests = [
+        ["estimate", "--input", str(data), "--compare", *grid, *out],
+        ["estimate", "--input", str(data), "--kernel", "epanechnikov", *grid, *out],
+        ["estimate", "--input", str(positive), "--start", "gamma", "--normalize",
+         "--grid", "0.1,6,61", *out],  # the mass integrand's windowed sums
+        ["gof", "--input", str(data), *grid, *out],
+        ["regress", "--input", str(pairs), "--h", "0.1", *grid, *out],
+        ["regress", "--input", str(pairs), "--h", "0.1", "--mean-start", "constant", *grid,
+         *out],
+    ]
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); import semistart.cli; "
+             "from semistart import kernels; "
+             "codes = [semistart.cli.run(argv) for argv in json.loads(sys.argv[2])]; "
+             "print(json.dumps([codes, 'concurrent.futures' in sys.modules, "
+             "kernels._pool is None]))")
+    proc = _fresh(child, json.dumps(requests), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(requests), False, True]
 
 
 def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):

@@ -243,8 +243,8 @@ def test_blocked_evaluation_is_bit_identical(case):
     if case == "one_row_per_block":
         n, x = BLOCK_ELEMENTS + 7, np.linspace(-4.0, 4.0, 9)
     elif case == "more_blocks_than_workers":
-        # three blocks per block thread and a partial one, at any CPU count
-        # (32-row blocks from four CPUs on)
+        # several blocks and a partial one at any block size (the full
+        # 1000-datum rows take 32 per block of 2^15 elements)
         x = np.linspace(-4.0, 4.0, 96 * MAX_BLOCK_THREADS + 5)
     elif case == "scalar_x":
         x = np.float64(0.3)
@@ -459,6 +459,34 @@ def test_windowed_sums_match_the_full_row_and_mpmath_oracles(start, shape, log_h
     for k in rng.choice(pts.size, 5, replace=False):
         assert _sums_at(fresh, pts[k:k + 1])[0][0] == r[k]
     assert np.array_equal(estimate_semiparametric(fresh, pts), eval_start(st0, pts) * r)
+
+
+@settings(max_examples=60, deadline=None)
+@example(start="normal", shape="gaussian", log_h=-0.6, n=3000, decimals=1, seed=53, perm_seed=1)
+@given(start=st.sampled_from(["constant", "normal", "lognormal", "gamma"]),
+       shape=st.sampled_from(["gaussian", "epanechnikov", "uniform"]),
+       log_h=st.floats(-2.5, 0.5), n=st.integers(2, 3000), decimals=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), perm_seed=st.integers(0, 2**32 - 1))
+def test_permuting_the_data_keeps_every_bit(start, shape, log_h, n, decimals, seed, perm_seed):
+    # each point sums its window of the data sorted once, and tied data sort
+    # to the same values with the same start densities, so the order of the
+    # data is immaterial.  The start is fitted once, on the original order
+    rng = np.random.default_rng(seed)
+    data = 0.5 + np.round(rng.gamma(3.0, 1.0, n), decimals)  # rounded: ties
+    if np.unique(data).size < 2:
+        return  # no start fits a single value
+    moved = data[np.random.default_rng(perm_seed).permutation(n)]
+    st0 = fit_start(start, data)
+    kernel, h = kernel_props(shape), 10.0**log_h
+    pts = np.concatenate([data[:5], np.linspace(data.min() - 3.0 * h, data.max() + 3.0 * h, 41)])
+    want, got = (estimate_semiparametric(DensityEstimate(d, kernel, h, st0), pts)
+                 for d in (data, moved))
+    assert got.tobytes() == want.tobytes()
+    assert estimate_kernel(moved, kernel, h, pts).tobytes() == \
+        estimate_kernel(data, kernel, h, pts).tobytes()
+    want, got = (correction_curve(DensityEstimate(d, kernel, h, st0), pts) for d in (data, moved))
+    for name in ("r_hat", "log_r", "z"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_an_estimate_sums_its_correction_once_per_grid(monkeypatch):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, bcv,
-                       correction_curve, estimate_kernel, estimate_semiparametric,
-                       eval_start, marron_wand, mise_kernel, mise_new, plugin_roughness, ucv)
+                       correction_curve, estimate_semiparametric, eval_start, marron_wand,
+                       mise_kernel, mise_new, mv_estimate, plugin_roughness, ucv)
 from semistart import kernels
 from semistart.kernels import (MAX_BLOCK_THREADS, SHAPES,
                                eval_scaled, exp_into, for_blocks, kernel_props, row_blocks)
@@ -384,12 +384,12 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
     assert all(np.all(out == rounds) for out in outs)  # each block once per call
 
 
-_FORK_DATA = np.random.default_rng(5).normal(0.0, 1.0, 1000)
-_FORK_GRID = np.linspace(-3.0, 3.0, 101)  # several windowed blocks of the 1000-point data
+_FORK_DATA = np.random.default_rng(5).normal(0.0, 1.0, (1000, 2))
+_FORK_GRID = np.random.default_rng(6).normal(0.0, 1.0, (101, 2))  # four 32-row blocks
 
 
 def _estimate_in_child(conn):
-    conn.send(estimate_kernel(_FORK_DATA, G, 0.3, _FORK_GRID).tobytes())
+    conn.send(mv_estimate(MvEstimate.fit(_FORK_DATA, 0.3), _FORK_GRID).tobytes())
     conn.close()
 
 
@@ -398,7 +398,7 @@ def test_a_forked_child_runs_block_sums(machine, monkeypatch):
     # worker threads and must build its own, or wait forever on the first sum
     machine(2)
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)
-    want = estimate_kernel(_FORK_DATA, G, 0.3, _FORK_GRID).tobytes()
+    want = mv_estimate(MvEstimate.fit(_FORK_DATA, 0.3), _FORK_GRID).tobytes()
     assert kernels._pool is not None
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)

@@ -144,7 +144,7 @@ def test_exponential_truth_bias_reduction(h):
     (2**15 + 7, np.linspace(0.05, 0.95, 9)),           # one row per block
     (1000, np.linspace(0.0, 1.0, 101)),                # many rows per window
     (1000, np.float64(0.37)),                          # scalar
-    # more blocks than block threads, and a partial one
+    # several blocks of a window's rows, and a partial one
     pytest.param(1000, np.linspace(0.0, 1.0, 96 * MAX_BLOCK_THREADS + 5),
                  id="more_blocks_than_workers"),
 ])
@@ -398,9 +398,11 @@ def test_extreme_bandwidths_smooth_without_warnings(shape):
 
 
 def test_smoother_has_the_same_bits_on_any_number_of_block_threads(machine):
-    # every block writes only its own points' sums, so the result cannot
-    # depend on how the blocks interleave on the pool
+    # the windowed sums run every block in the calling thread, so the result
+    # cannot depend on the number of CPUs, and no windowed sum starts the pool
     import sys
+    from semistart import (DensityEstimate, correction_curve, estimate_kernel,
+                           estimate_semiparametric, fit_start)
     rng = np.random.default_rng(47)
     xs = rng.uniform(0.0, 1.0, 3000)
     fit = RegressionFit.fit(xs, 1.0 + xs + rng.normal(0.0, 0.2, 3000), G, 0.01)
@@ -415,6 +417,18 @@ def test_smoother_has_the_same_bits_on_any_number_of_block_threads(machine):
             assert np.array_equal(gnw_estimate(_refit(fit), pts), want)
     finally:
         sys.setswitchinterval(old)
+    # many blocks each at n = 5e4: f_hat, f_tilde, the correction curve
+    # (on a fresh estimate, which sums again) and both smoothers
+    data = rng.normal(0.0, 1.0, 50_000)
+    grid = np.linspace(-4.0, 4.0, 161)
+    est = DensityEstimate(data, G, 0.1, fit_start("normal", data))
+    estimate_semiparametric(est, grid)
+    estimate_kernel(data, G, 0.1, grid)
+    correction_curve(DensityEstimate(data, G, 0.1, est.start), grid)
+    big = RegressionFit.fit(data, 1.0 + data + rng.normal(0.0, 0.2, data.size), G, 0.1)
+    gnw_estimate(big, grid)
+    nw_estimate(big, grid)
+    assert kernels._pool is None
 
 
 @pytest.mark.parametrize("kind", ["constant", "linear"])
