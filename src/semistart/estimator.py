@@ -44,10 +44,9 @@ class DensityEstimate:
     start, whose ratio is 1), and divisor, the raw total mass when normalize
     is set and 1.0 otherwise.  data is the estimate's own read-only copy, so
     a later write to the caller's array changes no evaluation; the sums run
-    over private copies of data and den sorted by the data, with the widest
-    gap between consecutive data.  The correction sums at the points of the
-    last evaluation are kept, so that the estimate and its correction curve
-    on one grid sum it once.
+    over a private sorted copy of the data and the start density there.  The
+    correction sums at the points of the last evaluation are kept, so that
+    the estimate and its correction curve on one grid sum it once.
     """
 
     data: np.ndarray
@@ -57,10 +56,9 @@ class DensityEstimate:
     normalize: bool = False
     den: np.ndarray | None = field(init=False, repr=False)
     divisor: float = field(init=False, repr=False)
-    # the data and den sorted by the data, and the widest gap between the data
+    # the data sorted, and the start density there (None for the constant start)
     _xs: np.ndarray = field(init=False, repr=False)
     _dens: np.ndarray | None = field(init=False, repr=False)
-    _gap: float = field(init=False, repr=False)
     # one slot: (raveled points, correction sums, their logs) of the last evaluation
     _last: list = field(init=False, repr=False)
 
@@ -82,10 +80,11 @@ class DensityEstimate:
                     "choose a start family supported there")
             den.flags.writeable = False
         object.__setattr__(self, "den", den)
-        order = np.argsort(x)
-        object.__setattr__(self, "_xs", x[order])
-        object.__setattr__(self, "_dens", None if den is None else den[order])
-        object.__setattr__(self, "_gap", float(np.diff(self._xs).max(initial=0.0)))
+        # the start is evaluated point by point: at the sorted data it gives
+        # den's values, without a permutation to gather them by
+        xs = np.sort(x)
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_dens", None if den is None else eval_start(self.start, xs))
         # the mass integral reads den, never divisor
         divisor = integral_of_estimate(self) if self.normalize else 1.0
         if not 0.0 < divisor < math.inf:
@@ -102,12 +101,6 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
     """Plain kernel density estimate (1/n) sum K_h(X_i - x): the constant start."""
     flat = FittedStart("constant")
     return estimate_semiparametric(DensityEstimate(data, kernel, h, flat), x)
-
-
-# The gaussian weights take the form of squares while every exponent within
-# a point's reach stays above -700, off np.exp's slow underflow path; farther
-# out they are measured from the nearest datum (kernels.window_sums).
-_SQUARES_LIMIT = 1400.0
 
 
 def _sums_at(e: DensityEstimate, pts: np.ndarray):
@@ -128,18 +121,16 @@ def _sums_at(e: DensityEstimate, pts: np.ndarray):
         return last[1], last[2]
     h = float(e.h)
     gaussian = e.kernel.shape == "gaussian"
-    (s,), t0 = window_sums(e.kernel.shape, h, e._xs, e._gap, pts, [None], divisor=e._dens,
-                           squares_limit=_SQUARES_LIMIT)
+    (s,), t0 = window_sums(e.kernel.shape, h, e._xs, pts, [None], divisor=e._dens)
     r = s / SQRT_2PI if gaussian else s.copy()
     r /= h
     r /= e.n
     with np.errstate(divide="ignore", over="ignore"):
         log_r = np.log(s)
         log_r -= math.log(e.n) + math.log(h) + (math.log(SQRT_2PI) if gaussian else 0.0)
-        if t0 is not None:
-            log_r -= 0.5 * t0 * t0
-            far = t0 != 0.0
-            r[far] = np.exp(log_r[far])
+        log_r -= 0.5 * t0 * t0
+        far = t0 != 0.0
+        r[far] = np.exp(log_r[far])
     e._last[0] = (pts.copy(), r, log_r)
     return r, log_r
 

@@ -276,54 +276,56 @@ def for_blocks(rows: int, cols: int, fill) -> None:
 # weight and c0 x0's, each weigh below 2^-60 c0/(n c) of x0's term
 # c0 exp(-t0^2/2), and are left out: together they move a sum by below
 # 2^-60 of x0's term, and a ratio of two sums, the regression's value, by
-# below 2^-59 of its terms' scale.  (A c0 of 0 keeps every datum.)  Near the
-# data the weights take the form of squares, exp(((x - x_i)/h)^2 * -0.5),
-# the profile's; their exponents stay above -(t0^2 + _gauss_reach(n)^2 +
-# 2 ln(c/c0))/2 within the reach.  Farther out the exponent is measured from
-# x0's, -(x0 - x_i)((x - x_i) + (x - x0))/(2 h^2), whose factors are
-# differences of the data: x0's weight is exactly 1, no exponent within the
-# reach is below -R^2/(2 h^2) + t0^2/2, and nothing is lost to the large
-# squares that would cancel in (x - x_i)^2 - d^2; the factor exp(-t0^2/2) is
-# left to the caller, in logs.  The squares take 8 passes over a block and
-# the form measured from x0 10: using the latter everywhere made a
-# regression call 30-45% slower.  The data a window's rounding adds lie
-# beyond the reach, and may weigh a tiny or subnormal amount, or 0.0.
+# below 2^-59 of its terms' scale.  (A c0 of 0 keeps every datum.)  The
+# weights take the form of squares, exp(((x - x_i)/h)^2 * -0.5), the
+# profile's, within one bandwidth of x0.  Where every column is None, so that
+# the sums are the weights' own (the density's), they keep that form farther
+# out while every exponent within the reach, above -(R/h)^2/2, stays above
+# -_SQUARES_LIMIT/2: a squared exponent carries a rounding of a few ulps of
+# t0^2/2, and so does the factor exp(-t0^2/2) that the caller puts back on
+# such a sum.  A column's sum is the numerator of a ratio to the weights'
+# own sum, which cancels that factor but would keep the squares' rounding:
+# with the squares out to the bound, regression values 12-36 bandwidths past
+# responses centred on 0 missed by up to 5e-14 of their terms' scale, and by
+# below 1e-15 with the form measured from x0.  Farther out the exponent is
+# measured from x0's, -(x0 - x_i)((x - x_i) + (x - x0))/(2 h^2), whose
+# factors are differences of the data: x0's weight is exactly 1, no exponent
+# within the reach is below -R^2/(2 h^2) + t0^2/2, and nothing is lost to the
+# large squares that would cancel in (x - x_i)^2 - d^2; the factor
+# exp(-t0^2/2) is left to the caller, in logs.  The squares take 8 passes
+# over a block and the form measured from x0 10: using the latter everywhere
+# made a regression call 30-45% slower.  The data a window's rounding adds
+# lie beyond the reach, and may weigh a tiny or subnormal amount, or 0.0.
 def _gauss_reach(n: int) -> float:
     return math.sqrt(2.0 * math.log(n) + 120.0 * math.log(2.0))
 
 
+# The bound on (R/h)^2 within which the gaussian weights' own sums take the
+# form of squares: every exponent within a point's reach then stays above
+# _EXP_FAST_MIN, off np.exp's slow underflow path.
+_SQUARES_LIMIT = -2.0 * _EXP_FAST_MIN
+
+
 @np.errstate(over="ignore", divide="ignore")
-def _plan(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarray, cols: list,
-          divisor, squares_limit: float):
-    """The blocks of points that share a window and a form, and their nearest data.
+def _plan(shape: str, h: float, xs: np.ndarray, pts: np.ndarray, cols: list, divisor):
+    """The blocks of points that share a window and a form, and each point's offsets.
 
     Each point's window [lo, hi) of the sorted data xs holds every datum
     within the kernel's reach of it for every weight of cols and divisor.  It
     is rounded outward to multiples of a granule g that depends on n alone,
     so that a grid has few distinct windows while each stays a function of
     its point.  A gaussian point takes the form of squares within one
-    bandwidth of the data, and farther out while its squared reach in
-    bandwidths, (R/h)^2, stays within squares_limit; a point whose t0^2
-    overflows gets an empty window, as each of its weights underflows.  Returns the
-    blocks (_blocks) and, for the gaussian kernel, each point's offset
-    x - x0 from its nearest datum x0, x0 itself, and whether its weights
-    take the form of squares.  The compact kernels get None for all three;
-    so do the gaussian grids whose every window is all the data and whose
-    every point takes the form of squares, found without a search.
-    Reaches, distances and ratios that overflow to inf make full or empty
-    windows.
+    bandwidth of its nearest datum and, where cols holds no column, farther
+    out while its squared reach in bandwidths, (R/h)^2, stays within
+    _SQUARES_LIMIT (see above _gauss_reach); a point whose t0^2
+    overflows gets an empty window, as each of its weights underflows.
+    Returns the blocks (_blocks), each gaussian point's offset x - x0 from
+    its nearest datum x0 and x0 itself (None for the compact kernels), and
+    t0 as window_sums returns it.  Reaches, distances and ratios that
+    overflow to inf make full or empty windows.
     """
     n = xs.size
-    first, last = float(xs[0]), float(xs[-1])
-    lowest, highest = float(pts.min(initial=np.inf)), float(pts.max(initial=-np.inf))
     if shape == "gaussian":
-        r = 0.99 * h * _gauss_reach(n)  # below the least reach, however that rounds
-        # no gap between the data wider than 2 h: every point of
-        # [first - h, last + h] lies within h of a datum
-        tight = gap <= 2.0 * h
-        if (tight and first - h <= lowest and highest <= last + h
-                and highest - r <= first and lowest + r >= last):
-            return [(rows, 0, n, True) for rows in row_blocks(pts.size, n)], None, None, None
         j = np.searchsorted(xs, pts)
         left, right = np.maximum(j - 1, 0), np.minimum(j, n - 1)
         j0 = np.where(pts - xs[left] <= xs[right] - pts, left, right)
@@ -341,44 +343,39 @@ def _plan(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarray, col
             widen = np.maximum(widen, 2.0 * (np.log(divisor[j0]) - math.log(divisor.min())))
         rho2 = _gauss_reach(n) ** 2 + widen
         reach = np.hypot(dist, h * np.sqrt(rho2))
-        near = ((tight & (first - h <= pts) & (pts <= last + h))
-                | (dist <= h * np.sqrt(np.maximum(1.0, squares_limit - rho2))))
+        bound = _SQUARES_LIMIT if all(col is None for col in cols) else 0.0
+        near = dist <= h * np.sqrt(np.maximum(1.0, bound - rho2))
         # the window holds x0 however x -+ reach rounds
         below, above = np.minimum(pts - reach, x0), np.maximum(pts + reach, x0)
+        t = off / h
     else:
         # the support |x - x_i| <= h/2, widened by a few ulps of h and of x
         # so that no datum whose weight is not 0.0 falls outside
         reach = h * (0.5 + 2.0**-50) + 4.0 * np.spacing(np.abs(pts) + h)
         below, above = pts - reach, pts + reach
-        off = x0 = near = None
+        off = x0 = None
+        near, t = np.zeros(pts.size, dtype=bool), np.zeros(pts.size)
     # lo is the greatest multiple of g with every datum before it below the
     # reach, and hi the least multiple of g (or n) with every datum from it on
-    # above; the searches are skipped where every window starts at 0 or ends at n
+    # above
     g = max(1, math.isqrt(n))
-    firsts, lasts = xs[g - 1::g], xs[::g]
-    lo = (np.zeros(pts.size, dtype=np.intp) if below.max(initial=-np.inf) <= firsts[0]
-          else g * np.searchsorted(firsts, below, side="left"))
-    hi = (np.full(pts.size, n) if above.min(initial=np.inf) >= lasts[-1]
-          else np.minimum(g * np.searchsorted(lasts, above, side="right"), n))
-    if off is not None:
-        t = off / h
-        gone = ~(t * t < np.inf)
-        hi[gone] = lo[gone]
-    return _blocks(lo, hi, near, n), off, x0, near
+    lo = g * np.searchsorted(xs[g - 1::g], below, side="left")
+    hi = np.minimum(g * np.searchsorted(xs[::g], above, side="right"), n)
+    gone = ~(t * t < np.inf)
+    hi[gone] = lo[gone]
+    return _blocks(lo, hi, near, n), off, x0, np.where(near, 0.0, t)
 
 
 def _blocks(lo, hi, near, n: int) -> list:
     """Row blocks (rows, lo, hi, squares) of the points sharing a window and a form.
 
-    Point k's window is [lo[k], hi[k]) and near[k] (all False where near is
-    None) says whether its weights take the form of squares.  Each block
-    holds at most BLOCK_ELEMENTS weights, or one row when a window alone is
-    longer; points with an empty window get none.  rows is a slice where the
-    points of a block are consecutive, as in a sorted grid.
+    Point k's window is [lo[k], hi[k]) and near[k] says whether its weights
+    take the form of squares.  Each block holds at most BLOCK_ELEMENTS
+    weights, or one row when a window alone is longer; points with an empty
+    window get none.  rows is a slice where the points of a block are
+    consecutive, as in a sorted grid.
     """
-    key = lo * (n + 1) + hi
-    if near is not None:
-        key = key * 2 + near
+    key = (lo * (n + 1) + hi) * 2 + near
     rows = np.flatnonzero(hi > lo)
     if rows.size < key.size:
         key = key[rows]
@@ -389,8 +386,7 @@ def _blocks(lo, hi, near, n: int) -> list:
     out = []
     for s, e in zip([0] + cuts, cuts + [key.size]) if key.size else ():
         r = int(rows[s])
-        a, b = int(lo[r]), int(hi[r])
-        squares = near is not None and bool(near[r])
+        a, b, squares = int(lo[r]), int(hi[r]), bool(near[r])
         step = max(1, BLOCK_ELEMENTS // (b - a))
         run = int(rows[e - 1]) - r == e - s - 1
         out += [(slice(r + i - s, r + min(i + step, e) - s) if run else rows[i:min(i + step, e)],
@@ -399,8 +395,8 @@ def _blocks(lo, hi, near, n: int) -> list:
     return out
 
 
-def window_sums(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarray, cols: list,
-                divisor=None, squares_limit: float = 0.0):
+def window_sums(shape: str, h: float, xs: np.ndarray, pts: np.ndarray, cols: list,
+                divisor=None):
     """Kernel-weighted sums over the sorted data xs at the points pts, one per column.
 
     Each point sums its window of xs (_plan), so it has the same bits alone
@@ -412,15 +408,13 @@ def window_sums(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarra
     forms described above _gauss_reach.  Column k of cols gives the sums of
     the weights where it is None and of the weights times its values
     otherwise; the block takes the product with the last column in place.
-    gap is the widest gap between consecutive xs.  squares_limit widens the
-    form of squares (see _plan): 0.0 keeps it within one bandwidth of the
-    data.  Returns the sums and t0, the offsets (x - x0)/h from each point's
+    Returns the sums and t0, the offsets (x - x0)/h from each point's
     nearest datum x0 whose factor exp(-t0^2/2) the form measured from x0
-    leaves out: 0.0 where the weights take the form of squares, and None
-    where every point does.
+    leaves out: 0.0 where the weights take the form of squares, and at every
+    point of a compact kernel.
     """
     h = float(h)
-    blocks, off, x0, near = _plan(shape, h, xs, gap, pts, cols, divisor, squares_limit)
+    blocks, off, x0, t0 = _plan(shape, h, xs, pts, cols, divisor)
     hs = h * math.sqrt(2.0)
     sums = [np.zeros(pts.size) for _ in cols]
 
@@ -451,4 +445,4 @@ def window_sums(shape: str, h: float, xs: np.ndarray, gap: float, pts: np.ndarra
                 else:
                     w *= col[None, a:b]
                     sums[k][rows] = w.sum(axis=1)
-    return sums, None if off is None else np.where(near, 0.0, off) / h
+    return sums, t0

@@ -79,9 +79,9 @@ class RegressionFit:
     """Pairs (x, y), a kernel, a bandwidth and a mean start.
 
     Built with them: the pairs sorted by x (xs, ys, read-only), which the
-    smoothers sum in, the widest gap between consecutive xs, and the clip
-    floor of the mean start, 5% of sd(y) (or 0.05 when y is constant), taken
-    over ys, so that no value depends on the order of pairs with distinct x.
+    smoothers sum in, and the clip floor of the mean start, 5% of sd(y) (or
+    0.05 when y is constant), taken over ys, so that no value depends on the
+    order of pairs with distinct x.
     The sums of both smoothers at the points of the last evaluation are
     kept, so that the two smoothers on one grid sum it once.
     """
@@ -94,7 +94,6 @@ class RegressionFit:
     xs: np.ndarray = field(init=False, repr=False)
     ys: np.ndarray = field(init=False, repr=False)
     floor: float = field(init=False, repr=False)
-    gap: float = field(init=False, repr=False)
     # one slot: (raveled points, weight sums, classic and corrected numerators)
     # of the last evaluation
     _last: list = field(init=False, repr=False)
@@ -116,7 +115,6 @@ class RegressionFit:
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "_last", [None])
         object.__setattr__(self, "floor", _CLIP_FRACTION * float(ys.std()) or _CLIP_FRACTION)
-        object.__setattr__(self, "gap", float(np.diff(self.xs).max(initial=0.0)))
 
     @classmethod
     def fit(cls, x, y, kernel: KernelSpec, h: float,
@@ -171,18 +169,14 @@ def _sums(fit: RegressionFit, pts: np.ndarray):
     cols = [None, ys]
     if fit.mean_start.kind != "constant":
         cols.append(ys / _clipped_mean(fit, xs))
-    (wsum, *nums), t0 = window_sums(shape, h, xs, fit.gap, pts, cols)
+    (wsum, *nums), t0 = window_sums(shape, h, xs, pts, cols)
     # no local data: the normalised kernel's weights, summed, fall below
     # 1e-300; in logs, with the factor exp(-t0^2/2) of the weights measured
     # from the nearest datum put back (t0 = d/h)
     with np.errstate(divide="ignore", over="ignore"):
         logw = np.log(wsum)
-        if shape == "gaussian":
-            logw -= math.log(SQRT_2PI) + math.log(h)
-            if t0 is not None:
-                logw -= 0.5 * t0 * t0
-        else:
-            logw -= math.log(h)
+        logw -= (math.log(SQRT_2PI) if shape == "gaussian" else 0.0) + math.log(h)
+        logw -= 0.5 * t0 * t0
     bad = ~(logw >= _LOG_MIN_WEIGHT)
     if np.any(bad):
         raise ValueError(f"no local data: every kernel weight vanishes at x={float(pts[bad][0])}")

@@ -495,7 +495,7 @@ def test_an_estimate_sums_its_correction_once_per_grid(monkeypatch):
     inner = estimator.window_sums
 
     def counted(*args, **kwargs):
-        sizes.append(args[4].size)
+        sizes.append(args[3].size)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(estimator, "window_sums", counted)

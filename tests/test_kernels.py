@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, bcv,
-                       correction_curve, estimate_semiparametric, eval_start, marron_wand,
-                       mise_kernel, mise_new, mv_estimate, plugin_roughness, ucv)
+                       correction_curve, estimate_semiparametric, eval_start, fit_start,
+                       gnw_estimate, marron_wand, mise_kernel, mise_new, mv_estimate,
+                       nw_estimate, plugin_roughness, ucv)
 from semistart import kernels
 from semistart.kernels import (MAX_BLOCK_THREADS, SHAPES,
-                               eval_scaled, exp_into, for_blocks, kernel_props, row_blocks)
+                               eval_scaled, exp_into, for_blocks, kernel_props, row_blocks,
+                               window_sums)
 
 from conftest import check_correction, literal_gaussian, phi
 
@@ -202,6 +204,95 @@ def test_outlier_weight_keeps_tiny_kernel_terms():
     # a fresh estimate: est keeps the sums of x, and would not compute them
     assert np.array_equal(estimate_semiparametric(DensityEstimate(data, G, h, st0), x),
                           eval_start(st0, x) * r_hat)
+
+
+def _full_row_log_sums(shape, h, xs, pts, col, divisor):
+    """log sum_i K((x - x_i)/h) c_i / d_i over every datum, for positive c_i."""
+    z = (pts[:, None] - xs[None, :]) / h
+    logc = np.zeros(xs.size) if col is None else np.log(col)
+    if divisor is not None:
+        logc = logc - np.log(divisor)
+    if shape == "gaussian":
+        a = -0.5 * z * z + logc
+        top = a.max(axis=1)
+        return top + np.log(np.exp(a - top[:, None]).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        return np.log((eval_scaled(kernel_props(shape), 1.0, z) * np.exp(logc)).sum(axis=1))
+
+
+@pytest.mark.parametrize("style", ["density", "regression"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_window_sums_keep_each_points_bits_and_the_full_row_sums(shape, style):
+    # a density call weighs the data by 1/d_i; a regression call sums the plain
+    # weights and a column of them.  Each point of a shuffled grid reaching 40
+    # bandwidths past the data has the same bits alone, and its sums, with the
+    # factor exp(-t0^2/2) put back in logs, are within 1e-14 of the full-row
+    # sums on the log's scale
+    rng = np.random.default_rng(61)
+    n, h = 400, 0.05
+    xs = np.sort(rng.standard_normal(n))
+    weights = np.exp(rng.uniform(-8.0, 8.0, n))  # widens the gaussian reach
+    cols, divisor = ([None], weights) if style == "density" else ([None, weights], None)
+    pts = rng.permutation(np.linspace(xs[0] - 40.0 * h, xs[-1] + 40.0 * h, 241))
+    sums, t0 = window_sums(shape, h, xs, pts, cols, divisor)
+    assert t0.shape == pts.shape
+    for k in range(pts.size):
+        alone, t0_alone = window_sums(shape, h, xs, pts[k:k + 1], cols, divisor)
+        assert t0_alone[0] == t0[k]
+        assert all(a[0] == s[k] for a, s in zip(alone, sums))
+    for col, s in zip(cols, sums):
+        want = _full_row_log_sums(shape, h, xs, pts, col, divisor)
+        with np.errstate(divide="ignore"):
+            got = np.log(s) - 0.5 * t0 * t0
+        live = want > -np.inf
+        assert np.array_equal(got > -np.inf, live)
+        got, want = got[live], want[live]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    if shape != "gaussian":
+        assert np.all(t0 == 0.0)
+    else:  # the form measured from x0 takes over short of 40 bandwidths out
+        assert t0[np.argmax(pts)] > 0.0 and t0[np.argmin(pts)] < 0.0
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_only_the_weights_own_sums_take_the_squares_past_one_bandwidth(shape):
+    # five bandwidths past the data, the gaussian weights' own sums (a
+    # density call) keep the form of squares, t0 = 0.0, while sums with a
+    # column (a regression call, whose ratio cancels exp(-t0^2/2)) measure
+    # their weights from the nearest datum; a compact kernel's t0 is 0.0
+    rng = np.random.default_rng(62)
+    h = 0.1
+    xs = np.sort(rng.uniform(0.0, 1.0, 300))
+    ys = 1.0 + xs + rng.normal(0.0, 0.2, 300)
+    pts = np.array([xs[0] - 5.0 * h, xs[-1] + 5.0 * h])
+    _, plain = window_sums(shape, h, xs, pts, [None])
+    _, weighted = window_sums(shape, h, xs, pts, [None, ys])
+    assert np.array_equal(plain, [0.0, 0.0])
+    if shape == "gaussian":
+        assert list(weighted) == pytest.approx([-5.0, 5.0], rel=1e-12)
+    else:
+        assert np.array_equal(weighted, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_point_where_every_offset_overflows_warns_of_nothing(shape):
+    # (x - x0)/h overflows to -inf at x = -1e308: the sums are empty and t0^2
+    # is inf, with no warning.  f_hat is 0.0, log r_hat is -inf, and neither
+    # smoother finds local data
+    K = kernel_props(shape)
+    rng = np.random.default_rng(63)
+    x = rng.standard_normal(200)
+    pts = np.array([-1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = DensityEstimate(x, K, 0.3, fit_start("normal", x))
+        assert estimate_semiparametric(est, pts[0]) == 0.0
+        cur = correction_curve(DensityEstimate(x, K, 0.3, fit_start("normal", x)), pts)
+        assert cur.r_hat[0] == 0.0 and cur.log_r[0] == -np.inf and np.isfinite(cur.log_r[1])
+        fit = RegressionFit.fit(x, 2.0 + x, K, 0.3)
+        for smoother in (gnw_estimate, nw_estimate):
+            with pytest.raises(ValueError, match="no local data"):
+                smoother(fit, pts)
 
 
 G = kernel_props("gaussian")

@@ -170,8 +170,8 @@ def test_blocked_smoothers_are_bit_identical(n, x, monkeypatch):
 
 def test_a_grid_with_far_points_keeps_the_bits_of_its_near_ones():
     # alone, or in a grid of points near the data, a point's window is all
-    # the data and its weights are squares, found without a search; far
-    # points send the grid through the windows, which must agree
+    # the data and its weights are squares; far points add windows and forms
+    # of their own to the grid, which leave the near points' bits as they are
     rng = np.random.default_rng(43)
     xs = np.sort(rng.uniform(0.0, 1.0, 60))
     fit = RegressionFit.fit(xs, 1.0 + xs + rng.normal(0.0, 0.2, 60), G, 0.2)
@@ -243,6 +243,25 @@ def test_in_place_smoother_is_the_literal_smoother(far, m, shape, kind, layout, 
                     smoother(f, x_far)
             elif mass > -300.0 + 1e-9:
                 assert _near(smoother(f, [x_far]), *oracle)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_values_far_past_the_data_keep_their_digits(seed):
+    # a value is a ratio of two sums, which cancels the factor exp(-t0^2/2)
+    # of weights measured from the nearest datum, and keeps no rounding of
+    # t0^2/2.  Weights in the form of squares would keep a few ulps of it:
+    # with responses centred on 0, whose terms cancel, they missed the
+    # 40-digit values 12-36 bandwidths out by up to 5e-14 of the terms' scale
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.uniform(0.0, 1.0, 200), rng.standard_normal(200)
+    h = 0.02
+    fit = RegressionFit.fit(xs, ys, G, h)
+    flat = RegressionFit(xs, ys, G, h, MeanStart("constant", np.array([float(ys.mean())])))
+    far = np.array([12.0, 24.0, 36.0]) * h
+    pts = np.concatenate([xs.min() - far, xs.max() + far])
+    for smoother, f in ((gnw_estimate, fit), (nw_estimate, flat)):
+        *oracle, _ = mp_gnw(f, pts)
+        assert _near(smoother(f, pts), *oracle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,7 +457,7 @@ def test_a_fit_smooths_once_per_grid(kind, monkeypatch):
     inner = regression.window_sums
 
     def counted(*args, **kwargs):
-        passes.append(args[4].size)
+        passes.append(args[3].size)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(regression, "window_sums", counted)
