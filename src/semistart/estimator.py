@@ -40,13 +40,13 @@ __all__ = [
 class DensityEstimate:
     """Data, kernel, bandwidth and start defining a fitted estimator.
 
-    Built with it: den, the start density at the data (None for the constant
-    start, whose ratio is 1), and divisor, the raw total mass when normalize
-    is set and 1.0 otherwise.  data is the estimate's own read-only copy, so
-    a later write to the caller's array changes no evaluation; the sums run
-    over a private sorted copy of the data and the start density there.  The
-    correction sums at the points of the last evaluation are kept, so that
-    the estimate and its correction curve on one grid sum it once.
+    Built with it: data, the estimate's own read-only copy of the data,
+    sorted, so that a later write to the caller's array changes no
+    evaluation and no value depends on the data's order; den, the start
+    density there (None for the constant start, whose ratio is 1); and
+    divisor, the raw total mass when normalize is set and 1.0 otherwise.
+    The correction sums at the points of the last evaluation are kept, so
+    that the estimate and its correction curve on one grid sum it once.
     """
 
     data: np.ndarray
@@ -56,9 +56,6 @@ class DensityEstimate:
     normalize: bool = False
     den: np.ndarray | None = field(init=False, repr=False)
     divisor: float = field(init=False, repr=False)
-    # the data sorted, and the start density there (None for the constant start)
-    _xs: np.ndarray = field(init=False, repr=False)
-    _dens: np.ndarray | None = field(init=False, repr=False)
     # one slot: (raveled points, correction sums, their logs) of the last evaluation
     _last: list = field(init=False, repr=False)
 
@@ -66,8 +63,9 @@ class DensityEstimate:
         x = np.array(self.data, dtype=float).ravel()
         if x.size == 0:
             raise ValueError("data must be nonempty")
-        _require_finite(x)
+        _require_finite(x)  # in the caller's order, so that an error names its index
         require_bandwidth(self.h)
+        x.sort()
         x.flags.writeable = False
         object.__setattr__(self, "data", x)
         object.__setattr__(self, "_last", [None])
@@ -80,11 +78,6 @@ class DensityEstimate:
                     "choose a start family supported there")
             den.flags.writeable = False
         object.__setattr__(self, "den", den)
-        # the start is evaluated point by point: at the sorted data it gives
-        # den's values, without a permutation to gather them by
-        xs = np.sort(x)
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_dens", None if den is None else eval_start(self.start, xs))
         # the mass integral reads den, never divisor
         divisor = integral_of_estimate(self) if self.normalize else 1.0
         if not 0.0 < divisor < math.inf:
@@ -121,7 +114,7 @@ def _sums_at(e: DensityEstimate, pts: np.ndarray):
         return last[1], last[2]
     h = float(e.h)
     gaussian = e.kernel.shape == "gaussian"
-    (s,), t0 = window_sums(e.kernel.shape, h, e._xs, pts, [None], divisor=e._dens)
+    (s,), t0 = window_sums(e.kernel.shape, h, e.data, pts, [None], divisor=e.den)
     r = s / SQRT_2PI if gaussian else s.copy()
     r /= h
     r /= e.n
@@ -206,8 +199,8 @@ def integral_of_estimate(e: DensityEstimate) -> float:
     if e.start.family == "normal":
         return _normal_start_mass(e)
     from .quadpack import qags
-    lo = float(e.data.min()) - 12.0 * e.h
-    hi = float(e.data.max()) + 12.0 * e.h
+    lo = float(e.data[0]) - 12.0 * e.h
+    hi = float(e.data[-1]) + 12.0 * e.h
     # the raw estimate: the divisor is not built yet
     val, _ = qags(lambda t: eval_start(e.start, t) * _correction_at(e, t), lo, hi,
                   limit=400, epsabs=1e-10)

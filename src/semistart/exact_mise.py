@@ -142,12 +142,14 @@ def _radicands(m: NormalMixture, sd0: float, h):
     return b2, e2, c2, k2, f2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mise_new(m: NormalMixture, mu0: float, sd0: float, h, n: int):
     """Exact mise(h) of the corrected estimator with the N(mu0, sd0^2) start.
 
     h is a bandwidth or an array of them; the result has the shape of h.
     Internally the problem is translated so the start is centred at 0; the
     value is translation invariant and the exponentials stay balanced.
+    It is inf where E int fhat^2, which bounds the cross term, passes the float range.
     """
     if not np.isfinite(mu0):
         raise ValueError(f"start location must be finite, got {mu0!r}")
@@ -201,7 +203,8 @@ def mise_new(m: NormalMixture, mu0: float, sd0: float, h, n: int):
               + boost[:, :, None] + 0.5 * l * l / k2)
     eb = _row_sums(np.exp(log_tb))
 
-    return _shaped((1.0 - 1.0 / n) * ea1 + ea2 / n - 2.0 * eb + r_f(m), h)
+    mise = (1.0 - 1.0 / n) * ea1 + ea2 / n - 2.0 * eb + r_f(m)
+    return _shaped(np.where(np.isinf(ea2) | (n > 1) & np.isinf(ea1), np.inf, mise), h)
 
 
 def h_domain_cap(m: NormalMixture, sd0: float, h_max: float = np.inf) -> float:
@@ -240,13 +243,13 @@ def h_domain_cap(m: NormalMixture, sd0: float, h_max: float = np.inf) -> float:
 
 
 def _curve_values(curve: Callable[[np.ndarray], np.ndarray], hs) -> np.ndarray:
-    """curve at the bandwidths hs in one call, checked to be finite."""
+    """curve at the bandwidths hs in one call, checked to hold no NaN or -inf."""
     hs = np.asarray(hs, dtype=float)
     vals = np.asarray(curve(hs), dtype=float)
     if vals.shape != hs.shape:
         raise ValueError(f"curve must map an array of {hs.size} bandwidths to "
                          f"as many values, got shape {vals.shape}")
-    bad = ~np.isfinite(vals)
+    bad = np.isnan(vals) | (vals == -np.inf)
     if bad.any():
         raise ValueError(f"curve value is not finite at h={float(hs[bad][0])!r}")
     return vals
@@ -276,8 +279,8 @@ def optimal_h(curve: Callable[[np.ndarray], np.ndarray],
     4x resolution before refining around the global one.  Ties on the scan
     resolve toward smaller h.  Each scan is one curve call; the golden
     section evaluates, in one call, every point its next GOLDEN_DEPTH steps
-    could ask for, then takes those steps one at a time.  A non-finite
-    curve value raises ValueError.
+    could ask for, then takes those steps one at a time.  A NaN or -inf
+    value raises ValueError; inf, past the float range, is above all others.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):

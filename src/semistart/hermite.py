@@ -45,24 +45,17 @@ class HermiteCoeffs:
 
 
 def hermite_poly(j: int, x):
-    """Probabilists' Hermite H_j via the recurrence H_{j+1} = x H_j - j H_{j-1}."""
+    """Probabilists' Hermite H_j at x: row j of hermite_rows; a 0-d x gives a float."""
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if j == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for k in range(1, j):
-        prev, cur = cur, x * cur - k * prev
-    return cur if cur.ndim else float(cur)
+    row = hermite_rows(np.asarray(x, dtype=float), j)[j]
+    return row if row.ndim else float(row)
 
 
 def hermite_rows(x: np.ndarray, degree: int) -> np.ndarray:
-    """H_0(x), ..., H_degree(x) as the rows of one array, from one run of the recurrence.
+    """H_0(x), ..., H_degree(x) as the rows of one array.
 
-    Each row has hermite_poly's bits: the same products and differences in
-    the same order.
+    One run of the recurrence H_{k+1} = x H_k - k H_{k-1}, in place.
     """
     rows = np.empty((degree + 1,) + x.shape)
     rows[0] = 1.0

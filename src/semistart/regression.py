@@ -27,7 +27,6 @@ __all__ = ["MeanStart", "RegressionFit", "fit_mean_start", "gnw_estimate", "nw_e
 
 MEAN_KINDS = ("constant", "linear")
 _CLIP_FRACTION = 0.05
-_SQRT_2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +73,34 @@ def fit_mean_start(x, y, kind: str = "linear") -> MeanStart:
     return MeanStart("linear", beta)
 
 
+def _sorted_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs as fresh float arrays sorted by x, and by y among tied x.
+
+    Any order of the same pairs gives the same arrays.  Without ties in x
+    the plain argsort is that order, and much cheaper than lexsort.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size != y.size or x.size == 0:
+        raise ValueError("x and y must be equal-length and nonempty")
+    _require_finite(x)
+    _require_finite(y)
+    order = np.argsort(x)
+    xs = x[order]
+    if np.any(xs[1:] == xs[:-1]):
+        order = np.lexsort((y, x))
+        xs = x[order]
+    return xs, y[order]
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionFit:
     """Pairs (x, y), a kernel, a bandwidth and a mean start.
 
-    Built with them: the pairs sorted by x (xs, ys, read-only), which the
-    smoothers sum in, and the clip floor of the mean start, 5% of sd(y) (or
-    0.05 when y is constant), taken over ys, so that no value depends on the
-    order of pairs with distinct x.
+    x and y are the fit's own read-only copies of the pairs, sorted by x
+    and by y among tied x, which the smoothers sum in.  Built with them:
+    the clip floor of the mean start, 5% of sd(y) (or 0.05 when y is
+    constant).  So no value depends on the order of the pairs.
     The sums of both smoothers at the points of the last evaluation are
     kept, so that the two smoothers on one grid sum it once.
     """
@@ -91,34 +110,25 @@ class RegressionFit:
     kernel: KernelSpec
     h: float
     mean_start: MeanStart
-    xs: np.ndarray = field(init=False, repr=False)
-    ys: np.ndarray = field(init=False, repr=False)
     floor: float = field(init=False, repr=False)
     # one slot: (raveled points, weight sums, classic and corrected numerators)
     # of the last evaluation
     _last: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).ravel()
-        y = np.asarray(self.y, dtype=float).ravel()
-        if x.size != y.size or x.size == 0:
-            raise ValueError("x and y must be equal-length and nonempty")
-        _require_finite(x)
-        _require_finite(y)
+        x, y = _sorted_pairs(self.x, self.y)
         require_bandwidth(self.h)
-        order = np.argsort(x)
-        xs, ys = x[order], y[order]
-        xs.flags.writeable = ys.flags.writeable = False
+        x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "_last", [None])
-        object.__setattr__(self, "floor", _CLIP_FRACTION * float(ys.std()) or _CLIP_FRACTION)
+        object.__setattr__(self, "floor", _CLIP_FRACTION * float(y.std()) or _CLIP_FRACTION)
 
     @classmethod
     def fit(cls, x, y, kernel: KernelSpec, h: float,
             kind: str = "linear") -> "RegressionFit":
+        """A fit whose mean start is fitted on the sorted pairs, so in no order of them."""
+        x, y = _sorted_pairs(x, y)  # sorted once: __post_init__'s sort of sorted pairs is cheap
         return cls(x, y, kernel, h, fit_mean_start(x, y, kind))
 
 
@@ -165,11 +175,11 @@ def _sums(fit: RegressionFit, pts: np.ndarray):
     last = fit._last[0]
     if last is not None and np.array_equal(last[0], pts):
         return last[1:]
-    shape, h, xs, ys = fit.kernel.shape, float(fit.h), fit.xs, fit.ys
-    cols = [None, ys]
+    shape, h = fit.kernel.shape, float(fit.h)
+    cols = [None, fit.y]
     if fit.mean_start.kind != "constant":
-        cols.append(ys / _clipped_mean(fit, xs))
-    (wsum, *nums), t0 = window_sums(shape, h, xs, pts, cols)
+        cols.append(fit.y / _clipped_mean(fit, fit.x))
+    (wsum, *nums), t0 = window_sums(shape, h, fit.x, pts, cols)
     # no local data: the normalised kernel's weights, summed, fall below
     # 1e-300; in logs, with the factor exp(-t0^2/2) of the weights measured
     # from the nearest datum put back (t0 = d/h)

@@ -146,14 +146,20 @@ def test_degree5_closed_form_matches_overlap_sums():
 
 @pytest.mark.parametrize("shape", [(), (7,), (3, 500)])
 def test_hermite_rows_have_hermite_polys_bits_at_every_degree(shape):
-    # one run of the recurrence gives every degree, each with the bits of its
-    # own hermite_poly call
+    # one run of the recurrence gives every degree, each with the bits of the
+    # literal recurrence H_{k+1} = x H_k - k H_{k-1} and of its hermite_poly call
     x = np.random.default_rng(61).normal(0.0, 3.0, shape)
+    literal = [np.ones_like(x), x.copy()]
+    for k in range(1, 8):
+        literal.append(x * literal[k] - k * literal[k - 1])
     for degree in (0, 1, 2, 8):
         rows = hermite_rows(x, degree)
         assert rows.shape == (degree + 1,) + np.shape(x)
         for j in range(degree + 1):
-            assert np.array_equal(rows[j], hermite_poly(j, x))
+            assert np.array_equal(rows[j], literal[j])
+            got = hermite_poly(j, x)
+            assert np.array_equal(got, literal[j])
+            assert (type(got) is float) if x.ndim == 0 else (got.shape == x.shape)
 
 
 def test_robust_coeffs_keep_the_per_degree_bits():
