@@ -17,7 +17,8 @@ import numpy as np
 
 from .bandwidth import BandwidthChoice
 from .hermite import hermite_rows
-from .kernels import SQRT_2PI, for_blocks, require_bandwidth
+from . import kernels
+from .kernels import SQRT_2PI, exp_into, for_blocks, require_bandwidth
 from .starts import _require_finite
 
 __all__ = ["MvEstimate", "mv_estimate", "sphere", "mv_bandwidth"]
@@ -137,6 +138,9 @@ def mv_estimate(e: MvEstimate, x):
     (m, d) matrix of m points.  The start ratio exp{-q(x)/2 + q(X_i)/2} uses
     Mahalanobis distances q clipped at radius `clip`, the d-dimensional
     analogue of flooring the 1-d start density beyond 2.5 standard deviations.
+    In two dimensions, points that form a tensor grid (_tensor_axes) sum as
+    one blocked contraction (_tensor_sums) where its rounding stays within
+    _TENSOR_TOL; every other point sums directly (_direct_sums).
     """
     d = e.data.shape[1]
     x = np.asarray(x, dtype=float)
@@ -151,9 +155,31 @@ def mv_estimate(e: MvEstimate, x):
     pts = x[None, :] if single else x
     _require_finite(pts, "evaluation point")
 
-    yp = _sphere_rows(pts, e.mean, e.inv_root)
-    # -q(x)/2 - d log(sqrt(2 pi) h) - log|cov|/2, the exponent's per-row term
-    row = -0.5 * _sq_radii(yp, e.clip) - (d * np.log(SQRT_2PI * e.h) + e.half_logdet)
+    # a point far out may overflow in sphered space, where its terms are 0.0;
+    # a coordinate that is inf - inf of two overflowed products is as far
+    with np.errstate(over="ignore", invalid="ignore"):
+        yp = _sphere_rows(pts, e.mean, e.inv_root)
+    yp[np.isnan(yp)] = np.inf
+    with np.errstate(over="ignore"):
+        # -q(x)/2 - d log(sqrt(2 pi) h) - log|cov|/2, the exponent's per-row term
+        row = -0.5 * _sq_radii(yp, e.clip) - (d * np.log(SQRT_2PI * e.h) + e.half_logdet)
+        out = _tensor_sums(e, pts, row) if d == 2 else None
+        if out is None:
+            out = _direct_sums(e, yp, row)
+        else:
+            redo = np.flatnonzero(np.isnan(out))
+            if redo.size:
+                out[redo] = _direct_sums(e, yp[redo], row[redo])
+    return float(out[0]) if single else out
+
+
+def _direct_sums(e: MvEstimate, yp: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The estimate at the sphered points yp, with per-row terms row, term by term.
+
+    One exp per (point, datum), in row blocks on the block pool.  A point
+    has the same bits alone as among any other points.
+    """
+    d = yp.shape[1]
     yd = e.sphered.T.copy()  # one contiguous row per coordinate
     half_q_data = 0.5 * e.q_data[None, :]
     scale = -0.5 / e.h**2
@@ -177,7 +203,130 @@ def mv_estimate(e: MvEstimate, x):
         out[rows] = np.exp(expo, out=expo).mean(axis=1)
 
     for_blocks(yp.shape[0], yd.shape[1], fill)
-    return float(out[0]) if single else out
+    return out
+
+
+def _tensor_axes(pts: np.ndarray):
+    """(g1, g2, outer) when the rows of pts are a tensor grid g1 x g2, else None.
+
+    Either coordinate may be the outer one, which steps once per run of the
+    other's values: outer 0 is column_stack(repeat(g1, m2), tile(g2, m1)),
+    outer 1 the ravel order of meshgrid(g1, g2).  Each axis has at least
+    two values.
+    """
+    m = pts.shape[0]
+    for outer in (0, 1):
+        col, other = pts[:, outer], pts[:, 1 - outer]
+        run = int(np.argmax(col != col[0])) if m else 0
+        if run < 2 or m % run or m // run < 2:
+            continue
+        slow, fast = col[::run], other[:run]
+        if np.all(col.reshape(-1, run) == slow[:, None]) and np.all(other.reshape(-1, run) == fast):
+            return (slow, fast, 0) if outer == 0 else (fast, slow, 1)
+    return None
+
+
+# The tensor path's bound on its relative error (see _tensor_sums), and the
+# least shifted sum of a block it keeps a point's value from
+_TENSOR_TOL = 1e-12
+_TENSOR_SUM_MIN = 2.0**-960
+
+
+def _tensor_sums(e: MvEstimate, pts: np.ndarray, row: np.ndarray):
+    """The estimate at the 2-d points pts, with per-row terms row, where they
+    form a tensor grid g1 x g2 (_tensor_axes); None where they do not, or
+    where the rounding bound below exceeds _TENSOR_TOL.
+
+    With coordinates centred on the mean and P = cov^-1 / h^2, the exponent
+    of a term, -(P11 d1^2 + 2 P12 d1 d2 + P22 d2^2)/2 + q(X_i)/2 + row(g),
+    d_k = g_k - X_ik, splits into a(g1, i) + b(g2, i) + c(g1, g2) once the
+    cross term d1 d2 is multiplied out and each square is completed:
+        a = -P11 (g1 - w_i)^2 / 2 + t_i,    w_i = X_i1 + X_i2 P12 / P11,
+        b = -P22 (g2 - z_i)^2 / 2,          z_i = X_i2 + X_i1 P12 / P22,
+        c = -P12 g1 g2 + row(g),
+        t_i = P12 X_i1 X_i2 + (P12^2 / P11) X_i2^2 / 2 + (P12^2 / P22) X_i1^2 / 2
+              + q(X_i) / 2.
+    So the grid's sums are e^c (e^a (e^b)^T): (m1 + m2) n exps and one
+    contraction, in place of m1 m2 n exps.  The pieces grow like
+    (range / h)^2 while a term's exponent stays small, and each carries a
+    rounding of a few ulps of its size into the value: the path is taken only
+    where eps (max|a| + max|b| + max|c|), bounded from the grid and the data
+    before any exp, is at most _TENSOR_TOL.
+
+    The data go in blocks of columns within kernels.BLOCK_ELEMENTS, in the
+    calling thread.  Each block shifts each row of its factors by the row's
+    maximum, exps them in place and contracts them with np.einsum, whose own
+    loop wakes no BLAS threads; the blocks' sums merge through their shifts.
+    A point where some block's shifted sum is below _TENSOR_SUM_MIN, which
+    leaves its terms to underflow, or whose value is not finite, is NaN.
+    """
+    axes = _tensor_axes(pts)
+    if axes is None:
+        return None
+    g1, g2, outer = axes
+    n = e.data.shape[0]
+    r = e.inv_root / e.h
+    p11 = r[0, 0] * r[0, 0] + r[1, 0] * r[1, 0]
+    p12 = r[0, 0] * r[0, 1] + r[1, 0] * r[1, 1]
+    p22 = r[0, 1] * r[0, 1] + r[1, 1] * r[1, 1]
+    if not (0.0 < p11 < np.inf and 0.0 < p22 < np.inf):  # h too far from the data's scale
+        return None
+    u, v = g1 - e.mean[0], g2 - e.mean[1]
+    x1, x2 = e.data[:, 0] - e.mean[0], e.data[:, 1] - e.mean[1]
+    w = x1 + (p12 / p11) * x2
+    z = x2 + (p12 / p22) * x1
+    t_terms = (p12 * x1 * x2, (0.5 * p12 * p12 / p11) * x2 * x2,
+               (0.5 * p12 * p12 / p22) * x1 * x1, 0.5 * e.q_data)
+    m1, m2 = u.size, v.size
+    # the per-point terms as a (m1, m2) matrix, each grid point's in its cell
+    row = row.reshape(m1, m2) if outer == 0 else row.reshape(m2, m1).T
+    reach_a = np.max([u.max() - w.min(), w.max() - u.min()])
+    reach_b = np.max([v.max() - z.min(), z.max() - v.min()])
+    top = (0.5 * p11 * reach_a * reach_a + np.max(sum(np.abs(x) for x in t_terms))  # max|a|
+           + 0.5 * p22 * reach_b * reach_b  # max|b|
+           + abs(p12) * np.max(np.abs(u)) * np.max(np.abs(v)) + np.max(np.abs(row)))  # max|c|
+    if not np.finfo(float).eps * top <= _TENSOR_TOL:
+        return None
+    t = sum(t_terms)
+
+    step = max(1, kernels.BLOCK_ELEMENTS // max(m1, m2))
+    fa, fb = np.empty(m1 * min(step, n)), np.empty(m2 * min(step, n))
+    low = np.zeros((m1, m2), dtype=bool)
+    for s in range(0, n, step):
+        cols = slice(s, min(s + step, n))
+        k = cols.stop - s
+        a = fa[:m1 * k].reshape(m1, k)
+        np.subtract(u[:, None], w[None, cols], out=a)
+        a *= a
+        a *= -0.5 * p11
+        a += t[None, cols]
+        b = fb[:m2 * k].reshape(m2, k)
+        np.subtract(v[:, None], z[None, cols], out=b)
+        b *= b
+        b *= -0.5 * p22
+        shift = []
+        for f in (a, b):
+            top = f.max(axis=1)
+            f -= top[:, None]
+            exp_into(f)
+            shift.append(top)
+        part = np.einsum("ai,bi->ab", a, b)
+        part_shift = np.add.outer(*shift)
+        low |= part < _TENSOR_SUM_MIN
+        if s == 0:
+            total, total_shift = part, part_shift
+        else:
+            top = np.maximum(total_shift, part_shift)
+            total *= np.exp(total_shift - top)
+            part *= np.exp(part_shift - top)
+            total += part
+            total_shift = top
+    total_shift -= p12 * np.multiply.outer(u, v)
+    total_shift += row
+    total *= np.exp(total_shift)
+    total /= n
+    total[low | ~np.isfinite(total)] = np.nan
+    return (total if outer == 0 else total.T).ravel()
 
 
 def _multi_indices(d: int, total: int):

@@ -108,6 +108,46 @@ def test_windowed_requests_start_no_thread_pool(tmp_path):
     assert json.loads(proc.stdout) == [[0] * len(requests), False, True]
 
 
+def test_the_tensor_grid_leaves_no_thread_spinning(tmp_path):
+    # the 2-d estimate on a 41 x 41 tensor grid over 10^4 points contracts in
+    # NumPy's own einsum loop, in the calling thread: it starts no block pool,
+    # and wakes no BLAS worker that would spin on, billing CPU time to the
+    # 0.2 s of NumPy work after it (a BLAS product there billed 137 ms).
+    # OpenBLAS's workers also spin for a while after they start, so the
+    # child first waits until the other threads' CPU time stands still
+    child = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from semistart import kernels
+from semistart.multivariate import MvEstimate, mv_estimate
+
+def other_threads():
+    return time.process_time() - time.thread_time()
+
+rng = np.random.default_rng(3)
+x = rng.standard_normal((10_000, 2)) @ np.array([[1.0, 0.0], [0.6, 0.8]])
+e = MvEstimate.fit(x, 0.25)
+g = np.linspace(-3.0, 3.0, 41)
+for _ in range(50):
+    before = other_threads()
+    time.sleep(0.1)
+    if other_threads() - before < 0.001:
+        break
+mv_estimate(e, np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)]))
+others = other_threads()
+a = rng.standard_normal(10_000)
+end = time.perf_counter() + 0.2
+while time.perf_counter() < end:
+    np.exp(np.sin(a))
+print(json.dumps([other_threads() - others, kernels._pool is None]))
+"""
+    proc = _fresh(child, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    spun, no_pool = json.loads(proc.stdout)
+    assert spun <= 0.010 and no_pool
+
+
 def test_numpy_only_requests_load_no_scipy(tmp_path, inputs):
     data, out = ["--input", inputs["data"]], ["--out", inputs["out"]]
     grid = ["--grid", "0.2,4,25"]

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from semistart.bandwidth import rule_delta
 from semistart.densities import NormalMixture, mixture_sample
 from semistart.estimator import DensityEstimate, estimate_semiparametric
 from semistart import kernels
+from semistart import multivariate as mv
 from semistart.kernels import MAX_BLOCK_THREADS, SQRT_2PI, kernel_props
 from semistart.multivariate import MvEstimate, mv_bandwidth, mv_estimate, sphere
 from semistart.starts import FittedStart
@@ -122,6 +124,21 @@ def test_mv_bandwidth_mixture_data_in_range():
     assert np.isfinite(ch.h)
 
 
+def _grid(g1, g2, meshgrid=False):
+    """The points of the tensor grid g1 x g2: column_stack(repeat(g1), tile(g2)), or
+    meshgrid's ravel order, in which the first coordinate runs fastest."""
+    if meshgrid:
+        return np.column_stack([a.ravel() for a in np.meshgrid(g1, g2)])
+    return np.column_stack([np.repeat(g1, g2.size), np.tile(g2, g1.size)])
+
+
+def _shuffled(pts):
+    """The rows of a grid in an order that is no tensor grid's, which keeps the direct path."""
+    out = pts[np.random.default_rng(0).permutation(len(pts))]
+    assert mv._tensor_axes(out) is None
+    return out
+
+
 def _full_mv_estimate(e, pts):
     """Unblocked corrected estimate, with distances by broadcasting (no GEMM)."""
     vals, vecs = np.linalg.eigh(e.cov)
@@ -147,9 +164,7 @@ def test_blocked_mv_estimate_matches_full_sum(n, side, monkeypatch):
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # the geometry the cases describe
     data = rng_data(11, n, 2, mix=True)
     e = MvEstimate.fit(data, h=0.3)
-    g = np.linspace(-4.0, 4.0, side)
-    xx, yy = np.meshgrid(g, g)
-    pts = e.mean + np.column_stack([xx.ravel(), yy.ravel()])
+    pts = _shuffled(e.mean + _grid(np.linspace(-4.0, 4.0, side), np.linspace(-4.0, 4.0, side)))
     want = _full_mv_estimate(e, pts)
     got = mv_estimate(e, pts)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
@@ -171,11 +186,12 @@ def test_singular_covariance_is_rejected_at_construction(cov):
 
 
 def test_mv_estimate_reuses_the_factorisation(monkeypatch):
-    import semistart.multivariate as mv
-
+    # on the direct path, and on a tensor grid, which takes P from inv_root
     e = MvEstimate.fit(rng_data(14, 300, 2), h=0.4, clip=1.5)
-    pts = rng_data(15, 20, 2)
-    want = mv_estimate(e, pts)
+    scattered = rng_data(15, 20, 2)
+    grid = _grid(np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 3.0, 4))
+    assert mv._tensor_axes(scattered) is None and mv._tensor_axes(grid) is not None
+    want = [mv_estimate(e, pts) for pts in (scattered, grid)]
 
     def refuse(*args):
         raise AssertionError("the covariance was factorised again")
@@ -183,23 +199,30 @@ def test_mv_estimate_reuses_the_factorisation(monkeypatch):
     monkeypatch.setattr(mv, "_cov_factor", refuse)
     monkeypatch.setattr(np.linalg, "slogdet", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    assert np.array_equal(mv_estimate(e, pts), want)
+    assert all(np.array_equal(mv_estimate(e, pts), w) for pts, w in zip((scattered, grid), want))
+
+
+def _peak_bytes(e, pts):
+    tracemalloc.start()
+    try:
+        mv_estimate(e, pts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_mv_grid_evaluation_memory_is_bounded():
     # the working set is a fixed block, not the (1681 x 1e4) matrices (about 130 MB each)
-    data = rng_data(12, 10_000, 2)
-    e = MvEstimate.fit(data, h=0.4)
+    e = MvEstimate.fit(rng_data(12, 10_000, 2), h=0.4)
     g = np.linspace(-3.0, 3.0, 41)
-    xx, yy = np.meshgrid(g, g)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    tracemalloc.start()
-    try:
-        mv_estimate(e, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert _peak_bytes(e, _shuffled(_grid(g, g, meshgrid=True))) <= 8 * 2**20
+
+
+def test_mv_tensor_grid_evaluation_memory_is_bounded(tensor_only):
+    # the tensor path's working set is a block of each factor
+    e = MvEstimate.fit(rng_data(12, 10_000, 2), h=0.4)
+    g = np.linspace(-3.0, 3.0, 41)
+    assert _peak_bytes(e, _grid(g, g, meshgrid=True)) <= 8 * 2**20
 
 
 @pytest.mark.parametrize("d, x, msg", [
@@ -332,3 +355,158 @@ def test_mv_estimate_keeps_its_digits(seed, n, h, clip):
     assert np.all(got > 1e-3)
     assert np.all(np.abs(got - mp_mv(e, pts)) <= 5e-14 * got)
     assert np.all(np.abs(got - expanded_mv(e, pts)) <= 1e-12 * got)
+
+
+# ------------------------------------------------------------ the tensor path
+
+def _bench_data(seed, n):
+    """Draws shaped as the benchmark's 2-d task: two correlated normal components."""
+    rng = np.random.default_rng(seed)
+    comp = rng.integers(0, 2, n)
+    x = rng.standard_normal((n, 2)) @ np.array([[1.0, 0.0], [0.6, 0.8]])
+    return x + np.where(comp[:, None] == 0, -1.0, 1.0) * np.array([1.0, 0.5])
+
+
+def _literal_rows(e, pts, rows=100):
+    """literal_mv a few rows at a time, with the same bits and a small working set."""
+    return np.concatenate([literal_mv(e, pts[k:k + rows]) for k in range(0, len(pts), rows)])
+
+
+def _within_tensor_bound(got, want):
+    """The tensor path's contract: 1e-12 relative, and 1e-300 absolute, below
+    which a value's terms are subnormal."""
+    return bool(np.all(np.abs(got - want) <= 1e-12 * want + 1e-300))
+
+
+@pytest.fixture
+def tensor_only(monkeypatch):
+    """Refuse the direct sums: what runs after this took the tensor path at every point."""
+    def refuse(*args):
+        raise AssertionError("a point took the direct path")
+
+    monkeypatch.setattr(mv, "_direct_sums", refuse)
+
+
+BENCH_AXIS = np.linspace(-3.0, 3.0, 41)
+
+
+@pytest.mark.parametrize("meshgrid", [False, True], ids=["repeat_tile", "meshgrid"])
+@pytest.mark.parametrize("clip", [2.5, None])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tensor_grid_is_within_its_bound_of_the_literal_sum(seed, clip, meshgrid, tensor_only):
+    data = _bench_data(seed, 2000)
+    e = MvEstimate.fit(data, h=mv_bandwidth(data).h, clip=clip)
+    pts = _grid(BENCH_AXIS, BENCH_AXIS[::-1] + 0.5, meshgrid)
+    want = _literal_rows(e, pts)
+    got = mv_estimate(e, pts)
+    assert _within_tensor_bound(got, want)
+    assert np.min(want) < 1e-20  # the tails are in the check
+
+
+def test_the_benchmark_grid_takes_no_block_pool(monkeypatch):
+    # 10^4 draws and a 41 x 41 grid, as in the benchmark: the tensor path runs
+    # in the calling thread, and agrees with the direct path
+    data = _bench_data(3, 10_000)
+    e = MvEstimate.fit(data, h=mv_bandwidth(data).h)
+    pts = _grid(BENCH_AXIS, BENCH_AXIS)
+
+    def refuse(*args):
+        raise AssertionError("the block pool was used")
+
+    monkeypatch.setattr(kernels, "for_blocks", refuse)
+    monkeypatch.setattr(mv, "for_blocks", refuse)
+    got = mv_estimate(e, pts)
+    monkeypatch.undo()
+    order = np.random.default_rng(0).permutation(len(pts))
+    want = np.empty(len(pts))
+    want[order] = mv_estimate(e, _shuffled(pts))
+    assert _within_tensor_bound(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300), rho=st.floats(-0.95, 0.95),
+       log_h=st.floats(-1.5, 0.3), m1=st.integers(2, 12), m2=st.integers(2, 12),
+       spread=st.floats(0.5, 6.0), clip=st.sampled_from([None, 1.0, 2.5]),
+       meshgrid=st.booleans())
+def test_tensor_grid_is_within_its_bound_on_drawn_data(seed, n, rho, log_h, m1, m2, spread,
+                                                       clip, meshgrid):
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 10.0, 2)
+    data = rng.standard_normal((n, 2)) @ np.linalg.cholesky([[1.0, rho], [rho, 1.0]]).T * scale
+    e = MvEstimate.fit(data, h=10.0**log_h, clip=clip)
+    g1 = e.mean[0] + scale[0] * np.linspace(-spread, spread * rng.uniform(0.2, 1.0), m1)
+    g2 = e.mean[1] + scale[1] * np.linspace(-spread * rng.uniform(0.2, 1.0), spread, m2)
+    pts = _grid(g1, g2, meshgrid)
+    assert _within_tensor_bound(mv_estimate(e, pts), literal_mv(e, pts))
+
+
+def test_tensor_grid_keeps_its_digits_in_the_tails(tensor_only):
+    # against 40-digit sums at a grid whose corners lie 3-4 standard deviations out
+    e, _ = _mv_case(23, 200, 2, 0.4, 0, 2.5, False)
+    sd = np.sqrt(np.diag(e.cov))
+    pts = _grid(e.mean[0] + sd[0] * np.array([-4.0, -1.0, 3.5]),
+                e.mean[1] + sd[1] * np.array([-3.0, 0.5, 4.0]))
+    got = mv_estimate(e, pts)
+    exact = mp_mv(e, pts)
+    assert np.min(exact) < 1e-6
+    assert np.all(np.abs(got - exact) <= 1e-12 * exact)
+
+
+@pytest.mark.parametrize("rho, h", [(0.95, 0.05), (0.99, 0.02), (0.999, 0.1), (0.0, 0.01)])
+def test_the_guard_sends_ill_conditioned_grids_to_the_direct_path(rho, h):
+    # the factored pieces grow like (range / h)^2: here their rounding would
+    # cost up to the whole value, and the guard refuses before any exp, so the
+    # values are the direct path's, bit for bit
+    rng = np.random.default_rng(24)
+    data = rng.standard_normal((5000, 2)) @ np.linalg.cholesky([[1.0, rho], [rho, 1.0]]).T
+    e = MvEstimate.fit(data, h=h)
+    pts = _grid(BENCH_AXIS, BENCH_AXIS)
+    assert np.array_equal(mv_estimate(e, pts), _literal_rows(e, pts))
+
+
+def test_points_with_underflowing_block_sums_take_the_direct_path(monkeypatch):
+    # with the floor on a block's shifted sum raised to 1e-20, several hundred
+    # tail points of the grid fall below it: they have the direct path's bits
+    data = _bench_data(1, 2000)
+    e = MvEstimate.fit(data, h=0.3)
+    pts = _grid(BENCH_AXIS, BENCH_AXIS)
+    want = _literal_rows(e, pts)
+    monkeypatch.setattr(mv, "_TENSOR_SUM_MIN", 1e-20)
+    got = mv_estimate(e, pts)
+    same = got == want
+    assert 100 < np.count_nonzero(same) < len(pts) - 100
+    assert _within_tensor_bound(got, want)
+
+
+@pytest.mark.parametrize("n, side", [
+    (2**15 + 7, 3),   # 10922 data per block: three full blocks and a short one
+    (2000, 23),       # 1424 data per block: one full block and a short one
+])
+def test_blocked_tensor_grid_matches_full_sum(n, side, monkeypatch, tensor_only):
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)
+    data = rng_data(11, n, 2, mix=True)
+    e = MvEstimate.fit(data, h=0.3)
+    pts = e.mean + _grid(np.linspace(-4.0, 4.0, side), np.linspace(-4.0, 4.0, side), True)
+    assert _within_tensor_bound(mv_estimate(e, pts), _full_mv_estimate(e, pts))
+
+
+@pytest.mark.parametrize("cov, point", [
+    (np.eye(2), (-1e308, 0.0)), (np.eye(2), (1e200, 1e200)), (np.eye(2), (0.0, -1e155)),
+    # cov^(-1/2) has entries of about 11 and -2.9: both products of a coordinate overflow
+    # with opposite signs, whose sum is inf - inf
+    ([[0.0125, 0.0125], [0.0125, 0.0325]], (1.7e308, 1.7e308)),
+], ids=["x_-1e308", "both_1e200", "y_-1e155", "inf_minus_inf"])
+def test_a_far_point_weighs_nothing_and_warns_nothing(cov, point):
+    rng = np.random.default_rng(25)
+    data = rng.standard_normal((500, 2)) @ np.linalg.cholesky(cov).T
+    e = MvEstimate.fit(data, h=0.3)
+    g = np.linspace(-1.0, 1.0, 3)
+    # a tensor grid with the far coordinates as one more value of their axes
+    pts = _grid(*(np.append(g, v) if v else g for v in point))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mv_estimate(e, np.array(point)) == 0.0
+        got = mv_estimate(e, pts)
+    near = np.all(np.abs(pts) <= 1.0, axis=1)
+    assert np.all(got[~near] == 0.0)
+    assert np.array_equal(got[near], literal_mv(e, pts[near]))
