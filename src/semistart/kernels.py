@@ -163,28 +163,29 @@ def eval_scaled(kernel: KernelSpec, h: float, z, out=None):
     return res if out is not None or res.ndim else float(res)
 
 
-def row_blocks(rows: int, cols: int):
-    """Slices of range(rows) covering a (rows x cols) array in row blocks.
-
-    Each block holds at most BLOCK_ELEMENTS elements, or a single row when
-    one row alone is longer.  NumPy reduces each row along its last axis
-    the same way whatever the number of rows, so a sum over the data
-    computed block by block is bit-identical to the one over the full
-    array, while the working memory stays bounded by the block size.
-    """
-    step = max(1, BLOCK_ELEMENTS // max(cols, 1))
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
-
+# The blocks of a (grid x data) sum in flight hold at most this many float64
+# values together, 1 MB, on every machine: a sum in the calling thread takes
+# blocks of this size, and the block pool splits it over its threads.  Longer
+# blocks pay better for the GIL hand-off between a block's NumPy calls.
+BLOCK_ELEMENTS = 2**17
 
 # At most this many blocks of a sum are in flight at once, one per thread.
 MAX_BLOCK_THREADS = 4
 
-# The blocks in flight hold at most this many float64 values together, 1 MB,
-# whatever the number of CPUs: a block of a sum on one thread is as long as
-# the four blocks of a sum on four.  Longer blocks pay better for the GIL
-# hand-off between a block's NumPy calls.
-IN_FLIGHT_ELEMENTS = 2**17
+
+def row_blocks(rows: int, cols: int, threads: int = 1):
+    """Slices of range(rows) covering a (rows x cols) array in row blocks.
+
+    threads blocks together hold at most BLOCK_ELEMENTS elements, or a
+    single row each when one row alone is longer.  NumPy reduces each row
+    along its last axis the same way whatever the number of rows, so a sum
+    over the data computed block by block is bit-identical to the one over
+    the full array, while the working memory stays bounded by the budget.
+    """
+    step = max(1, BLOCK_ELEMENTS // threads // max(cols, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
 
 # the block executor once a parallel block sum has run; see for_blocks
 _pool = None
@@ -212,44 +213,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _block_elements(cpus: int) -> int:
-    """Elements per block with that many usable CPUs: the budget over the block threads."""
-    return IN_FLIGHT_ELEMENTS // min(cpus, MAX_BLOCK_THREADS)
-
-
-# Elements per block of a (grid x data) sum: 2^15 float64 values (256 KB) from
-# four usable CPUs on, 2^16 at two and 2^17 at one.  No result's bits depend
-# on it (see row_blocks).
-BLOCK_ELEMENTS = _block_elements(_worker_count())
-
-
 def _fill_each(fill, blocks) -> None:
     for rows in blocks:
         fill(rows)
 
 
 def for_blocks(rows: int, cols: int, fill) -> None:
-    """Call fill(block) for every slice of row_blocks(rows, cols), in parallel.
+    """Call fill(block) for every slice of row_blocks(rows, cols, threads), in parallel.
 
-    The blocks run on a process-wide thread pool, created on first use with
-    one thread per usable CPU, up to MAX_BLOCK_THREADS and to the
-    IN_FLIGHT_ELEMENTS // BLOCK_ELEMENTS blocks that the in-flight budget was
-    split for.  They are dealt round-robin, one task per thread, each run in
-    a copy of the caller's context so that np.errstate holds; NumPy releases
-    the GIL inside its loops.  A single block, or a single CPU, runs in the
-    calling thread.  Each fill may write only cells that no other block
-    writes (its own rows, or cells such as a mirrored triangle that only it
-    fills) and must leave every reduction across blocks to the caller, whose
-    result then has the same bits whatever the number of threads.  A fill
-    must not call for_blocks.  An exception in a fill skips the rest of its
-    thread's share and reaches the caller once every thread has stopped.
+    threads is the number of usable CPUs, up to MAX_BLOCK_THREADS, read once
+    per call, so the blocks in flight share BLOCK_ELEMENTS however the CPUs
+    this process may use change.  The blocks run on a process-wide thread
+    pool, created on first use with that many threads.  They are dealt
+    round-robin, one task per thread, each run in a copy of the caller's
+    context so that np.errstate holds; NumPy releases the GIL inside its
+    loops.  A single block, or a single CPU, runs in the calling thread.
+    Each fill may write only cells that no other block writes (its own rows,
+    or cells such as a mirrored triangle that only it fills) and must leave
+    every reduction across blocks to the caller, whose result then has the
+    same bits whatever the number of threads.  A fill must not call
+    for_blocks.  An exception in a fill skips the rest of its thread's share
+    and reaches the caller once every thread has stopped.
     """
     global _pool
-    # at most the blocks the in-flight budget was split for at import, if the
-    # CPUs this process may use have grown since
-    threads = min(_worker_count(), MAX_BLOCK_THREADS,
-                  max(1, IN_FLIGHT_ELEMENTS // BLOCK_ELEMENTS))
-    blocks = list(row_blocks(rows, cols))
+    threads = min(_worker_count(), MAX_BLOCK_THREADS)
+    blocks = list(row_blocks(rows, cols, threads))
     k = min(threads, len(blocks))
     if k <= 1:
         _fill_each(fill, blocks)
@@ -387,11 +375,10 @@ def _blocks(lo, hi, near, n: int) -> list:
     for s, e in zip([0] + cuts, cuts + [key.size]) if key.size else ():
         r = int(rows[s])
         a, b, squares = int(lo[r]), int(hi[r]), bool(near[r])
-        step = max(1, BLOCK_ELEMENTS // (b - a))
         run = int(rows[e - 1]) - r == e - s - 1
-        out += [(slice(r + i - s, r + min(i + step, e) - s) if run else rows[i:min(i + step, e)],
+        out += [(slice(r + k.start, r + k.stop) if run else rows[s + k.start:s + k.stop],
                  a, b, squares)
-                for i in range(s, e, step)]
+                for k in row_blocks(e - s, b - a)]
     return out
 
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from .bandwidth import BandwidthChoice
 from .hermite import hermite_rows
-from . import kernels
-from .kernels import SQRT_2PI, exp_into, for_blocks, require_bandwidth
+from .kernels import _H_MIN, SQRT_2PI, exp_into, for_blocks, require_bandwidth, row_blocks
 from .starts import _require_finite
 
 __all__ = ["MvEstimate", "mv_estimate", "sphere", "mv_bandwidth"]
@@ -117,6 +116,11 @@ class MvEstimate:
         _require_finite(cov, "cov")
         # n >= d + 1 is only needed when the moments are estimated (see fit)
         require_bandwidth(self.h)
+        h = float(self.h)
+        if not _H_MIN <= h * h < math.inf:  # the sums scale by -1/(2 h^2)
+            raise ValueError(f"bandwidth h must be from about {math.sqrt(_H_MIN):.3g} to "
+                             f"{math.sqrt(np.finfo(float).max):.3g}: h^2 must be a finite "
+                             "normal float")
         _, inv_root = _cov_factor(cov)
         yd = _sphere_rows(x, mean, inv_root)
         derived = {"data": x, "mean": mean, "cov": cov, "inv_root": inv_root,
@@ -253,10 +257,11 @@ def _tensor_sums(e: MvEstimate, pts: np.ndarray, row: np.ndarray):
     where eps (max|a| + max|b| + max|c|), bounded from the grid and the data
     before any exp, is at most _TENSOR_TOL.
 
-    The data go in blocks of columns within kernels.BLOCK_ELEMENTS, in the
-    calling thread.  Each block shifts each row of its factors by the row's
-    maximum, exps them in place and contracts them with np.einsum, whose own
-    loop wakes no BLAS threads; the blocks' sums merge through their shifts.
+    The data go in blocks of columns, the rows of row_blocks(n, max(m1, m2)),
+    in the calling thread, so the bits do not depend on the CPU count.  Each
+    block shifts each row of its factors by the row's maximum, exps them in
+    place and contracts them with np.einsum, whose own loop wakes no BLAS
+    threads; the blocks' sums merge through their shifts.
     A point where some block's shifted sum is below _TENSOR_SUM_MIN, which
     leaves its terms to underflow, or whose value is not finite, is NaN.
     """
@@ -289,19 +294,13 @@ def _tensor_sums(e: MvEstimate, pts: np.ndarray, row: np.ndarray):
         return None
     t = sum(t_terms)
 
-    step = max(1, kernels.BLOCK_ELEMENTS // max(m1, m2))
-    fa, fb = np.empty(m1 * min(step, n)), np.empty(m2 * min(step, n))
     low = np.zeros((m1, m2), dtype=bool)
-    for s in range(0, n, step):
-        cols = slice(s, min(s + step, n))
-        k = cols.stop - s
-        a = fa[:m1 * k].reshape(m1, k)
-        np.subtract(u[:, None], w[None, cols], out=a)
+    for cols in row_blocks(n, max(m1, m2)):
+        a = np.subtract(u[:, None], w[None, cols])
         a *= a
         a *= -0.5 * p11
         a += t[None, cols]
-        b = fb[:m2 * k].reshape(m2, k)
-        np.subtract(v[:, None], z[None, cols], out=b)
+        b = np.subtract(v[:, None], z[None, cols])
         b *= b
         b *= -0.5 * p22
         shift = []
@@ -313,7 +312,7 @@ def _tensor_sums(e: MvEstimate, pts: np.ndarray, row: np.ndarray):
         part = np.einsum("ai,bi->ab", a, b)
         part_shift = np.add.outer(*shift)
         low |= part < _TENSOR_SUM_MIN
-        if s == 0:
+        if cols.start == 0:
             total, total_shift = part, part_shift
         else:
             top = np.maximum(total_shift, part_shift)

@@ -494,9 +494,11 @@ MANY_BLOCKS_N = _n_with_more_blocks_than(3 * MAX_BLOCK_THREADS)
                          + [pytest.param(MANY_BLOCKS_N, id="many_blocks")])
 @pytest.mark.parametrize("family", ["constant", "normal", "lognormal", "gamma"])
 def test_pair_sums_bit_identical_to_full_matrix(family, n, monkeypatch):
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)
+    # 2^15 elements per block on the pool's threads
+    threads = min(kernels._worker_count(), MAX_BLOCK_THREADS)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15 * threads)
     if n in BLOCK_ROWS:
-        assert [r.stop - r.start for r in row_blocks(n, n)] == BLOCK_ROWS[n]
+        assert [r.stop - r.start for r in row_blocks(n, n, threads)] == BLOCK_ROWS[n]
     x, start = _sample_and_start(family, n)
     quad_path = family in ("lognormal", "gamma")
     # at n = 1000 and h = 0.05 a constant-start matrix mirrored from one

@@ -325,15 +325,15 @@ def test_every_bandwidth_must_be_finite_and_positive(user, h):
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("rows, cols", [
+    # the geometry at four block threads, 2^15 elements per block
     (0, 10),                  # no block: fill is never called
     (1, 10),                  # one block
     (1000, 1000),             # 31 blocks of 32 rows and one of 8
-    (7, 2**15 + 1),           # one row per block
+    (7, 2**15 + 1),           # one row per block (three at one CPU)
     (1029, 2**9),             # four blocks per block thread and a partial one
 ])
-def test_for_blocks_visits_every_block_once(rows, cols, cpus, machine, monkeypatch):
+def test_for_blocks_visits_every_block_once(rows, cols, cpus, machine):
     machine(cpus)
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # the geometry the cases describe
     lock = threading.Lock()
     seen, threads, in_flight, peak = [], set(), [0], [0]
 
@@ -348,7 +348,8 @@ def test_for_blocks_visits_every_block_once(rows, cols, cpus, machine, monkeypat
             in_flight[0] -= 1
 
     for_blocks(rows, cols, fill)
-    assert sorted(seen, key=lambda b: b.start) == list(row_blocks(rows, cols))
+    want = list(row_blocks(rows, cols, min(cpus, MAX_BLOCK_THREADS)))
+    assert sorted(seen, key=lambda b: b.start) == want
     # the working memory is at most MAX_BLOCK_THREADS blocks, whatever the CPU count
     assert len(threads) <= min(cpus, MAX_BLOCK_THREADS)
     assert peak[0] <= min(cpus, MAX_BLOCK_THREADS)
@@ -359,47 +360,54 @@ def test_for_blocks_visits_every_block_once(rows, cols, cpus, machine, monkeypat
 
 @pytest.mark.parametrize("cpus, block", [
     (1, 2**17), (2, 2**16), (3, 43690), (4, 2**15), (8, 2**15), (64, 2**15)])
-def test_blocks_in_flight_hold_at_most_two_to_the_17_elements(cpus, block, monkeypatch):
+def test_blocks_in_flight_hold_at_most_two_to_the_17_elements(cpus, block):
     # one block per block thread is in flight: together they hold at most
     # 2^17 elements, or one row each where a row alone is longer.  From four
     # usable CPUs on the block is 2^15 elements, as with four threads before
-    assert kernels.BLOCK_ELEMENTS == kernels._block_elements(kernels._worker_count())
-    assert kernels._block_elements(cpus) == block
+    assert kernels.BLOCK_ELEMENTS == 2**17
     threads = min(cpus, MAX_BLOCK_THREADS)
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+    assert max(b.stop - b.start for b in row_blocks(3 * 2**17, 1, threads)) == block
     for cols in (1, 7, 1000, 2**9 + 3, 2**15, 2**15 + 1, 2**17, 2**17 + 1, 10**6):
-        rows = max(b.stop - b.start for b in row_blocks(3 * 2**17, cols))
-        assert rows == 1 or threads * rows * cols <= 2**17
+        rows = max(b.stop - b.start for b in row_blocks(3 * 2**17, cols, threads))
+        assert rows == 1 or threads * rows * cols <= kernels.BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize("block, most", [(2**17, 1), (2**16, 2), (43690, 3), (2**15, 4)])
-def test_blocks_in_flight_keep_the_budget_when_more_cpus_come_later(block, most, machine,
-                                                                   monkeypatch):
-    # the block size was split for fewer CPUs than the process may use now
-    # (its affinity widened after import): a call runs at most the blocks the
-    # 2^17-element budget was split for
-    machine(8)
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+def test_blocks_in_flight_keep_the_budget_when_more_cpus_come_later(block, most, machine):
+    # blocks were once sized at import from the CPUs the process could use
+    # then, so a process whose affinity widened later ran more threads than
+    # its blocks were split for.  for_blocks now reads the CPU count once per
+    # call and sizes its blocks from that same count: a call on `most` CPUs
+    # runs blocks of at most `block` elements on at most `most` threads, and a
+    # later call on eight CPUs blocks of 2^15 on four, each within BLOCK_ELEMENTS
+    cols = 2**10
     lock = threading.Lock()
-    in_flight, peak = [0], [0]
+    in_flight, peak, largest, threads = [0], [0], [0], set()
 
     def fill(rows):
+        size = (rows.stop - rows.start) * cols
         with lock:
-            in_flight[0] += 1
+            in_flight[0] += size
             peak[0] = max(peak[0], in_flight[0])
+            largest[0] = max(largest[0], size)
+            threads.add(threading.get_ident())
         time.sleep(2e-3)  # let the threads overlap
         with lock:
-            in_flight[0] -= 1
+            in_flight[0] -= size
 
-    for_blocks(40, block, fill)  # 40 blocks of one row each
-    assert peak[0] <= most
-    assert most == 1 or peak[0] > 1  # the threads the budget allows do run
-    assert peak[0] * block <= kernels.IN_FLIGHT_ELEMENTS
+    for cpus, size, at_most in ((most, block, most), (8, 2**15, 4)):
+        machine(cpus)
+        peak[0], largest[0] = 0, 0
+        threads.clear()
+        for_blocks(400, cols, fill)
+        assert largest[0] <= size
+        assert peak[0] <= kernels.BLOCK_ELEMENTS
+        assert len(threads) <= at_most
+    assert len(threads) > 1  # the later call does run on several threads
 
 
-def test_for_blocks_raises_the_fills_exception_and_keeps_working(machine, monkeypatch):
-    machine(8)
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # a block of 32 rows at row 64
+def test_for_blocks_raises_the_fills_exception_and_keeps_working(machine):
+    machine(8)  # four block threads: a block of 32 rows at row 64
     out = np.zeros(1000)
 
     def failing(block):
@@ -418,10 +426,8 @@ def test_for_blocks_raises_the_fills_exception_and_keeps_working(machine, monkey
     assert np.all(out == 2.0)
 
 
-def test_for_blocks_fills_keep_the_callers_error_state(machine, monkeypatch):
-    machine(8)
-    # blocks split for four threads, which run on the pool at any CPU count
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)
+def test_for_blocks_fills_keep_the_callers_error_state(machine):
+    machine(8)  # four block threads
 
     def fill(block):
         np.exp(np.full(block.stop - block.start, 1000.0))  # overflows
@@ -436,7 +442,6 @@ def test_for_blocks_fills_keep_the_callers_error_state(machine, monkeypatch):
 
 def test_concurrent_callers_share_one_pool(monkeypatch):
     monkeypatch.setattr(kernels, "_worker_count", lambda: 2)
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # two blocks of 64 rows and one of 5
     made = []
 
     class CountingPool(concurrent.futures.ThreadPoolExecutor):
@@ -445,7 +450,7 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    rows, rounds = 2 * 64 + 5, 20
+    rows, rounds = 2 * 128 + 5, 20  # two blocks of 128 rows and one of 5
     outs = [np.zeros(rows) for _ in range(8)]
 
     def caller(out, ready):
@@ -476,7 +481,8 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
 
 
 _FORK_DATA = np.random.default_rng(5).normal(0.0, 1.0, (1000, 2))
-_FORK_GRID = np.random.default_rng(6).normal(0.0, 1.0, (101, 2))  # four 32-row blocks
+# two blocks on two CPUs, 65 rows and 36
+_FORK_GRID = np.random.default_rng(6).normal(0.0, 1.0, (101, 2))
 
 
 def _estimate_in_child(conn):
@@ -484,11 +490,10 @@ def _estimate_in_child(conn):
     conn.close()
 
 
-def test_a_forked_child_runs_block_sums(machine, monkeypatch):
+def test_a_forked_child_runs_block_sums(machine):
     # the parent's pool is running: a child forked now has none of its
     # worker threads and must build its own, or wait forever on the first sum
     machine(2)
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)
     want = mv_estimate(MvEstimate.fit(_FORK_DATA, 0.3), _FORK_GRID).tobytes()
     assert kernels._pool is not None
     ctx = multiprocessing.get_context("fork")

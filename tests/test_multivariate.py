@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -161,7 +165,9 @@ def _full_mv_estimate(e, pts):
     pytest.param(2000, int(np.sqrt(48 * MAX_BLOCK_THREADS)) + 1, id="more_blocks_than_workers"),
 ])
 def test_blocked_mv_estimate_matches_full_sum(n, side, monkeypatch):
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # the geometry the cases describe
+    # 2^15 elements per block on the pool's threads: the geometry the cases describe
+    threads = min(kernels._worker_count(), MAX_BLOCK_THREADS)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15 * threads)
     data = rng_data(11, n, 2, mix=True)
     e = MvEstimate.fit(data, h=0.3)
     pts = _shuffled(e.mean + _grid(np.linspace(-4.0, 4.0, side), np.linspace(-4.0, 4.0, side)))
@@ -169,6 +175,20 @@ def test_blocked_mv_estimate_matches_full_sum(n, side, monkeypatch):
     got = mv_estimate(e, pts)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
     assert mv_estimate(e, pts[4]) == pytest.approx(want[4], rel=1e-14)
+
+
+@pytest.mark.parametrize("h, at_datum", [(1e-200, False), (1e200, False), (1e155, False),
+                                         (1e-155, True)])
+def test_h_squared_must_be_a_finite_normal_float(h, at_datum):
+    # the sums scale by -1/(2 h^2): these raised ZeroDivisionError or
+    # OverflowError, or gave nan at a datum, where the exponent is 0 * -inf
+    data = np.random.default_rng(0).standard_normal((50, 2))
+    point = data[0] if at_datum else np.zeros(2)
+    with pytest.raises(ValueError, match=r"^bandwidth h must be from about 1\.49e-154 to "
+                                         r"1\.34e\+154: h\^2 must be a finite normal float$"):
+        mv_estimate(MvEstimate.fit(data, h), point)
+    for h_ok in (1.5e-154, 1.34e154):  # the ends of the range build and evaluate
+        assert np.isfinite(mv_estimate(MvEstimate.fit(data, h_ok), point))
 
 
 @pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]],
@@ -265,7 +285,8 @@ def _mv_case(seed, n, d, h, m, clip, far):
 ])
 def test_in_place_mv_fill_is_the_literal_fill(threads, n, d, h, m, machine, monkeypatch):
     machine(threads)
-    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15)  # the geometry the cases describe
+    # 2^15 elements per block on each thread: the geometry the cases describe
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 2**15 * threads)
     for clip, far in ((2.5, False), (None, True)):
         e, pts = _mv_case(7, n, d, h, m, clip, far)
         assert np.array_equal(mv_estimate(e, pts), literal_mv(e, pts))
@@ -421,6 +442,38 @@ def test_the_benchmark_grid_takes_no_block_pool(monkeypatch):
     want = np.empty(len(pts))
     want[order] = mv_estimate(e, _shuffled(pts))
     assert _within_tensor_bound(got, want)
+
+
+# a fresh interpreter pinned to one CPU before it imports semistart, which
+# writes the estimate's bytes on the tensor grid saved with the data
+_PINNED_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from semistart.multivariate import MvEstimate, mv_estimate
+case = np.load(sys.argv[2])
+e = MvEstimate.fit(case["data"], h=float(case["h"]))
+with open(sys.argv[3], "wb") as fh:
+    fh.write(mv_estimate(e, case["pts"]).tobytes())
+"""
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="needs sched_setaffinity and two or more usable CPUs")
+def test_the_tensor_grid_has_the_same_bits_on_one_cpu(tmp_path, tensor_only):
+    # the tensor path's blocks merge through their shifts, so its bits follow
+    # the block size, which must not follow the CPU count
+    data = _bench_data(3, 10_000)
+    h = mv_bandwidth(data).h
+    pts = _grid(BENCH_AXIS, BENCH_AXIS)
+    np.savez(tmp_path / "case.npz", data=data, h=h, pts=pts)
+    src = str(Path(mv.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", _PINNED_CHILD, src, str(tmp_path / "case.npz"),
+                    str(tmp_path / "out.bin")], check=True, timeout=300)
+    want = mv_estimate(MvEstimate.fit(data, h=h), pts).tobytes()
+    assert (tmp_path / "out.bin").read_bytes() == want
 
 
 @settings(max_examples=40, deadline=None)
