@@ -151,7 +151,10 @@ def eval_scaled(kernel: KernelSpec, h: float, z, out=None):
 
     out, a float array of z's shape, receives the values and is returned; it
     may be z itself.  The gaussian kernel then runs in place, with no
-    temporary of z's size.  Without out, a 0-d z gives a float.
+    temporary of z's size.  Without out, a 0-d z gives a float.  The lanes
+    are divided by h, unlike window_sums', which multiply by 1/h: the
+    selectors evaluate their kernels here, and their bandwidths' bytes are
+    pinned by stored references until those are regenerated.
     """
     require_bandwidth(h)
     z = np.asarray(z, dtype=float)
@@ -224,10 +227,13 @@ def for_blocks(rows: int, cols: int, fill) -> None:
     threads is the number of usable CPUs, up to MAX_BLOCK_THREADS, read once
     per call, so the blocks in flight share BLOCK_ELEMENTS however the CPUs
     this process may use change.  The blocks run on a process-wide thread
-    pool, created on first use with that many threads.  They are dealt
-    round-robin, one task per thread, each run in a copy of the caller's
-    context so that np.errstate holds; NumPy releases the GIL inside its
-    loops.  A single block, or a single CPU, runs in the calling thread.
+    pool, created on first use with MAX_BLOCK_THREADS workers; it starts a
+    thread only for a task that finds none idle, so a call runs its tasks on
+    at most threads of them, and a later call on more CPUs gets the threads
+    its blocks were split for.  The blocks are dealt round-robin, one task
+    per thread, each run in a copy of the caller's context so that
+    np.errstate holds; NumPy releases the GIL inside its loops.  A single
+    block, or a single CPU, runs in the calling thread.
     Each fill may write only cells that no other block writes (its own rows,
     or cells such as a mirrored triangle that only it fills) and must leave
     every reduction across blocks to the caller, whose result then has the
@@ -246,7 +252,7 @@ def for_blocks(rows: int, cols: int, fill) -> None:
     from concurrent.futures import ThreadPoolExecutor, wait
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(threads, thread_name_prefix="semistart")
+            _pool = ThreadPoolExecutor(MAX_BLOCK_THREADS, thread_name_prefix="semistart")
         pool = _pool
     futures = [pool.submit(contextvars.copy_context().run, _fill_each, fill, blocks[i::k])
                for i in range(k)]
@@ -265,10 +271,10 @@ def for_blocks(rows: int, cols: int, fill) -> None:
 # c0 exp(-t0^2/2), and are left out: together they move a sum by below
 # 2^-60 of x0's term, and a ratio of two sums, the regression's value, by
 # below 2^-59 of its terms' scale.  (A c0 of 0 keeps every datum.)  The
-# weights take the form of squares, exp(((x - x_i)/h)^2 * -0.5), the
-# profile's, within one bandwidth of x0.  Where every column is None, so that
-# the sums are the weights' own (the density's), they keep that form farther
-# out while every exponent within the reach, above -(R/h)^2/2, stays above
+# weights take the form of squares, exp(((x - x_i) * (1/h))^2 * -0.5), with
+# 1/h taken once per call, within one bandwidth of x0.  Where every column
+# is None, so that the sums are the weights' own (the density's), they keep
+# that form farther out while every exponent within the reach, above -(R/h)^2/2, stays above
 # -_SQUARES_LIMIT/2: a squared exponent carries a rounding of a few ulps of
 # t0^2/2, and so does the factor exp(-t0^2/2) that the caller puts back on
 # such a sum.  A column's sum is the numerator of a ratio to the weights'
@@ -276,7 +282,8 @@ def for_blocks(rows: int, cols: int, fill) -> None:
 # with the squares out to the bound, regression values 12-36 bandwidths past
 # responses centred on 0 missed by up to 5e-14 of their terms' scale, and by
 # below 1e-15 with the form measured from x0.  Farther out the exponent is
-# measured from x0's, -(x0 - x_i)((x - x_i) + (x - x0))/(2 h^2), whose
+# measured from x0's, -(x0 - x_i)((x - x_i) + (x - x0))/(2 h^2), taken as
+# ((x - x_i) + (x - x0)) * (1/h) times (x0 - x_i) * (-0.5 * (1/h)), whose
 # factors are differences of the data: x0's weight is exactly 1, no exponent
 # within the reach is below -R^2/(2 h^2) + t0^2/2, and nothing is lost to the
 # large squares that would cancel in (x - x_i)^2 - d^2; the factor
@@ -390,11 +397,13 @@ def window_sums(shape: str, h: float, xs: np.ndarray, pts: np.ndarray, cols: lis
     as in a grid.  The blocks (_blocks) run in order in the calling thread:
     on two CPUs the block pool bought these sums no wall time and cost them
     CPU time.  The weights are the kernel's unnormalised profile
-    K((x - x_i)/h), divided by divisor[i] where a divisor is given (d_i > 0,
-    so that a weight of 0.0 stays 0.0); the gaussian's take one of the two
-    forms described above _gauss_reach.  Column k of cols gives the sums of
-    the weights where it is None and of the weights times its values
-    otherwise; the block takes the product with the last column in place.
+    K((x - x_i)/h), over divisor[i] where a divisor is given (d_i > 0, so
+    that a weight of 0.0 stays 0.0); the gaussian's take one of the two
+    forms described above _gauss_reach.  No lane is divided by h, and none
+    by the divisor unless a reciprocal 1/d_i overflows.  Column k of cols
+    gives the sums of the weights where it is None and of the weights times
+    its values otherwise; the block takes the product with the last column
+    in place.
     Returns the sums and t0, the offsets (x - x0)/h from each point's
     nearest datum x0 whose factor exp(-t0^2/2) the form measured from x0
     leaves out: 0.0 where the weights take the form of squares, and at every
@@ -402,7 +411,16 @@ def window_sums(shape: str, h: float, xs: np.ndarray, pts: np.ndarray, cols: lis
     """
     h = float(h)
     blocks, off, x0, t0 = _plan(shape, h, xs, pts, cols, divisor)
-    hs = h * math.sqrt(2.0)
+    # the lanes multiply by reciprocals taken once per call: 1/h, and the
+    # weights 1/d_i unless one of them overflows (a d_i below 1/DBL_MAX, a
+    # start's density far out in an unclipped tail), as 0.0 * inf is NaN;
+    # the lanes then divide by the divisor
+    rh = 1.0 / h
+    weigh = scale = None
+    if divisor is not None:
+        with np.errstate(over="ignore"):
+            recip = 1.0 / divisor
+        weigh, scale = (np.divide, divisor) if np.isinf(recip).any() else (np.multiply, recip)
     sums = [np.zeros(pts.size) for _ in cols]
 
     with np.errstate(over="ignore"):  # a datum the granule adds may lie far out: weight 0.0
@@ -411,19 +429,19 @@ def window_sums(shape: str, h: float, xs: np.ndarray, pts: np.ndarray, cols: lis
             if shape != "gaussian":
                 _profile(shape, h, w, w)
             elif squares:
-                w /= h
+                w *= rh
                 np.multiply(w, w, out=w)
                 w *= -0.5
                 np.exp(w, out=w)
             else:
                 w += off[rows, None]
-                w /= hs
+                w *= rh
                 d = np.subtract(x0[rows, None], xs[None, a:b])
-                d /= -hs
+                d *= -0.5 * rh
                 w *= d
                 np.exp(w, out=w)
-            if divisor is not None:
-                w /= divisor[None, a:b]
+            if scale is not None:
+                weigh(w, scale[None, a:b], out=w)
             for k, col in enumerate(cols):
                 if col is None:
                     sums[k][rows] = w.sum(axis=1)

@@ -77,7 +77,8 @@ def _sorted_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
     """The pairs as fresh float arrays sorted by x, and by y among tied x.
 
     Any order of the same pairs gives the same arrays.  Without ties in x
-    the plain argsort is that order, and much cheaper than lexsort.
+    the plain argsort is that order, and much cheaper than lexsort; pairs
+    whose x already increases strictly, as a fit's own do, are only copied.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -85,6 +86,8 @@ def _sorted_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("x and y must be equal-length and nonempty")
     _require_finite(x)
     _require_finite(y)
+    if np.all(x[1:] > x[:-1]):
+        return x.copy(), y.copy()
     order = np.argsort(x)
     xs = x[order]
     if np.any(xs[1:] == xs[:-1]):
@@ -128,7 +131,7 @@ class RegressionFit:
     def fit(cls, x, y, kernel: KernelSpec, h: float,
             kind: str = "linear") -> "RegressionFit":
         """A fit whose mean start is fitted on the sorted pairs, so in no order of them."""
-        x, y = _sorted_pairs(x, y)  # sorted once: __post_init__'s sort of sorted pairs is cheap
+        x, y = _sorted_pairs(x, y)  # sorted once: __post_init__ only copies pairs in order
         return cls(x, y, kernel, h, fit_mean_start(x, y, kind))
 
 

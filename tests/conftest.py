@@ -44,6 +44,21 @@ def literal_gaussian(h, z):
     return literal_profile(h, z) / SQRT_2PI / h
 
 
+def literal_window_exponent(h, z):
+    """The exponent of the windowed sums' gaussian weight, ((z * (1/h))^2) * -0.5.
+
+    kernels.window_sums multiplies by 1/h where eval_scaled divides by h, so
+    the two differ in the last bits of the exponent, and by up to about
+    1e-13 of a weight 38 bandwidths out.
+    """
+    return ((z * (1.0 / h)) ** 2) * -0.5
+
+
+def literal_window_weight(h, z):
+    """The windowed sums' gaussian weight exp(literal_window_exponent) as one literal expression."""
+    return np.exp(literal_window_exponent(h, z))
+
+
 # The grid x data sums written out as whole-array expressions, with none of
 # the in-place work, the windows or the compacted tiny and subnormal kernel
 # lanes: the full-row oracles of the density sums and of gnw_estimate, and
@@ -52,10 +67,10 @@ def literal_gaussian(h, z):
 def literal_correction(e, x):
     """(1/n) sum K_h(X_i - x)/fbar(X_i) at every point of x at once, summing every datum."""
     z = e.data - np.asarray(x, dtype=float).ravel()[:, None]
+    vals = literal_kernel_profile(e.kernel.shape, e.h, z)
     if e.kernel.shape == "gaussian":
-        vals = literal_gaussian(e.h, z)
-    else:
-        vals = literal_kernel_profile(e.kernel.shape, e.h, z) / e.h
+        vals = vals / SQRT_2PI
+    vals = vals / e.h
     if e.den is not None:
         vals = vals / e.den
     return np.sum(vals, axis=-1) / e.n
@@ -123,9 +138,9 @@ def check_correction(e, x, r, log_r=None):
 
 
 def literal_kernel_profile(shape, h, z):
-    """A kernel's unnormalised profile K(z/h) as one literal expression."""
+    """A kernel's unnormalised profile K(z/h) as one literal expression, as window_sums weighs."""
     if shape == "gaussian":
-        return literal_profile(h, z)
+        return literal_window_weight(h, z)
     u = z / h
     inside = np.abs(u) <= 0.5
     return np.where(inside, 1.5 * (1.0 - 4.0 * u * u), 0.0) if shape == "epanechnikov" \

@@ -13,10 +13,11 @@ from semistart.estimator import (DensityEstimate, _correction_at, _sums_at, corr
                                  estimate_kernel, estimate_semiparametric,
                                  integral_of_estimate)
 from semistart.kernels import BLOCK_ELEMENTS, MAX_BLOCK_THREADS, eval_scaled, kernel_props
+from semistart.regression import MeanStart, RegressionFit, gnw_estimate
 from semistart.starts import FittedStart, eval_start, fit_start
 
-from conftest import (check_correction, literal_correction, mp_log_correction, phi,
-                      phi_scaled, split_quad_mass)
+from conftest import (SQRT_2PI, check_correction, literal_correction, literal_window_weight,
+                      mp_log_correction, phi, phi_scaled, split_quad_mass)
 
 G = kernel_props("gaussian")
 
@@ -221,7 +222,7 @@ def _full_estimate(st, data, h, x):
     """Unblocked (grid x data) expression of the corrected estimate, summing every datum."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_1d(x)
-    vals = eval_scaled(G, h, data - pts[..., None])
+    vals = literal_window_weight(h, data - pts[..., None]) / SQRT_2PI / h
     r = np.sum(vals / np.atleast_1d(eval_start(st, data)), axis=-1) / data.size
     return np.atleast_1d(eval_start(st, pts)) * r, r
 
@@ -269,7 +270,7 @@ def test_blocked_evaluation_is_bit_identical(case):
                for p, g in zip(np.ravel(x), np.ravel(got)))
     kde = estimate_kernel(data, G, h, x)
     assert np.shape(kde) == np.shape(x)
-    assert _near(kde, np.mean(eval_scaled(G, h, data - np.asarray(x)[..., None]), axis=-1))
+    assert _near(kde, _full_estimate(FittedStart("constant"), data, h, x)[1])
     # a fresh estimate: est keeps the sums of x, and would not compute them
     fresh = DensityEstimate(data, G, h, st)
     r_hat = correction_curve(fresh, np.ravel(x)).r_hat
@@ -702,3 +703,61 @@ def test_log_correction_is_minus_inf_where_every_distance_overflows():
     cur = correction_curve(DensityEstimate(x, G, 1e-300, fit_start("normal", x)),
                            np.array([x[0], 0.5]))
     assert np.isfinite(cur.log_r[0]) and cur.log_r[1] == -np.inf
+
+
+def test_a_start_density_whose_reciprocal_overflows_keeps_the_other_sums():
+    # the unclipped start's density at the datum 37.7 is 9.4e-310, below
+    # 1/DBL_MAX: its weight 1/fbar overflows, and the lanes that do not reach
+    # it, with weight 0.0, must not turn to NaN.  The sums across the other
+    # data are finite and within 1e-14 of the full row
+    x = np.append(np.random.default_rng(0).standard_normal(500), 37.7)
+    est = DensityEstimate(x, G, 0.3, FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=None))
+    assert 0.0 < est.den[-1] < 1.0 / np.finfo(float).max
+    pts = np.array([-3.0, -1.0, 0.0, 1.0, 3.0, 5.0])
+    r, log_r = _sums_at(est, pts)
+    assert np.all(np.isfinite(r)) and np.all(np.isfinite(log_r))
+    check_correction(est, pts, r)
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.sampled_from(["semiparametric", "kernel", "regression"]),
+       n=st.integers(20, 300), h=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1),
+       c=st.sampled_from([1e-6, 1.0, 1e6]), shift=st.floats(-1e3, 1e3))
+def test_windowed_paths_are_translation_and_scale_equivariant(which, n, h, seed, c, shift):
+    # the data, the points and h mapped by c x + b, |b| up to 1e3 times the
+    # mapped data's spread: the densities scale by 1/c and the smoother not
+    # at all.  Mapping rounds each input by up to eps |c x + b|, s = |b|/(c h)
+    # eps bandwidths, which moves a weight t bandwidths out by about t s eps,
+    # and the exponent itself rounds by a few ulps of t^2; t is the point's
+    # distance to its nearest datum in bandwidths.  The densities reach 37
+    # bandwidths past the data, where the weights are measured from the
+    # nearest datum, and the smoother 20, as far as its weights stay above
+    # 1e-300.  The smoother's linear mean start, 10 + x/10 at unit scale, is
+    # mapped with the data and stays above 7 at every point
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(n)
+    y = 10.0 + 0.1 * data + 3.0 * np.sin(3.0 * data) + 0.3 * rng.standard_normal(n)
+    beta = (10.0, 0.1)
+    far = 20.0 if which == "regression" else 37.0
+    pts = np.concatenate([np.linspace(data.min() - 5.0 * h, data.max() + 5.0 * h, 41),
+                          [data.min() - far * h, data.max() + far * h]])
+    b = shift * c * float(np.ptp(data))
+
+    def mapped(c, b):
+        xs, ps, hs = c * data + b, c * pts + b, c * h
+        if which == "semiparametric":
+            est = DensityEstimate(xs, G, hs, fit_start("normal", xs))
+            return estimate_semiparametric(est, ps) * c
+        if which == "kernel":
+            return estimate_kernel(xs, G, hs, ps) * c
+        start = MeanStart("linear", np.array([beta[0] - beta[1] * b / c, beta[1] / c]))
+        return gnw_estimate(RegressionFit(xs, y, G, hs, start), ps)
+
+    unit, got = mapped(1.0, 0.0), mapped(c, b)
+    t = np.min(np.abs(pts[:, None] - data[None, :]), axis=1) / h
+    s = abs(b) / (c * h)
+    assert np.all(unit > 0.0)
+    assert np.all(np.abs(got - unit) <= (1e-14 + 16.0 * _EPS * (1.0 + t) * (1.0 + t + s)) * unit)

@@ -20,7 +20,7 @@ from semistart.kernels import (MAX_BLOCK_THREADS, SHAPES,
                                eval_scaled, exp_into, for_blocks, kernel_props, row_blocks,
                                window_sums)
 
-from conftest import check_correction, literal_gaussian, phi
+from conftest import check_correction, literal_gaussian, literal_window_exponent, phi
 
 
 def quad_moment(shape, power, lo, hi):
@@ -208,16 +208,16 @@ def test_outlier_weight_keeps_tiny_kernel_terms():
 
 def _full_row_log_sums(shape, h, xs, pts, col, divisor):
     """log sum_i K((x - x_i)/h) c_i / d_i over every datum, for positive c_i."""
-    z = (pts[:, None] - xs[None, :]) / h
+    z = pts[:, None] - xs[None, :]
     logc = np.zeros(xs.size) if col is None else np.log(col)
     if divisor is not None:
         logc = logc - np.log(divisor)
     if shape == "gaussian":
-        a = -0.5 * z * z + logc
+        a = literal_window_exponent(h, z) + logc
         top = a.max(axis=1)
         return top + np.log(np.exp(a - top[:, None]).sum(axis=1))
     with np.errstate(divide="ignore"):
-        return np.log((eval_scaled(kernel_props(shape), 1.0, z) * np.exp(logc)).sum(axis=1))
+        return np.log((eval_scaled(kernel_props(shape), 1.0, z / h) * np.exp(logc)).sum(axis=1))
 
 
 @pytest.mark.parametrize("style", ["density", "regression"])
@@ -404,6 +404,36 @@ def test_blocks_in_flight_keep_the_budget_when_more_cpus_come_later(block, most,
         assert peak[0] <= kernels.BLOCK_ELEMENTS
         assert len(threads) <= at_most
     assert len(threads) > 1  # the later call does run on several threads
+
+
+def test_a_later_call_on_more_cpus_runs_as_many_blocks_at_once(machine, monkeypatch):
+    # the pool is built once, by a first call on two CPUs; a later call on
+    # eight splits its blocks for four threads and must run four at once.
+    # Each thread's first block waits, at most 10 s, for the other three
+    machine(2)
+    first = set()
+    for_blocks(1000, 1000, lambda rows: first.add(threading.current_thread().name))
+    assert 1 <= len(first) <= 2
+    monkeypatch.setattr(kernels, "_worker_count", lambda: 8)
+    ready = threading.Barrier(MAX_BLOCK_THREADS)
+    lock = threading.Lock()
+    names, stuck = set(), []
+
+    def fill(rows):
+        name = threading.current_thread().name
+        with lock:
+            new = name not in names
+            names.add(name)
+        if new:
+            try:
+                ready.wait(timeout=10)
+            except threading.BrokenBarrierError:
+                stuck.append(name)
+
+    for_blocks(1000, 1000, fill)
+    assert not stuck
+    assert len(names) == MAX_BLOCK_THREADS
+    assert all(name.startswith("semistart") for name in names)
 
 
 def test_for_blocks_raises_the_fills_exception_and_keeps_working(machine):
