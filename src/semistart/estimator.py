@@ -46,7 +46,9 @@ class DensityEstimate:
     density there (None for the constant start, whose ratio is 1); and
     divisor, the raw total mass when normalize is set and 1.0 otherwise.
     The correction sums at the points of the last evaluation are kept, so
-    that the estimate and its correction curve on one grid sum it once.
+    that the estimate and its correction curve on one grid sum it once, and
+    so is kernels.window_sums' memo (the weights 1/fbar(X_i) and the chunk
+    moments of the expanded sums), so that later evaluations reuse them.
     """
 
     data: np.ndarray
@@ -58,6 +60,8 @@ class DensityEstimate:
     divisor: float = field(init=False, repr=False)
     # one slot: (raveled points, correction sums, their logs) of the last evaluation
     _last: list = field(init=False, repr=False)
+    # one slot: window_sums' memo for data, h and den
+    _memo: list = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.array(self.data, dtype=float).ravel()
@@ -69,6 +73,7 @@ class DensityEstimate:
         x.flags.writeable = False
         object.__setattr__(self, "data", x)
         object.__setattr__(self, "_last", [None])
+        object.__setattr__(self, "_memo", [None])
         den = None
         if self.start.family != "constant":
             den = np.atleast_1d(eval_start(self.start, x))
@@ -114,7 +119,8 @@ def _sums_at(e: DensityEstimate, pts: np.ndarray):
         return last[1], last[2]
     h = float(e.h)
     gaussian = e.kernel.shape == "gaussian"
-    (s,), t0 = window_sums(e.kernel.shape, h, e.data, pts, [None], divisor=e.den)
+    (s,), t0 = window_sums(e.kernel.shape, h, e.data, pts, [None], divisor=e.den,
+                           memo=e._memo)
     r = s / SQRT_2PI if gaussian else s.copy()
     r /= h
     r /= e.n

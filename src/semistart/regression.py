@@ -52,7 +52,11 @@ class MeanStart:
 def fit_mean_start(x, y, kind: str = "linear") -> MeanStart:
     """Least-squares constant or straight-line mean fit.
 
-    The constant fit needs one (x, y) pair, the straight line two.
+    The constant fit needs one (x, y) pair, the straight line two.  The line
+    is the centred closed form, slope sum u (y - ybar) / sum u^2 / s and
+    intercept ybar - slope xbar, with u = (x - xbar)/s and s the spread of x,
+    so it keeps its slope however far x lies from 0 next to its spread, and
+    neither square over- nor underflows.
     """
     if kind not in MEAN_KINDS:
         raise ValueError(f"mean start kind must be one of {MEAN_KINDS}")
@@ -68,9 +72,12 @@ def fit_mean_start(x, y, kind: str = "linear") -> MeanStart:
         raise ValueError("the linear mean start needs at least 2 (x, y) pairs")
     if np.ptp(x) == 0.0:
         raise ValueError("all x equal: the linear fit is degenerate")
-    design = np.column_stack([np.ones_like(x), x])
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return MeanStart("linear", beta)
+    spread = float(np.ptp(x))
+    xbar, ybar = float(x.mean()), float(y.mean())
+    u = x - xbar
+    u /= spread
+    slope = float(np.sum(u * (y - ybar)) / np.sum(u * u) / spread)
+    return MeanStart("linear", np.array([ybar - slope * xbar, slope]))
 
 
 def _sorted_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +85,7 @@ def _sorted_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
 
     Any order of the same pairs gives the same arrays.  Without ties in x
     the plain argsort is that order, and much cheaper than lexsort; pairs
-    whose x already increases strictly, as a fit's own do, are only copied.
+    already in that order, as a fit's own are, are only copied.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -86,7 +93,8 @@ def _sorted_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("x and y must be equal-length and nonempty")
     _require_finite(x)
     _require_finite(y)
-    if np.all(x[1:] > x[:-1]):
+    tied = x[1:] == x[:-1]
+    if np.all((x[1:] > x[:-1]) | (tied & (y[1:] >= y[:-1]))):
         return x.copy(), y.copy()
     order = np.argsort(x)
     xs = x[order]
@@ -103,9 +111,12 @@ class RegressionFit:
     x and y are the fit's own read-only copies of the pairs, sorted by x
     and by y among tied x, which the smoothers sum in.  Built with them:
     the clip floor of the mean start, 5% of sd(y) (or 0.05 when y is
-    constant).  So no value depends on the order of the pairs.
+    constant), and the columns that the smoothers' sums weigh (_sums).  So
+    no value depends on the order of the pairs.
     The sums of both smoothers at the points of the last evaluation are
-    kept, so that the two smoothers on one grid sum it once.
+    kept, so that the two smoothers on one grid sum it once, and so is
+    kernels.window_sums' memo (the chunk moments of the expanded sums), so
+    that later evaluations reuse it.
     """
 
     x: np.ndarray
@@ -117,6 +128,11 @@ class RegressionFit:
     # one slot: (raveled points, weight sums, classic and corrected numerators)
     # of the last evaluation
     _last: list = field(init=False, repr=False)
+    # the columns of _sums: None (the weights), y and, unless the mean start
+    # is constant, y_i/m(x_i)
+    _cols: list = field(init=False, repr=False)
+    # one slot: window_sums' memo for x, h and _cols
+    _memo: list = field(init=False, repr=False)
 
     def __post_init__(self):
         x, y = _sorted_pairs(self.x, self.y)
@@ -125,7 +141,12 @@ class RegressionFit:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "_last", [None])
+        object.__setattr__(self, "_memo", [None])
         object.__setattr__(self, "floor", _CLIP_FRACTION * float(y.std()) or _CLIP_FRACTION)
+        cols = [None, y]
+        if self.mean_start.kind != "constant":
+            cols.append(y / _clipped_mean(self, x))
+        object.__setattr__(self, "_cols", cols)
 
     @classmethod
     def fit(cls, x, y, kernel: KernelSpec, h: float,
@@ -179,10 +200,7 @@ def _sums(fit: RegressionFit, pts: np.ndarray):
     if last is not None and np.array_equal(last[0], pts):
         return last[1:]
     shape, h = fit.kernel.shape, float(fit.h)
-    cols = [None, fit.y]
-    if fit.mean_start.kind != "constant":
-        cols.append(fit.y / _clipped_mean(fit, fit.x))
-    (wsum, *nums), t0 = window_sums(shape, h, fit.x, pts, cols)
+    (wsum, *nums), t0 = window_sums(shape, h, fit.x, pts, fit._cols, memo=fit._memo)
     # no local data: the normalised kernel's weights, summed, fall below
     # 1e-300; in logs, with the factor exp(-t0^2/2) of the weights measured
     # from the nearest datum put back (t0 = d/h)

@@ -761,3 +761,31 @@ def test_windowed_paths_are_translation_and_scale_equivariant(which, n, h, seed,
     s = abs(b) / (c * h)
     assert np.all(unit > 0.0)
     assert np.all(np.abs(got - unit) <= (1e-14 + 16.0 * _EPS * (1.0 + t) * (1.0 + t + s)) * unit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(20, 300), h=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1),
+       c=st.sampled_from([1e-6, 1.0, 1e6]), shift=st.floats(-1e3, 1e3))
+# np.linalg.lstsq dropped the slope here: a design [1, x] with x about 6e9
+@example(n=200, h=0.5, seed=1, c=1e6, shift=1e3)
+def test_a_fitted_linear_start_is_mapped_with_the_data(n, h, seed, c, shift):
+    # as above for the smoother out to 5 bandwidths, with its linear mean
+    # start fitted on the mapped pairs: the slope maps to slope/c, and the
+    # smoother keeps its values within the same bound plus the mapped line's
+    # rounding, a few ulps of beta1 b/c next to the start's value
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(n)
+    y = 10.0 + 0.1 * data + 0.3 * np.sin(3.0 * data) + 0.3 * rng.standard_normal(n)
+    pts = np.linspace(data.min() - 5.0 * h, data.max() + 5.0 * h, 41)
+    b = shift * c * float(np.ptp(data))
+    unit = RegressionFit.fit(data, y, G, h)
+    got = RegressionFit.fit(c * data + b, y, G, c * h)
+    beta = unit.mean_start.beta
+    assert abs(got.mean_start.beta[1] * c - beta[1]) <= 1e-9 * abs(beta[1])
+    want = gnw_estimate(unit, pts)
+    t = np.min(np.abs(pts[:, None] - data[None, :]), axis=1) / h
+    s = abs(b) / (c * h)
+    line = 64.0 * _EPS * abs(beta[1]) * (1.0 + abs(b / c)) / np.min(unit.mean_start(pts))
+    assert np.all(want > 0.0) and np.min(unit.mean_start(pts)) > 0.0
+    assert np.all(np.abs(gnw_estimate(got, c * pts + b) - want)
+                  <= (1e-14 + line + 16.0 * _EPS * (1.0 + t) * (1.0 + t + s)) * want)

@@ -1,4 +1,6 @@
 import concurrent.futures
+import contextlib
+import math
 import multiprocessing
 import sys
 import threading
@@ -20,7 +22,8 @@ from semistart.kernels import (MAX_BLOCK_THREADS, SHAPES,
                                eval_scaled, exp_into, for_blocks, kernel_props, row_blocks,
                                window_sums)
 
-from conftest import check_correction, literal_gaussian, literal_window_exponent, phi
+from conftest import (check_correction, literal_gaussian, literal_window_exponent,
+                      mp_gnw, mp_log_correction, phi)
 
 
 def quad_moment(shape, power, lo, hi):
@@ -207,29 +210,69 @@ def test_outlier_weight_keeps_tiny_kernel_terms():
 
 
 def _full_row_log_sums(shape, h, xs, pts, col, divisor):
-    """log sum_i K((x - x_i)/h) c_i / d_i over every datum, for positive c_i."""
-    z = pts[:, None] - xs[None, :]
+    """log sum_i K((x - x_i)/h) c_i / d_i over every datum, for positive c_i,
+    16 points at a time."""
     logc = np.zeros(xs.size) if col is None else np.log(col)
     if divisor is not None:
         logc = logc - np.log(divisor)
-    if shape == "gaussian":
-        a = literal_window_exponent(h, z) + logc
-        top = a.max(axis=1)
-        return top + np.log(np.exp(a - top[:, None]).sum(axis=1))
-    with np.errstate(divide="ignore"):
-        return np.log((eval_scaled(kernel_props(shape), 1.0, z / h) * np.exp(logc)).sum(axis=1))
+    out = []
+    for p in np.array_split(pts, -(-pts.size // 16)):
+        z = p[:, None] - xs[None, :]
+        if shape == "gaussian":
+            a = literal_window_exponent(h, z) + logc
+            top = a.max(axis=1)
+            out.append(top + np.log(np.exp(a - top[:, None]).sum(axis=1)))
+        else:
+            with np.errstate(divide="ignore"):
+                out.append(np.log((eval_scaled(kernel_props(shape), 1.0, z / h)
+                                   * np.exp(logc)).sum(axis=1)))
+    return np.concatenate(out)
+
+
+@contextlib.contextmanager
+def expanded_rows():
+    """Yield a list that takes the number of points each window_sums call expands."""
+    seen = []
+    real = kernels._expanded_sums
+
+    def spy(h, xs, pts, cols, plan, sums, memo):
+        seen.append(plan[0].size)
+        return real(h, xs, pts, cols, plan, sums, memo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_expanded_sums", spy)
+        yield seen
+
+
+def _direct_window_sums(*args, **kwargs):
+    """window_sums with every point on the direct fill, the expansion's oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_DENSE_MIN", 2**62)
+        return window_sums(*args, **kwargs)
 
 
 @pytest.mark.parametrize("style", ["density", "regression"])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_window_sums_keep_each_points_bits_and_the_full_row_sums(shape, style):
+    _check_window_sums_against_full_rows(shape, style, 400, 0.05)
+
+
+@pytest.mark.parametrize("style", ["density", "regression"])
+def test_expanded_window_sums_keep_each_points_bits_and_the_full_row_sums(style):
+    # the same check at a size where the points near the data take the
+    # expansion: 2^14 data and h = 0.2, so that a window holds most of them
+    with expanded_rows() as rows:
+        _check_window_sums_against_full_rows("gaussian", style, 2**14, 0.2)
+    assert rows and max(rows) >= 40  # of the 241 points
+
+
+def _check_window_sums_against_full_rows(shape, style, n, h):
     # a density call weighs the data by 1/d_i; a regression call sums the plain
     # weights and a column of them.  Each point of a shuffled grid reaching 40
     # bandwidths past the data has the same bits alone, and its sums, with the
     # factor exp(-t0^2/2) put back in logs, are within 1e-14 of the full-row
     # sums on the log's scale
     rng = np.random.default_rng(61)
-    n, h = 400, 0.05
     xs = np.sort(rng.standard_normal(n))
     weights = np.exp(rng.uniform(-8.0, 8.0, n))  # widens the gaussian reach
     cols, divisor = ([None], weights) if style == "density" else ([None, weights], None)
@@ -252,6 +295,180 @@ def test_window_sums_keep_each_points_bits_and_the_full_row_sums(shape, style):
         assert np.all(t0 == 0.0)
     else:  # the form measured from x0 takes over short of 40 bandwidths out
         assert t0[np.argmax(pts)] > 0.0 and t0[np.argmin(pts)] < 0.0
+
+
+def test_the_expansion_takes_p_terms_from_its_stated_bound():
+    # |S r_i| <= 1 within the reach: the terms left out weigh below e^2/P! of
+    # each datum's own term, under 2^-60 at P = 21 and not at 20; Horner's
+    # cancellation factor e^{|S| W} is e^2 at the reach's edge
+    P = kernels._TERMS
+    assert P == 21
+    assert np.e**2 / math.factorial(P) < 2.0**-60 <= np.e**2 / math.factorial(P - 1)
+    # with the chunks' rounding, |S r_i| <= q = 1 + 2^-5: still under 2^-60
+    q = 1.0 + 2.0**-5
+    assert np.exp(2.0 * q) * q**P / math.factorial(P) < 2.0**-60
+    assert kernels._CHUNK_REACH * kernels._CHUNK / 2.0 == 1.0
+    # the reach covers the gaussian reach up to n = 1e8, a chunk's half width beyond
+    assert kernels._gauss_reach(10**8) < kernels._CHUNK_REACH - kernels._CHUNK / 2.0
+
+
+_N_DENSE = 2**14
+
+
+@settings(max_examples=40, deadline=None)
+@given(style=st.sampled_from(["clipped", "unclipped", "plain", "regression"]),
+       c=st.sampled_from([1e-6, 1.0, 1e6]), h=st.floats(0.1, 1.0),
+       shift=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1),
+       past=st.floats(0.0, 1.5))
+def test_expanded_sums_are_the_direct_sums(style, c, h, shift, seed, past):
+    # 2^14 data mapped by c z + b, |b| up to 1e3 times their spread, weighed
+    # by a fitted normal start's 1/fbar, clipped or not, by nothing, or by a
+    # regression's signed columns; points at data and just past both ends.
+    # The expanded sums are within 1e-14 of the direct fill's: relative for
+    # positive weights, and on the scale of the terms' magnitudes, the direct
+    # sum of |column| weights, for a signed one
+    rng = np.random.default_rng(seed)
+    z = np.sort(rng.standard_normal(_N_DENSE))
+    xs = c * z + shift * c * float(np.ptp(z))
+    h *= c
+    cols, divisor = [None], None
+    if style in ("clipped", "unclipped"):
+        start = fit_start("normal", xs)
+        divisor = eval_start(start if style == "clipped" else start.unclipped(), xs)
+    elif style == "regression":
+        y = np.sin(3.0 * z) + 0.3 * rng.standard_normal(xs.size)
+        cols = [None, y, y / (1.5 + z)]
+    pts = np.concatenate([xs[rng.integers(0, xs.size, 24)],
+                          [xs[0] - past * h, xs[-1] + past * h]])
+    with expanded_rows() as rows:
+        got, t0 = window_sums("gaussian", h, xs, pts, cols, divisor)
+    assert rows and rows[0] >= 6  # of the 24 points at data
+    want, t0_direct = _direct_window_sums("gaussian", h, xs, pts, cols, divisor)
+    assert np.array_equal(t0, t0_direct)
+    for col, g, w in zip(cols, got, want):
+        if col is None:
+            scale = w
+        else:
+            scale = _direct_window_sums("gaussian", h, xs, pts, [np.abs(col)], divisor)[0][0]
+        assert np.all(np.abs(g - w) <= 1e-14 * scale)
+
+
+def test_data_too_far_from_zero_next_to_h_sum_directly():
+    # chunks are counted in floating point: from 2^44 chunk widths h/8 out,
+    # |x| >= 2^41 h, the chunk indices and centres could round by a sizable
+    # part of a chunk, and every point sums directly.  Just inside, the
+    # points expand and keep their digits
+    z = np.sort(np.random.default_rng(66).standard_normal(_N_DENSE))
+    h = 0.25
+    pts = np.linspace(-1.5, 1.5, 7)
+    for b, expands in ((2.0**41 * h, False), (2.0**40 * h, True)):
+        xs = z + b
+        with expanded_rows() as rows:
+            got, _ = window_sums("gaussian", h, xs, pts + b, [None])
+        assert rows == ([pts.size] if expands else [])
+        want, _ = _direct_window_sums("gaussian", h, xs, pts + b, [None])
+        assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * want[0])
+
+
+@contextlib.contextmanager
+def found_chunks():
+    """Yield a list that takes the number of chunks whose moments each call finds."""
+    seen = []
+    real = kernels._chunk_moments
+
+    def spy(h, xs, cols, recip, chunks, lo, hi):
+        seen.append(hi - lo)
+        return real(h, xs, cols, recip, chunks, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_chunk_moments", spy)
+        yield seen
+
+
+def test_a_fit_keeps_the_moments_its_calls_find():
+    # a fit pays each chunk's moments once: points evaluated one at a time
+    # find the moments of their chunks that earlier points lacked, and a grid
+    # over the same range then finds none, and takes the weights 1/fbar and
+    # the chunks from the memo too.  Every value has the bits of a fresh
+    # fit's, whichever call found the moments
+    x = np.random.default_rng(67).standard_normal(50_000)
+    y = 1.0 + x * x
+    h = 1.06 * x.size**-0.2
+    K = kernel_props("gaussian")
+    start = fit_start("normal", x)
+    grid = np.linspace(-2.0, 2.0, 21)
+    for fresh, value in ((lambda: DensityEstimate(x, K, h, start), estimate_semiparametric),
+                         (lambda: RegressionFit.fit(x, y, K, h), gnw_estimate)):
+        alone = np.array([value(fresh(), float(t)) for t in grid])
+        fit = fresh()
+        with found_chunks() as found:
+            one_by_one = np.array([value(fit, float(t)) for t in grid[::-1]])[::-1]
+        assert max(found) > 0 and sum(found) == fit._memo[0].moments.shape[2]
+        with found_chunks() as found, pytest.MonkeyPatch.context() as mp:
+            for kept in ("_reciprocals", "_chunked"):
+                mp.setattr(kernels, kept, lambda *args: pytest.fail("not kept"))
+            on_a_grid = value(fit, grid)
+        assert sum(found) == 0
+        assert np.array_equal(one_by_one, alone) and np.array_equal(on_a_grid, alone)
+
+
+def test_the_expansion_keeps_its_digits_where_far_chunks_weigh_most():
+    # 2^14 data spread over 12 bandwidths and weighed by e^(6 x/h): at x = 0
+    # the terms peak six bandwidths out, at e^18 times the nearest datum's,
+    # where |S r_i| reaches 3/8; ten terms would miss there by about 3e-11
+    h = 0.25
+    xs = np.linspace(0.0, 12.0 * h, 2**14)
+    divisor = np.exp(-6.0 * xs / h)
+    pts = np.array([0.0, 0.5 * h, 3.0 * h, 6.0 * h, 12.0 * h])
+    with expanded_rows() as rows:
+        got, _ = window_sums("gaussian", h, xs, pts, [None], divisor)
+    assert rows == [pts.size]
+    want, _ = _direct_window_sums("gaussian", h, xs, pts, [None], divisor)
+    assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * want[0])
+
+
+@settings(max_examples=6, deadline=None)
+@given(u=st.floats(-2.5, 2.5), which=st.sampled_from(["density", "regression"]))
+def test_expanded_sums_meet_a_40_digit_sum(u, which):
+    # 2^13 + 1000 standard normal data at h = 0.5: every point takes the
+    # expansion, and meets the mpmath sum of its terms within 1e-14, of log
+    # rhat for the density and of the terms' scale for the smoother
+    rng = np.random.default_rng(64)
+    x = rng.standard_normal(2**13 + 1000)
+    pts = np.array([u, x[np.argmin(np.abs(x - u))]])
+    with expanded_rows() as rows:
+        if which == "density":
+            est = DensityEstimate(x, kernel_props("gaussian"), 0.5, fit_start("normal", x))
+            got = correction_curve(est, pts).log_r
+        else:
+            fit = RegressionFit.fit(x, np.sin(2.0 * x) + 0.5 * x, kernel_props("gaussian"), 0.5)
+            got = gnw_estimate(fit, pts)
+    assert rows == [2]
+    if which == "density":
+        want = mp_log_correction(est, pts)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    else:
+        want, scale, _ = mp_gnw(fit, pts)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_dense_fit_takes_the_expansion_and_a_sparse_one_does_not(shape):
+    # at n = 5e4 the gaussian density and smoother expand the grid points
+    # within one bandwidth of the data and with 2^13 data in their window; at
+    # n = 1000 no window holds that many, and a compact kernel never expands
+    K = kernel_props(shape)
+    grid = np.linspace(-2.0, 2.0, 161)
+    for n in (1000, 50_000):
+        x = np.random.default_rng(65).standard_normal(n)
+        h = 1.06 * n**-0.2
+        with expanded_rows() as rows:
+            estimate_semiparametric(DensityEstimate(x, K, h, fit_start("normal", x)), grid)
+            gnw_estimate(RegressionFit.fit(x, 1.0 + x * x, K, h), grid)
+        if shape != "gaussian" or n == 1000:
+            assert rows == []
+        else:
+            assert rows == [161, 161]
 
 
 @pytest.mark.parametrize("shape", SHAPES)

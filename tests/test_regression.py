@@ -32,7 +32,7 @@ def test_non_finite_pairs_are_rejected_naming_the_index(bad, capfd):
             RegressionFit.fit(xs, ys, G, 0.2)
         with pytest.raises(ValueError, match=rf"index {i} is not finite"):
             RegressionFit(xs, ys, G, 0.2, fit_mean_start(x, y))
-    assert capfd.readouterr().err == ""  # LAPACK never sees the bad value
+    assert capfd.readouterr().err == ""  # nothing reaches stderr
 
 
 def test_fit_exact_line():
@@ -319,6 +319,35 @@ def test_permuting_the_pairs_keeps_every_bit(perm_seed, shape, kind, layout, tie
                     smoother(moved, pts)
                 continue
             assert smoother(moved, pts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_a_fit_sorts_its_pairs_once(ties, monkeypatch):
+    # RegressionFit.fit sorts the pairs (argsort, then lexsort where x has
+    # ties) and builds the fit from the sorted pairs, which are only copied:
+    # any sort after that raises
+    rng = np.random.default_rng(72)
+    x = rng.uniform(0.0, 1.0, 500)
+    if ties:
+        x = np.round(x, 2)
+    y = 1.0 + x + rng.normal(0.0, 0.1, x.size)
+    calls = []
+
+    def once(name, real):
+        def sort(*args, **kwargs):
+            if "lexsort" in calls or name in calls:
+                raise AssertionError(f"np.{name} sorts the pairs again")
+            calls.append(name)
+            return real(*args, **kwargs)
+        return sort
+
+    monkeypatch.setattr(np, "argsort", once("argsort", np.argsort))
+    monkeypatch.setattr(np, "lexsort", once("lexsort", np.lexsort))
+    fit = RegressionFit.fit(x, y, G, 0.1)
+    assert calls == (["argsort", "lexsort"] if ties else ["argsort"])
+    monkeypatch.undo()
+    order = np.lexsort((y, x))
+    assert fit.x.tobytes() == x[order].tobytes() and fit.y.tobytes() == y[order].tobytes()
 
 
 def expanded_gnw(fit, pts):
