@@ -295,7 +295,8 @@ def _plugin_quadrature(x: np.ndarray, start: FittedStart, h: float) -> float:
     from .quadpack import qags
     lo = float(x.min()) - 10.0 * h
     hi = float(x.max()) + 10.0 * h
-    val, _ = qags(integrand, lo, hi, limit=400)
+    # relative tolerance only: the integral scales as scale^-5, so a fixed epsabs stops it early
+    val, _ = qags(integrand, lo, hi, limit=400, epsabs=0.0)
     return val
 
 

@@ -109,6 +109,13 @@ def mixture_pdf(m: NormalMixture, x):
     return out if out.ndim else float(out)
 
 
+def _philox(seed: int) -> np.random.Generator:
+    """A counter-based generator for a non-negative integer seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def mixture_sample(m: NormalMixture, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws: categorical component pick, then a gaussian draw.
 
@@ -117,7 +124,7 @@ def mixture_sample(m: NormalMixture, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _philox(seed)
     idx = rng.choice(m.n_components, size=n, p=m.weights)
     return m.means[idx] + m.sds[idx] * rng.standard_normal(n)
 

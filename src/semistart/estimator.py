@@ -45,10 +45,8 @@ class DensityEstimate:
     evaluation and no value depends on the data's order; den, the start
     density there (None for the constant start, whose ratio is 1); and
     divisor, the raw total mass when normalize is set and 1.0 otherwise.
-    The correction sums at the points of the last evaluation are kept, so
-    that the estimate and its correction curve on one grid sum it once, and
-    so is kernels.window_sums' memo (the weights 1/fbar(X_i) and the chunk
-    moments of the expanded sums), so that later evaluations reuse them.
+    It keeps kernels.window_sums' memo, whose weights, moments and last sums
+    later evaluations reuse: the estimate and its curve on one grid sum once.
     """
 
     data: np.ndarray
@@ -58,8 +56,6 @@ class DensityEstimate:
     normalize: bool = False
     den: np.ndarray | None = field(init=False, repr=False)
     divisor: float = field(init=False, repr=False)
-    # one slot: (raveled points, correction sums, their logs) of the last evaluation
-    _last: list = field(init=False, repr=False)
     # one slot: window_sums' memo for data, h and den
     _memo: list = field(init=False, repr=False)
 
@@ -72,7 +68,6 @@ class DensityEstimate:
         x.sort()
         x.flags.writeable = False
         object.__setattr__(self, "data", x)
-        object.__setattr__(self, "_last", [None])
         object.__setattr__(self, "_memo", [None])
         den = None
         if self.start.family != "constant":
@@ -102,7 +97,7 @@ def estimate_kernel(data, kernel: KernelSpec, h: float, x):
 
 
 def _sums_at(e: DensityEstimate, pts: np.ndarray):
-    """The correction sums rhat and their logs at the points pts, as stored arrays.
+    """The correction sums rhat and their logs at the points pts, as fresh arrays.
 
     Each point sums sum_i K_h(x - X_i)/fbar(X_i) over its window of the
     sorted data (kernels.window_sums), so it has the same bits alone as in a
@@ -110,13 +105,8 @@ def _sums_at(e: DensityEstimate, pts: np.ndarray):
     sum of the profile's weights over fbar and t0 the point's offset from the
     nearest datum in bandwidths, 0 where the weights take the form of
     squares; where t0 is not 0, rhat is exp(log rhat), as exp(-t0^2/2) alone
-    may underflow.  Points equal to those of e's last evaluation take its
-    stored sums (-0.0 and 0.0 compare equal, and their sums have the same
-    bits).
+    may underflow.
     """
-    last = e._last[0]
-    if last is not None and np.array_equal(last[0], pts):
-        return last[1], last[2]
     h = float(e.h)
     gaussian = e.kernel.shape == "gaussian"
     (s,), t0 = window_sums(e.kernel.shape, h, e.data, pts, [None], divisor=e.den,
@@ -130,13 +120,12 @@ def _sums_at(e: DensityEstimate, pts: np.ndarray):
         log_r -= 0.5 * t0 * t0
         far = t0 != 0.0
         r[far] = np.exp(log_r[far])
-    e._last[0] = (pts.copy(), r, log_r)
     return r, log_r
 
 
 def _correction_at(e: DensityEstimate, x: np.ndarray) -> np.ndarray:
     """The correction sums at the points of x, in x's shape, as a fresh array."""
-    return _sums_at(e, x.ravel())[0].reshape(x.shape).copy()
+    return _sums_at(e, x.ravel())[0].reshape(x.shape)
 
 
 def estimate_semiparametric(e: DensityEstimate, x):
@@ -183,7 +172,6 @@ def correction_curve(e: DensityEstimate, grid) -> CorrectionCurve:
                          f"(fbar = {float(fth[k])!r}) for z's variance R(K)/(n h fbar(x)) "
                          "to be finite; enable clipping or choose a start family supported there")
     r, log_sum = _sums_at(e, grid)
-    r = r.copy()
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
     # below the smallest normal float np.log(r) loses digits, and is -inf at 0.0

@@ -112,11 +112,9 @@ class RegressionFit:
     and by y among tied x, which the smoothers sum in.  Built with them:
     the clip floor of the mean start, 5% of sd(y) (or 0.05 when y is
     constant), and the columns that the smoothers' sums weigh (_sums).  So
-    no value depends on the order of the pairs.
-    The sums of both smoothers at the points of the last evaluation are
-    kept, so that the two smoothers on one grid sum it once, and so is
-    kernels.window_sums' memo (the chunk moments of the expanded sums), so
-    that later evaluations reuse it.
+    no value depends on the order of the pairs.  It keeps kernels.window_sums'
+    memo, whose moments and last sums later evaluations reuse: the two
+    smoothers on one grid sum it once.
     """
 
     x: np.ndarray
@@ -125,9 +123,6 @@ class RegressionFit:
     h: float
     mean_start: MeanStart
     floor: float = field(init=False, repr=False)
-    # one slot: (raveled points, weight sums, classic and corrected numerators)
-    # of the last evaluation
-    _last: list = field(init=False, repr=False)
     # the columns of _sums: None (the weights), y and, unless the mean start
     # is constant, y_i/m(x_i)
     _cols: list = field(init=False, repr=False)
@@ -140,7 +135,6 @@ class RegressionFit:
         x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_last", [None])
         object.__setattr__(self, "_memo", [None])
         object.__setattr__(self, "floor", _CLIP_FRACTION * float(y.std()) or _CLIP_FRACTION)
         cols = [None, y]
@@ -189,16 +183,12 @@ def _sums(fit: RegressionFit, pts: np.ndarray):
     """The weight sums and the classic and corrected numerators at the points pts.
 
     The numerators sum the column weights y_i and y_i/m(x_i); a constant mean
-    start has only the first, which then stands for both.  Points equal to
-    those of fit's last evaluation take its stored sums; other points fill
+    start has only the first, which then stands for both.  The points fill
     one windowed block for all three (kernels.window_sums), so that each
     point has the same bits alone as in a grid.  The weights are the
     kernel's unnormalised profile K((x - x_i)/h), whose factor cancels in
     the ratio.
     """
-    last = fit._last[0]
-    if last is not None and np.array_equal(last[0], pts):
-        return last[1:]
     shape, h = fit.kernel.shape, float(fit.h)
     (wsum, *nums), t0 = window_sums(shape, h, fit.x, pts, fit._cols, memo=fit._memo)
     # no local data: the normalised kernel's weights, summed, fall below
@@ -211,7 +201,6 @@ def _sums(fit: RegressionFit, pts: np.ndarray):
     bad = ~(logw >= _LOG_MIN_WEIGHT)
     if np.any(bad):
         raise ValueError(f"no local data: every kernel weight vanishes at x={float(pts[bad][0])}")
-    fit._last[0] = (pts.copy(), wsum, nums[0], nums[-1])
     return wsum, nums[0], nums[-1]
 
 

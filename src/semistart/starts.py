@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .densities import NormalMixture, mixture_moments, mixture_pdf
+from .densities import NormalMixture, _philox, mixture_moments, mixture_pdf
 from .kernels import SQRT_2PI
 from .special import _LOG_2PI, _lgam1p, _stirling, gamma_quantile, ndtr
 
@@ -207,7 +207,7 @@ def em_fit_mixture(data, k: int, seed: int) -> FittedStart:
         raise ValueError("need at least 10 observations per component")
     if x.std() == 0.0:
         raise ValueError("sample variance is zero")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _philox(seed)
     for _ in range(EM_RESTARTS):
         params, decreased = _em_once(x, k, rng)
         if decreased:

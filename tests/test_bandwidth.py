@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -366,6 +367,62 @@ def test_data_driven_rules_scale_equivariant(method):
     assert run(c * x) == pytest.approx(c * run(x), rel=1e-9)
 
 
+@functools.lru_cache(maxsize=None)
+def _equivariance_data(family):
+    # 300 draws of Marron-Wand case 2; the positive starts take exp(x/3) of them
+    x = mixture_sample(marron_wand(2), 300, seed=3)
+    return np.exp(x / 3.0) if family in ("lognormal", "gamma") else x
+
+
+def _rule_h(rule, family, data):
+    return select(rule, data, fit_start(family, data), G).h
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_scale_h(rule, family):
+    return _rule_h(rule, family, _equivariance_data(family))
+
+
+_UCV_LOGNORMAL_FAR = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="known red: bandwidth._ucv_square_quadrature calls qags with its default absolute "
+           "tolerance, 1.49e-8, which int fhat^2 falls far below at c = 1e6, so the integral "
+           "stops early; a relative-only tolerance changes ucv_lognormal's reference bytes "
+           "(ROADMAP item 2)")
+
+
+def _equivariance_cases():
+    for rule in ("rule_delta", "rule_gamma", "plugin", "bcv", "ucv"):
+        for family in ("constant", "normal", "lognormal", "gamma"):
+            for c in (1e-6, 1e6):
+                for shift in ((False, True) if family in ("constant", "normal") else (False,)):
+                    far_ucv = (rule, family, c) == ("ucv", "lognormal", 1e6)
+                    yield pytest.param(rule, family, c, shift,
+                                       marks=[_UCV_LOGNORMAL_FAR] if far_ucv else [],
+                                       id=f"{rule}-{family}-{c:g}{'-shifted' if shift else ''}")
+
+
+@pytest.mark.parametrize("rule,family,c,shift", list(_equivariance_cases()))
+def test_bandwidth_rules_are_scale_equivariant_at_far_scales(rule, family, c, shift):
+    # h(c x + b)/c is h(x) for c in {1e-6, 1e6}, with b = 1e3 c sd(x) or 0
+    x = _equivariance_data(family)
+    mapped = c * x + (1e3 * c * float(np.std(x)) if shift else 0.0)
+    assert _rule_h(rule, family, mapped) / c == pytest.approx(_unit_scale_h(rule, family),
+                                                              rel=1e-12, abs=0.0)
+
+
+def test_the_far_ucv_lognormal_case_holds_with_a_relative_only_tolerance(monkeypatch):
+    # backs the xfail above: with epsabs = 0.0 in the qags call of
+    # _ucv_square_quadrature (ucv's one qags call) the case holds
+    from semistart import quadpack
+    real = quadpack.qags
+    monkeypatch.setattr(quadpack, "qags",
+                        lambda f, a, b, **kw: real(f, a, b, **{**kw, "epsabs": 0.0}))
+    x = _equivariance_data("lognormal")
+    assert _rule_h("ucv", "lognormal", 1e6 * x) / 1e6 == pytest.approx(
+        _rule_h("ucv", "lognormal", x), rel=1e-12, abs=0.0)
+
+
 # Full-matrix oracles: the unblocked expressions the selectors used before
 # their pair sums were filled in row blocks.  Blocking must not change a bit.
 
@@ -401,7 +458,7 @@ def _full_plugin_raw(x, start, h):
         return (float(eval_start(f0, np.array([t]))[0]) * rpp) ** 2
 
     return float(quad(integrand, float(x.min()) - 10.0 * h,
-                      float(x.max()) + 10.0 * h, limit=400)[0])
+                      float(x.max()) + 10.0 * h, limit=400, epsabs=0.0)[0])
 
 
 def _full_ucv_integral(x, start, h):

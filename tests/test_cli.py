@@ -453,3 +453,22 @@ def test_extreme_bandwidths_give_finite_rows_or_exit_1(tmp_path, h):
         else:
             assert proc.returncode == 1 and proc.stdout == "", (argv, proc.stdout)
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sample", "estimate"])
+def test_a_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
+    # NumPy's own message for a negative Philox seed names no flag
+    if command == "sample":
+        mix = tmp_path / "mix.json"
+        mix.write_text(mixture_to_json(marron_wand(2)))
+        argv = ["sample", "--mixture", str(mix), "--n", "5"]
+    else:
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(str(v) for v in np.linspace(0.5, 3.0, 30)) + "\n")
+        argv = ["estimate", "--input", str(data), "--start", "normal_mixture", "--h", "0.5",
+                "--grid", "0,3,4"]
+    out = tmp_path / "out"
+    assert run(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -1" in err
+    assert not out.exists()

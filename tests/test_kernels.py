@@ -412,6 +412,41 @@ def test_a_fit_keeps_the_moments_its_calls_find():
         assert np.array_equal(one_by_one, alone) and np.array_equal(on_a_grid, alone)
 
 
+@pytest.mark.parametrize("style", ["density", "regression"])
+def test_a_memo_keeps_the_last_points_sums(style):
+    # a call with a memo returns read-only arrays, and a repeat of the kept
+    # points (0.0 written as -0.0 too) plans nothing; other points plan
+    # again, and so do the first ones after them.  Every value has the bits
+    # of a call without a memo, where the points near the data take the
+    # expansion
+    rng = np.random.default_rng(69)
+    xs = np.sort(rng.standard_normal(2**14))
+    weights = np.exp(rng.uniform(-2.0, 2.0, xs.size))
+    cols, divisor = ([None], weights) if style == "density" else ([None, xs, weights], None)
+    grid = np.linspace(-3.0, 3.0, 61)
+    assert 0.0 in grid
+    signed = np.where(grid == 0.0, -0.0, grid)
+    memo, planned, expanded = [None], [], []
+    real = kernels._plan
+
+    def spy(*args):
+        planned.append(args[3].size)
+        return real(*args)
+
+    for pts in (grid, grid.copy(), signed, grid[::2], grid, grid):
+        with pytest.MonkeyPatch.context() as mp, expanded_rows() as rows:
+            mp.setattr(kernels, "_plan", spy)
+            sums, t0 = window_sums("gaussian", 0.1, xs, pts, cols, divisor, memo)
+        expanded.append(sum(rows))
+        want, want_t0 = window_sums("gaussian", 0.1, xs, pts, cols, divisor)
+        for got, ref in zip([*sums, t0], [*want, want_t0]):
+            assert not got.flags.writeable and ref.flags.writeable
+            assert got.tobytes() == ref.tobytes()
+    assert planned == [61, 31, 61]
+    assert expanded[0] > 0 and expanded[3] > 0 and expanded[4] > 0
+    assert expanded[1] == expanded[2] == expanded[5] == 0
+
+
 def test_the_expansion_keeps_its_digits_where_far_chunks_weigh_most():
     # 2^14 data spread over 12 bandwidths and weighed by e^(6 x/h): at x = 0
     # the terms peak six bandwidths out, at e^18 times the nearest datum's,

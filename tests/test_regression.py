@@ -501,15 +501,14 @@ def test_smoother_has_the_same_bits_on_any_number_of_block_threads(machine):
 
 @pytest.mark.parametrize("kind", ["constant", "linear"])
 def test_a_fit_smooths_once_per_grid(kind, monkeypatch):
-    from semistart import regression
-    passes = []  # one windowed pass over a grid per call
-    inner = regression.window_sums
+    passes = []  # one windowed pass over a grid per plan, then its fill
+    inner = kernels._plan
 
     def counted(*args, **kwargs):
         passes.append(args[3].size)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(regression, "window_sums", counted)
+    monkeypatch.setattr(kernels, "_plan", counted)
     rng = np.random.default_rng(49)
     xs = rng.uniform(0.0, 1.0, 3000)
     ys = 2.0 + xs + 0.5 * np.sin(2.0 * np.pi * xs) + rng.normal(0.0, 0.3, 3000)
