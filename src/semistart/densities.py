@@ -140,6 +140,28 @@ def mixture_moments(m: NormalMixture) -> tuple[float, float]:
     return mu0, float(np.sqrt(var0))
 
 
+def _weighted_components(m: NormalMixture, x):
+    """x as floats, its offsets t = x - mu_i and the weighted component densities p_i phi_{sd_i}(t)."""
+    x = np.asarray(x, dtype=float)
+    t = x[..., None] - m.means
+    return x, t, m.weights / m.sds * _phi(t / m.sds)
+
+
+def _curvature(m: NormalMixture, x):
+    """f''(x), the curvature behind the plain kernel estimator's bias; a float for a scalar x."""
+    _, t, fi = _weighted_components(m, x)
+    fpp = np.sum((t**2 / m.sds**2 - 1.0) / m.sds**2 * fi, axis=-1)
+    return fpp if fpp.ndim else float(fpp)
+
+
+def _corrected_curvature(m: NormalMixture, mu0: float, sd0: float, x):
+    """f0(x) r''(x) for the N(mu0, sd0^2) start f0 and r = f/f0; a float for a scalar x."""
+    x, t, fi = _weighted_components(m, x)
+    d = t / m.sds**2 - (x[..., None] - mu0) / sd0**2
+    f0rpp = np.sum((1.0 / sd0**2 - 1.0 / m.sds**2 + d * d) * fi, axis=-1)
+    return f0rpp if f0rpp.ndim else float(f0rpp)
+
+
 def bias_factors(m: NormalMixture, x):
     """Pointwise bias drivers: (f''(x), f0(x) r''(x)).
 
@@ -147,16 +169,8 @@ def bias_factors(m: NormalMixture, x):
     leading smoothing bias of the plain kernel estimator with that of the
     normal-start corrected estimator at the same point.
     """
-    x = np.asarray(x, dtype=float)
     mu0, sd0 = mixture_moments(m)
-    t = x[..., None] - m.means
-    fi = m.weights / m.sds * _phi(t / m.sds)
-    fpp = np.sum((t**2 / m.sds**2 - 1.0) / m.sds**2 * fi, axis=-1)
-    d = t / m.sds**2 - (x[..., None] - mu0) / sd0**2
-    f0rpp = np.sum((1.0 / sd0**2 - 1.0 / m.sds**2 + d * d) * fi, axis=-1)
-    if fpp.ndim:
-        return fpp, f0rpp
-    return float(fpp), float(f0rpp)
+    return _curvature(m, x), _corrected_curvature(m, mu0, sd0, x)
 
 
 def _pair_tables(m: NormalMixture):
@@ -320,8 +334,9 @@ def l1_measures(m: NormalMixture) -> L1Report:
     from .quadpack import qags
 
     lo, hi = m.support_window()
-    iab_trad = _integrate_abs(lambda x: bias_factors(m, x)[0], lo, hi)
-    iab_new = _integrate_abs(lambda x: bias_factors(m, x)[1], lo, hi)
+    mu0, sd0 = mixture_moments(m)
+    iab_trad = _integrate_abs(lambda x: _curvature(m, x), lo, hi)
+    iab_new = _integrate_abs(lambda x: _corrected_curvature(m, mu0, sd0, x), lo, hi)
     half_norm, _ = qags(lambda x: np.sqrt(mixture_pdf(m, x)), lo, hi,
                         limit=400, epsabs=1e-10)
     rho1_trad = half_norm**0.8 * iab_trad**0.2 if iab_trad > 1e-200 else 0.0

@@ -388,11 +388,11 @@ def serial_optimal_h(curve, bracket):
 
 def bisect_domain_cap(m, sd0, h_max=np.inf):
     """h_domain_cap by 200 bisection steps: the oracle of the early-exit bisection."""
-    from semistart.exact_mise import MiseDomainError, _radicands
+    from semistart.exact_mise import MiseDomainError, _Radicands
 
     def ok(h):
         try:
-            _radicands(m, sd0, h)
+            _Radicands(m, sd0)(h)
         except MiseDomainError:
             return False
         return True

@@ -210,6 +210,19 @@ def test_full_bench_mise_table_is_pinned_to_17_digits(tmp_path):
         "246f12f35b19dfe09f3b50bd3a2ec9430c85d00edc9ff202c9cb833df76a0ba9")
 
 
+@pytest.mark.parametrize("command, digest", [
+    ("bench-amise", "d6e77d3e31073f7e1d424a3a79bec72cc0659a39c9baee8b706020cf211ffbd6"),
+    ("bench-mise", "1c2945acc43cbb12a203bbc29a85a0f9e8fcb642cf9494c562347ccf35750f2b"),
+])
+def test_full_bench_tables_are_pinned_to_6_digits(tmp_path, command, digest):
+    # SHA-256 of the whole default tables at the default 6 digits.  They
+    # were the same on NumPy's AVX2 loops as on its AVX-512 ones, where the
+    # 17-digit pin above holds on one of them only
+    out = tmp_path / "table.csv"
+    assert run([command, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_bench_mise_fails_when_an_optimum_sits_at_the_lower_bracket_end(tmp_path, capsys):
     # at n = 1e22 both optima run into h = 0.01 sd0; the table once printed
     # h_new=0.01, mise_new=0, ratio=0 and exited 0

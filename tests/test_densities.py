@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from semistart import quadpack
-from semistart.densities import (NormalMixture, _integrate_abs, bias_factors, l1_measures,
-                                 marron_wand, mixture_from_json, mixture_moments,
+from semistart.densities import (L1Report, NormalMixture, _integrate_abs, bias_factors,
+                                 l1_measures, marron_wand, mixture_from_json, mixture_moments,
                                  mixture_pdf, mixture_sample, roughness)
 
 from conftest import mixture_to_json, phi, phi_scaled
@@ -129,6 +129,25 @@ def test_l1_bimodal_case():
     rep = l1_measures(marron_wand(6))
     assert rep.rho1_trad == pytest.approx(2.1786, abs=5e-3)
     assert rep.rho1_new == pytest.approx(2.0575, abs=5e-3)
+
+
+def _paired_l1_measures(m):
+    """l1_measures with both bias factors computed at every point, taking either one."""
+    lo, hi = m.support_window()
+    iab_trad = _integrate_abs(lambda x: bias_factors(m, x)[0], lo, hi)
+    iab_new = _integrate_abs(lambda x: bias_factors(m, x)[1], lo, hi)
+    half_norm, _ = quadpack.qags(lambda x: np.sqrt(mixture_pdf(m, x)), lo, hi,
+                                 limit=400, epsabs=1e-10)
+    rho1_trad = half_norm**0.8 * iab_trad**0.2 if iab_trad > 1e-200 else 0.0
+    rho1_new = half_norm**0.8 * iab_new**0.2 if iab_new > 1e-200 else 0.0
+    return L1Report(iab_trad, iab_new, half_norm, rho1_trad, rho1_new)
+
+
+@pytest.mark.parametrize("case", range(1, 16))
+def test_l1_integrands_keep_the_bits_of_the_paired_bias_factors(case):
+    # each integrand computes only its own factor, with the moments taken once
+    m = marron_wand(case)
+    assert repr(l1_measures(m)) == repr(_paired_l1_measures(m))
 
 
 @pytest.mark.parametrize("g, want, pieces", [

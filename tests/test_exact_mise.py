@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from semistart.densities import (NormalMixture, marron_wand, mixture_moments,
                                  mixture_pdf, mixture_sample)
-from semistart.exact_mise import (MiseDomainError, benchmark_table, h_domain_cap,
+from semistart import exact_mise
+from semistart.exact_mise import (MiseDomainError, MiseReport, benchmark_table, h_domain_cap,
                                   mise_kernel, mise_new, optimal_h, r_f, reports_to_csv)
 
 from conftest import (SQRT_2PI, SQRT_PI, bisect_domain_cap, gaussian_product_integral,
@@ -243,16 +244,21 @@ def test_optimal_h_rescans_when_the_scan_sees_several_minima():
     # so the search rescans at 512 points before the golden section
     m = marron_wand(10)
     mu0, sd0 = mixture_moments(m)
-    sizes = []
+    calls = []
 
     def curve(t):
-        sizes.append(np.size(t))
+        calls.append(np.array(t))
         return mise_kernel(m, t, 50)
 
     h, v = optimal_h(curve, (0.01 * sd0, 3.0 * sd0))
     # one call per scan, then the golden section's first pair, seven rounds of
-    # five steps (2 + 4 + 8 + 16 + 32 candidate points each) and the value at h*
-    assert sizes == [128, 512, 2] + [62] * 7 + [1]
+    # five steps and the value at h*.  A round's 2 + 4 + 8 + 16 + 32 candidate
+    # points repeat one another, as golden-section points do, and each
+    # distinct bandwidth is asked for once
+    sizes = [t.size for t in calls]
+    assert sizes[:3] == [128, 512, 2] and sizes[-1] == 1 and len(sizes) == 3 + 7 + 1
+    assert all(30 < size < 62 for size in sizes[3:-1])
+    assert all(np.unique(t).size == t.size for t in calls)
     fine = np.linspace(0.01 * sd0, 3.0 * sd0, 30001)
     vals = mise_kernel(m, fine, 50)
     k = int(np.argmin(vals))
@@ -402,6 +408,76 @@ def test_benchmark_rows_match_reference():
     assert r7.ratio == pytest.approx(0.9768, abs=5e-3)
     r2 = benchmark_table([2], [1000])[0]
     assert r2.ratio == pytest.approx(0.7396, abs=5e-3)
+
+
+def _row_searches(case):
+    """A test density's mixture, start moments and the two brackets of its table rows."""
+    m = marron_wand(case)
+    mu0, sd0 = mixture_moments(m)
+    cap = h_domain_cap(m, sd0, h_max=3.0 * sd0)
+    lo = 0.01 * sd0
+    return m, mu0, sd0, (lo, min(3.0 * sd0, 0.98 * cap)), (lo, 3.0 * sd0)
+
+
+def _serial_row(case, n):
+    """A table row from two serial searches, one scalar mise call per point."""
+    m, mu0, sd0, new_bracket, trad_bracket = _row_searches(case)
+    h_new, mise_n = serial_optimal_h(lambda t: mise_new(m, mu0, sd0, t, n), new_bracket)
+    h_trad, mise_t = serial_optimal_h(lambda t: mise_kernel(m, t, n), trad_bracket)
+    return MiseReport(str(case), n, h_new, mise_n, h_trad, mise_t, mise_n / mise_t)
+
+
+# the claw's (case 10) searches rescan at 4x resolution at n = 50 and not at
+# n = 25, and the outlier's and the discrete comb's (14, 15) corrected ones
+# the other way round, so the rows of one case finish in different rounds
+RESCAN_NS = (25, 50)
+
+
+def test_table_rows_have_the_bits_of_serial_searches():
+    rows = benchmark_table(range(1, 16), RESCAN_NS)
+    assert [repr(r) for r in rows] == [repr(_serial_row(c, n))
+                                       for c in range(1, 16) for n in RESCAN_NS]
+
+
+def _rounds(curve, bracket):
+    """The bandwidth-array sizes one search asks for, one per round."""
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return curve(t)
+
+    optimal_h(counted, bracket)
+    return sizes
+
+
+@pytest.mark.parametrize("case", range(1, 16))
+def test_a_case_evaluates_its_n_free_terms_once_per_round(monkeypatch, case):
+    m, mu0, sd0, new_bracket, trad_bracket = _row_searches(case)
+    new_rounds = [_rounds(lambda t: mise_new(m, mu0, sd0, t, n), new_bracket) for n in RESCAN_NS]
+    trad_rounds = [_rounds(lambda t: mise_kernel(m, t, n), trad_bracket) for n in RESCAN_NS]
+    if case == 10:
+        assert [r[1] for r in new_rounds] == [r[1] for r in trad_rounds] == [2, 512]
+    if case in (14, 15):
+        assert [r[1] for r in new_rounds] == [512, 2]
+
+    calls = {"new": 0, "trad": 0, "cap": 0}
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(exact_mise._NewTerms, "__call__",
+                        count("new", exact_mise._NewTerms.__call__))
+    monkeypatch.setattr(exact_mise, "_kernel_terms", count("trad", exact_mise._kernel_terms))
+    monkeypatch.setattr(exact_mise, "h_domain_cap", count("cap", exact_mise.h_domain_cap))
+    benchmark_table([case], RESCAN_NS)
+    # one evaluation per round of the slowest row, about 11-12 per curve,
+    # rather than one per row per round
+    assert calls == {"new": max(map(len, new_rounds)), "trad": max(map(len, trad_rounds)),
+                     "cap": 1}
 
 
 def test_reports_csv_shape():

@@ -13,6 +13,9 @@ from semistart.regression import (MeanStart, RegressionFit, _clipped_mean, fit_m
 from conftest import literal_gnw, mp_gnw
 
 G = kernel_props("gaussian")
+EPS = np.finfo(float).eps
+# the ulps of expanded_gnw's rounding scale that the smoother may miss by
+ULPS = 8.0
 
 
 def _refit(fit):
@@ -351,19 +354,28 @@ def test_a_fit_sorts_its_pairs_once(ties, monkeypatch):
 
 
 def expanded_gnw(fit, pts):
-    """The smoother as first written, and its scale, at the points pts.
+    """The smoother as first written, its scale and its rounding scale, at the points pts.
 
     Normalised kernel weights w_i times the ratio m(x)/m(x_i) times y_i,
     summed and divided by the summed weights.  The scale is the same mean
     of the terms' magnitudes, which is the value's magnitude when nothing
-    cancels.
+    cancels.  The rounding scale weighs each term, and each weight times
+    the value (the division by the summed weights), by 1 + t^2/2, with t the
+    term's distance in bandwidths: a gaussian weight's exponent t^2/2 carries
+    a few ulps of itself into the weight, so a weight 10 bandwidths out may
+    round by some 50 ulps in either smoother.
     """
-    w = eval_scaled(fit.kernel, fit.h, pts[:, None] - fit.x[None, :])
+    z = pts[:, None] - fit.x[None, :]
+    w = eval_scaled(fit.kernel, fit.h, z)
     ratio = np.ones((pts.size, 1))
     if fit.mean_start.kind != "constant":
         ratio = _clipped_mean(fit, pts)[:, None] / _clipped_mean(fit, fit.x)[None, :]
     terms = w * ratio * fit.y[None, :]
-    return terms.sum(axis=1) / w.sum(axis=1), np.abs(terms).sum(axis=1) / w.sum(axis=1)
+    wsum = w.sum(axis=1)
+    value = terms.sum(axis=1) / wsum
+    grow = 1.0 + 0.5 * (z / fit.h) ** 2
+    rounding = ((np.abs(terms) + w * np.abs(value)[:, None]) * grow).sum(axis=1) / wsum
+    return value, np.abs(terms).sum(axis=1) / wsum, rounding
 
 
 @settings(max_examples=100, deadline=None)
@@ -375,6 +387,10 @@ def expanded_gnw(fit, pts):
 # the value at the datum `cross` is -1.137e-315, one term of weight e^-724.65
 @example(shape="gaussian", kind="constant", n=2, seed=162777, cross=0.203125, sign=-1.0,
          slope=1.0, noise=0.0, log_h=-1.8125)
+# one term from a datum 10.16 bandwidths away: its exponent, about -51.6, carries
+# a few ulps of rounding into the weight, 1.41e-14 of the terms' scale
+@example(shape="gaussian", kind="constant", n=2, seed=16, cross=0.25, sign=-1.0, slope=1.0,
+         noise=0.0, log_h=-1.75)
 def test_smoother_keeps_the_expanded_smoothers_values(shape, kind, n, seed, cross, sign, slope,
                                                         noise, log_h):
     # profile weights, a column weight y_i/m(x_i) and a row factor m(x) round
@@ -397,12 +413,12 @@ def test_smoother_keeps_the_expanded_smoothers_values(shape, kind, n, seed, cros
         assert fit.floor == pytest.approx(0.05 * float(fit.y.std()) or 0.05, rel=1e-14)
         assert abs(_clipped_mean(fit, xs[:1])[0]) == fit.floor
     got = gnw_estimate(fit, xs)
-    want, scale = expanded_gnw(fit, xs)
+    want, scale, rounding = expanded_gnw(fit, xs)
     sub = (scale > 0.0) & (scale < np.finfo(float).tiny)
     if np.any(sub):
         mp_want, mp_scale, _ = mp_gnw(fit, xs[sub])
         assert np.all(np.abs(got[sub] - mp_want) <= 1e-14 * mp_scale + n * 2.0**-1074)
-    assert _near(got[~sub], want[~sub], scale[~sub])
+    assert np.all(np.abs(got[~sub] - want[~sub]) <= ULPS * EPS * rounding[~sub])
 
 
 @pytest.mark.parametrize("tiny", [1e-20, 0.0])
