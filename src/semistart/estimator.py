@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import SQRT_2PI, KernelSpec, _base_pdf, require_bandwidth, window_sums
+from .kernels import SQRT_2PI, KernelSpec, WindowSums, _base_pdf, require_bandwidth
 from .special import _erf as erf, ndtr
 from .starts import FittedStart, _require_finite, eval_start
 
@@ -45,8 +45,9 @@ class DensityEstimate:
     evaluation and no value depends on the data's order; den, the start
     density there (None for the constant start, whose ratio is 1); and
     divisor, the raw total mass when normalize is set and 1.0 otherwise.
-    It keeps kernels.window_sums' memo, whose weights, moments and last sums
-    later evaluations reuse: the estimate and its curve on one grid sum once.
+    It holds one kernels.WindowSums over the data and den, whose weights,
+    moments and last sums later evaluations reuse: the estimate and its
+    curve on one grid sum once.
     """
 
     data: np.ndarray
@@ -56,8 +57,7 @@ class DensityEstimate:
     normalize: bool = False
     den: np.ndarray | None = field(init=False, repr=False)
     divisor: float = field(init=False, repr=False)
-    # one slot: window_sums' memo for data, h and den
-    _memo: list = field(init=False, repr=False)
+    _windows: WindowSums = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.array(self.data, dtype=float).ravel()
@@ -68,7 +68,6 @@ class DensityEstimate:
         x.sort()
         x.flags.writeable = False
         object.__setattr__(self, "data", x)
-        object.__setattr__(self, "_memo", [None])
         den = None
         if self.start.family != "constant":
             den = np.atleast_1d(eval_start(self.start, x))
@@ -78,6 +77,7 @@ class DensityEstimate:
                     "choose a start family supported there")
             den.flags.writeable = False
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_windows", WindowSums(self.kernel.shape, self.h, x, [None], den))
         # the mass integral reads den, never divisor
         divisor = integral_of_estimate(self) if self.normalize else 1.0
         if not 0.0 < divisor < math.inf:
@@ -100,7 +100,7 @@ def _sums_at(e: DensityEstimate, pts: np.ndarray):
     """The correction sums rhat and their logs at the points pts, as fresh arrays.
 
     Each point sums sum_i K_h(x - X_i)/fbar(X_i) over its window of the
-    sorted data (kernels.window_sums), so it has the same bits alone as in a
+    sorted data (kernels.WindowSums), so it has the same bits alone as in a
     grid.  log rhat is log S - t0^2/2 - log(n sqrt(2 pi) h), S the windowed
     sum of the profile's weights over fbar and t0 the point's offset from the
     nearest datum in bandwidths, 0 where the weights take the form of
@@ -109,8 +109,7 @@ def _sums_at(e: DensityEstimate, pts: np.ndarray):
     """
     h = float(e.h)
     gaussian = e.kernel.shape == "gaussian"
-    (s,), t0 = window_sums(e.kernel.shape, h, e.data, pts, [None], divisor=e.den,
-                           memo=e._memo)
+    (s,), t0 = e._windows(pts)
     r = s / SQRT_2PI if gaussian else s.copy()
     r /= h
     r /= e.n

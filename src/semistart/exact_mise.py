@@ -245,6 +245,11 @@ def _new_mise(hs: np.ndarray, terms, n: int, rf: float) -> np.ndarray:
     return np.where(np.isinf(ea2) | (n > 1) & np.isinf(ea1), np.inf, mise)
 
 
+def _require_scale(sd0) -> None:
+    if not (np.isfinite(sd0) and sd0 > 0):
+        raise ValueError(f"start scale must be finite and positive, got {sd0!r}")
+
+
 def mise_new(m: NormalMixture, mu0: float, sd0: float, h, n: int):
     """Exact mise(h) of the corrected estimator with the N(mu0, sd0^2) start.
 
@@ -255,8 +260,7 @@ def mise_new(m: NormalMixture, mu0: float, sd0: float, h, n: int):
     """
     if not np.isfinite(mu0):
         raise ValueError(f"start location must be finite, got {mu0!r}")
-    if not (np.isfinite(sd0) and sd0 > 0):
-        raise ValueError(f"start scale must be finite and positive, got {sd0!r}")
+    _require_scale(sd0)
     require_bandwidth(h)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -271,6 +275,7 @@ def h_domain_cap(m: NormalMixture, sd0: float, h_max: float = np.inf) -> float:
     the feasible end after that.  h_max is returned when no constraint
     binds below it (it may be infinite).
     """
+    _require_scale(sd0)
     if not h_max > 0.0:  # NaN fails too
         raise ValueError(f"h_max must be positive, got {h_max!r}")
     radicands = _Radicands(m, sd0)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["KernelSpec", "kernel_props", "eval_scaled", "exp_into", "require_bandwidth",
-           "for_blocks", "window_sums", "SHAPES"]
+           "for_blocks", "WindowSums", "SHAPES"]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
@@ -152,7 +152,7 @@ def eval_scaled(kernel: KernelSpec, h: float, z, out=None):
     out, a float array of z's shape, receives the values and is returned; it
     may be z itself.  The gaussian kernel then runs in place, with no
     temporary of z's size.  Without out, a 0-d z gives a float.  The lanes
-    are divided by h, unlike window_sums', which multiply by 1/h: the
+    are divided by h, unlike WindowSums', which multiply by 1/h: the
     selectors evaluate their kernels here, and their bandwidths' bytes are
     pinned by stored references until those are regenerated.
     """
@@ -325,9 +325,9 @@ _CHUNK_RANGE = 2.0**44
 # A point takes the expansion only with this many data in its window, which
 # spans at most 2 * _CHUNK_REACH / _CHUNK + 1 = 257 chunks: 32 data or more
 # per chunk.  A chunk's moments cost about 2P passes over its data, against
-# 7 per datum and point for the direct fill; a caller that keeps a memo
-# (window_sums) pays them once per chunk, and later points pay only Horner's
-# rule.  So a point alone on a fresh memo pays more than the direct fill, and
+# 7 per datum and point for the direct fill; a WindowSums object keeps them,
+# so it pays them once per chunk, and later points pay only Horner's rule.
+# So a point alone on a fresh object pays more than the direct fill, and
 # a grid that shares its chunks less (on 161 points, windows of 4,200 data
 # took 1.1 times the direct fill's time and of 7,400 0.8 times)
 _DENSE_MIN = 2**13
@@ -346,235 +346,302 @@ def _weights_in_range(cols: list, recip) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class _Memo:
-    """What window_sums keeps for one sorted xs, h, set of columns and divisor.
+class WindowSums:
+    """Kernel-weighted sums over the sorted data xs, one per column, at any points.
 
-    recip holds the weights 1/d_i (None without a divisor), and divide says
-    whether one of them overflows, so that the lanes divide by d_i instead.
-    starts are the chunks' data offsets (n closing them), uid their indices
-    counted from xs[0], and centres their centres (see above _CHUNK): None
-    until a point is dense, and starts is empty where no point may take the
-    expansion.  moments[k, j, i] is M_k of column j for chunk first + i.
-    last is (points, sums, t0) of the last call, all read-only, or None.
+    An object serves one kernel shape, bandwidth h, sorted data xs, list of
+    columns cols and divisor (or None), whose arrays must not change under
+    it; each call sums at new points (__call__).  It keeps what its calls
+    find, for later calls to reuse:
+      recip, divide   the weights 1/d_i, taken here (None without a
+                      divisor), and whether one of them overflows, so that
+                      the lanes divide by d_i instead;
+      starts          the chunks' data offsets, n closing them (see above
+                      _CHUNK): None until a point is dense, and empty where
+                      no point may take the expansion;
+      uid, centres    the chunks' indices counted from xs[0], and centres;
+      run             (first, moments), moments[k, j, i] being M_k of
+                      column j for chunk first + i;
+      last            the last call's (points, sums, t0), read-only, or None.
+    A field is replaced whole, never written in place.
     """
 
-    recip: np.ndarray | None
-    divide: bool = False
-    starts: np.ndarray | None = None
-    uid: np.ndarray | None = None
-    centres: np.ndarray | None = None
-    first: int = 0
-    moments: np.ndarray | None = None
-    last: tuple | None = None
+    def __init__(self, shape: str, h: float, xs: np.ndarray, cols: list, divisor=None):
+        self.shape, self.h, self.xs, self.cols, self.divisor = shape, float(h), xs, cols, divisor
+        self.recip, self.divide = None, False
+        if divisor is not None:
+            with np.errstate(over="ignore"):
+                self.recip = 1.0 / divisor
+            self.divide = bool(np.isinf(self.recip).any())
+        self.starts = self.uid = self.centres = self.run = self.last = None
 
+    def __call__(self, pts: np.ndarray):
+        """The sums at the points pts, one per column, and their t0.
 
-def _reciprocals(divisor) -> _Memo:
-    """A memo holding the weights 1/d_i, and no chunks yet."""
-    if divisor is None:
-        return _Memo(None)
-    with np.errstate(over="ignore"):
-        recip = 1.0 / divisor
-    return _Memo(recip, bool(np.isinf(recip).any()))
-
-
-def _chunked(h: float, xs: np.ndarray, cols: list, memo: _Memo) -> _Memo:
-    """memo with the chunks of xs at h and no moments yet; with none where a
-    weight is out of range or a datum lies _CHUNK_RANGE chunks or more from 0."""
-    inv = 1.0 / (_CHUNK * h)
-    if not (max(abs(xs[0]), abs(xs[-1])) * inv < _CHUNK_RANGE  # inf and NaN too
-            and _weights_in_range(cols, memo.recip)):
-        return replace(memo, starts=np.empty(0, dtype=np.intp))
-    ids = np.floor((xs - xs[0]) * inv)
-    starts = np.flatnonzero(ids[1:] != ids[:-1])
-    starts += 1
-    starts = np.concatenate([[0], starts, [xs.size]])
-    uid = ids[starts[:-1]]
-    centres = xs[0] + (uid + 0.5) * (_CHUNK * h)
-    return replace(memo, starts=starts, uid=uid, centres=centres, first=0,
-                   moments=np.empty((_TERMS, len(cols), 0)))
-
-
-@np.errstate(over="ignore", divide="ignore")
-def _plan(shape: str, h: float, xs: np.ndarray, pts: np.ndarray, cols: list, divisor,
-          memo: list):
-    """The blocks of points that share a window and a form, and each point's offsets.
-
-    Each point's window [lo, hi) of the sorted data xs holds every datum
-    within the kernel's reach of it for every weight of cols and divisor.  It
-    is rounded outward to multiples of a granule g that depends on n alone,
-    so that a grid has few distinct windows while each stays a function of
-    its point.  A gaussian point takes the form of squares within one
-    bandwidth of its nearest datum and, where cols holds no column, farther
-    out while its squared reach in bandwidths, (R/h)^2, stays within
-    _SQUARES_LIMIT (see above _gauss_reach); a point whose t0^2
-    overflows gets an empty window, as each of its weights underflows.
-    A gaussian point within one bandwidth of x0 whose window holds at least
-    _DENSE_MIN data takes the expansion instead, where the weights 1/d_i
-    and the columns lie in range and its chunks do (_chunk_plan); memo[0]
-    (a _Memo) takes the chunks (_chunked) if it holds none.
-    Returns the blocks (_blocks), each gaussian point's offset x - x0 from
-    its nearest datum x0 and x0 itself (None for the compact kernels), t0
-    as window_sums returns it, and the expanded points' plan (None for
-    none).  Reaches, distances and ratios that overflow to inf make full or
-    empty windows.
-    """
-    n = xs.size
-    if shape == "gaussian":
-        j = np.searchsorted(xs, pts)
-        left, right = np.maximum(j - 1, 0), np.minimum(j, n - 1)
-        j0 = np.where(pts - xs[left] <= xs[right] - pts, left, right)
-        x0 = xs[j0]
-        off = pts - x0
-        dist = np.abs(off)
-        widen = 0.0
-        for col in cols:
-            if col is not None:
-                top = max(float(col.max()), -float(col.min()))
-                if top > 0.0:
-                    widen = np.maximum(widen, 2.0 * (math.log(top) - np.log(np.abs(col[j0]))))
-        if divisor is not None:  # the weights 1/d_i
-            widen = np.maximum(widen, 2.0 * (np.log(divisor[j0]) - math.log(divisor.min())))
-        rho2 = _gauss_reach(n) ** 2 + widen
-        reach = np.hypot(dist, h * np.sqrt(rho2))
-        bound = _SQUARES_LIMIT if all(col is None for col in cols) else 0.0
-        near = dist <= h * np.sqrt(np.maximum(1.0, bound - rho2))
-        # the window holds x0 however x -+ reach rounds
-        below, above = np.minimum(pts - reach, x0), np.maximum(pts + reach, x0)
-        t = off / h
-    else:
-        # the support |x - x_i| <= h/2, widened by a few ulps of h and of x
-        # so that no datum whose weight is not 0.0 falls outside
-        reach = h * (0.5 + 2.0**-50) + 4.0 * np.spacing(np.abs(pts) + h)
-        below, above = pts - reach, pts + reach
-        off = x0 = None
-        near, t = np.zeros(pts.size, dtype=bool), np.zeros(pts.size)
-    # lo is the greatest multiple of g with every datum before it below the
-    # reach, and hi the least multiple of g (or n) with every datum from it on
-    # above
-    g = max(1, math.isqrt(n))
-    lo = g * np.searchsorted(xs[g - 1::g], below, side="left")
-    hi = np.minimum(g * np.searchsorted(xs[::g], above, side="right"), n)
-    gone = ~(t * t < np.inf)
-    hi[gone] = lo[gone]
-    expanded = None
-    if shape == "gaussian" and n >= _DENSE_MIN:
-        dense = np.flatnonzero((dist <= h) & (hi - lo >= _DENSE_MIN))
-        if dense.size:
-            if memo[0].starts is None:
-                memo[0] = _chunked(h, xs, cols, memo[0])
-            if memo[0].starts.size:
-                expanded = _chunk_plan(h, xs, pts, dense, below[dense], above[dense],
-                                       memo[0])
+        Each point sums its window of xs (_plan), so it has the same bits alone
+        as in a grid: datum by datum, or, for a dense gaussian window, chunk by
+        chunk from the chunks' moments (_expanded_sums, see above _CHUNK), as a
+        rule on the point, the data, h and the weights alone decides.  The
+        direct fill's blocks (_blocks) run in order in the calling thread:
+        on two CPUs the block pool bought these sums no wall time and cost them
+        CPU time.  The weights are the kernel's unnormalised profile
+        K((x - x_i)/h), over divisor[i] where a divisor is given (d_i > 0, so
+        that a weight of 0.0 stays 0.0); the gaussian's take one of the two
+        forms described above _gauss_reach.  No lane is divided by h, and none
+        by the divisor unless a reciprocal 1/d_i overflows.  Column k of cols
+        gives the sums of the weights where it is None and of the weights times
+        its values otherwise; the block takes the product with the last column
+        in place.
+        Each chunk's moments read its own data alone, so a value has the same
+        bits on a fresh object as on one whose earlier calls found them.  A
+        call on the last call's points (-0.0 equals 0.0, with the same sums)
+        returns its results without planning or filling.
+        Returns the sums and t0, read-only: the offsets (x - x0)/h from each
+        point's nearest datum x0 whose factor exp(-t0^2/2) the form measured
+        from x0 leaves out, 0.0 where the weights take the form of squares and
+        at every point of a compact kernel.
+        """
+        shape, h, xs, cols = self.shape, self.h, self.xs, self.cols
+        # the lanes multiply by reciprocals: 1/h, taken once per call, and the
+        # weights 1/d_i, once per object, unless one of them overflows (a d_i
+        # below 1/DBL_MAX, a start's density far out in an unclipped tail), as
+        # 0.0 * inf is NaN; the lanes then divide by the divisor
+        rh = 1.0 / h
+        last = self.last
+        if last is not None and np.array_equal(last[0], pts):
+            return list(last[1]), last[2]
+        weigh = scale = None
+        if self.divisor is not None:
+            weigh, scale = (np.divide, self.divisor) if self.divide else (np.multiply, self.recip)
+        blocks, off, x0, t0, expanded = self._plan(pts)
+        sums = [np.zeros(pts.size) for _ in cols]
         if expanded is not None:
-            rows = expanded[0]
-            hi[rows] = lo[rows]
-    return _blocks(lo, hi, near, n), off, x0, np.where(near, 0.0, t), expanded
+            self._expanded_sums(pts, expanded, sums)
 
+        with np.errstate(over="ignore"):  # a datum the granule adds may lie far out: weight 0.0
+            for rows, a, b, squares in blocks:
+                w = np.subtract(pts[rows, None], xs[None, a:b])
+                if shape != "gaussian":
+                    _profile(shape, h, w, w)
+                elif squares:
+                    w *= rh
+                    np.multiply(w, w, out=w)
+                    w *= -0.5
+                    np.exp(w, out=w)
+                else:
+                    w += off[rows, None]
+                    w *= rh
+                    d = np.subtract(x0[rows, None], xs[None, a:b])
+                    d *= -0.5 * rh
+                    w *= d
+                    np.exp(w, out=w)
+                if scale is not None:
+                    weigh(w, scale[None, a:b], out=w)
+                for k, col in enumerate(cols):
+                    if col is None:
+                        sums[k][rows] = w.sum(axis=1)
+                    elif k < len(cols) - 1:
+                        sums[k][rows] = np.multiply(w, col[None, a:b]).sum(axis=1)
+                    else:
+                        w *= col[None, a:b]
+                        sums[k][rows] = w.sum(axis=1)
+        pts = pts.copy()
+        for v in (pts, t0, *sums):
+            v.flags.writeable = False
+        self.last = (pts, tuple(sums), t0)
+        return sums, t0
 
-def _chunk_plan(h: float, xs: np.ndarray, pts: np.ndarray, rows, below, above,
-                chunks: _Memo):
-    """The points pts[rows] whose chunks lie within the expansion's reach, and their chunks.
+    @np.errstate(over="ignore", divide="ignore")
+    def _plan(self, pts: np.ndarray):
+        """The blocks of points that share a window and a form, and each point's offsets.
 
-    A point's window is every chunk that holds data between below and
-    above, and it takes the expansion where both end chunks' centres lie
-    within _CHUNK_REACH bandwidths.  Returns None where no point qualifies;
-    else (rows kept, each kept point's first and past-last chunk).
-    """
-    inv = 1.0 / (_CHUNK * h)
-    a = np.searchsorted(chunks.uid, np.floor((below - xs[0]) * inv), side="left")
-    b = np.searchsorted(chunks.uid, np.floor((above - xs[0]) * inv), side="right")
-    p = pts[rows]
-    keep = np.maximum(np.abs(p - chunks.centres[a]), np.abs(p - chunks.centres[b - 1]))
-    keep *= 1.0 / h
-    keep = keep <= _CHUNK_REACH
-    if not keep.any():
-        return None
-    return rows[keep], a[keep], b[keep]
+        Each point's window [lo, hi) of the sorted data xs holds every datum
+        within the kernel's reach of it for every weight of cols and divisor.  It
+        is rounded outward to multiples of a granule g that depends on n alone,
+        so that a grid has few distinct windows while each stays a function of
+        its point.  A gaussian point takes the form of squares within one
+        bandwidth of its nearest datum and, where cols holds no column, farther
+        out while its squared reach in bandwidths, (R/h)^2, stays within
+        _SQUARES_LIMIT (see above _gauss_reach); a point whose t0^2
+        overflows gets an empty window, as each of its weights underflows.
+        A gaussian point within one bandwidth of x0 whose window holds at least
+        _DENSE_MIN data takes the expansion instead, where the weights 1/d_i
+        and the columns lie in range and its chunks do (_chunk_plan); the
+        chunks are found (_chunked) if there are none yet.
+        Returns the blocks (_blocks), each gaussian point's offset x - x0 from
+        its nearest datum x0 and x0 itself (None for the compact kernels), t0
+        as __call__ returns it, and the expanded points' plan (None for
+        none).  Reaches, distances and ratios that overflow to inf make full or
+        empty windows.
+        """
+        shape, h, xs, cols, divisor = self.shape, self.h, self.xs, self.cols, self.divisor
+        n = xs.size
+        if shape == "gaussian":
+            j = np.searchsorted(xs, pts)
+            left, right = np.maximum(j - 1, 0), np.minimum(j, n - 1)
+            j0 = np.where(pts - xs[left] <= xs[right] - pts, left, right)
+            x0 = xs[j0]
+            off = pts - x0
+            dist = np.abs(off)
+            widen = 0.0
+            for col in cols:
+                if col is not None:
+                    top = max(float(col.max()), -float(col.min()))
+                    if top > 0.0:
+                        widen = np.maximum(widen, 2.0 * (math.log(top) - np.log(np.abs(col[j0]))))
+            if divisor is not None:  # the weights 1/d_i
+                widen = np.maximum(widen, 2.0 * (np.log(divisor[j0]) - math.log(divisor.min())))
+            rho2 = _gauss_reach(n) ** 2 + widen
+            reach = np.hypot(dist, h * np.sqrt(rho2))
+            bound = _SQUARES_LIMIT if all(col is None for col in cols) else 0.0
+            near = dist <= h * np.sqrt(np.maximum(1.0, bound - rho2))
+            # the window holds x0 however x -+ reach rounds
+            below, above = np.minimum(pts - reach, x0), np.maximum(pts + reach, x0)
+            t = off / h
+        else:
+            # the support |x - x_i| <= h/2, widened by a few ulps of h and of x
+            # so that no datum whose weight is not 0.0 falls outside
+            reach = h * (0.5 + 2.0**-50) + 4.0 * np.spacing(np.abs(pts) + h)
+            below, above = pts - reach, pts + reach
+            off = x0 = None
+            near, t = np.zeros(pts.size, dtype=bool), np.zeros(pts.size)
+        # lo is the greatest multiple of g with every datum before it below the
+        # reach, and hi the least multiple of g (or n) with every datum from it on
+        # above
+        g = max(1, math.isqrt(n))
+        lo = g * np.searchsorted(xs[g - 1::g], below, side="left")
+        hi = np.minimum(g * np.searchsorted(xs[::g], above, side="right"), n)
+        gone = ~(t * t < np.inf)
+        hi[gone] = lo[gone]
+        expanded = None
+        if shape == "gaussian" and n >= _DENSE_MIN:
+            dense = np.flatnonzero((dist <= h) & (hi - lo >= _DENSE_MIN))
+            if dense.size:
+                if self.starts is None:
+                    self._chunked()
+                if self.starts.size:
+                    expanded = self._chunk_plan(pts, dense, below[dense], above[dense])
+            if expanded is not None:
+                rows = expanded[0]
+                hi[rows] = lo[rows]
+        return _blocks(lo, hi, near, n), off, x0, np.where(near, 0.0, t), expanded
 
+    def _chunked(self) -> None:
+        """Find the chunks of xs at h, with no moments yet; none where a weight is
+        out of range or a datum lies _CHUNK_RANGE chunks or more from 0."""
+        xs = self.xs
+        inv = 1.0 / (_CHUNK * self.h)
+        if not (max(abs(xs[0]), abs(xs[-1])) * inv < _CHUNK_RANGE  # inf and NaN too
+                and _weights_in_range(self.cols, self.recip)):
+            self.starts = np.empty(0, dtype=np.intp)
+            return
+        ids = np.floor((xs - xs[0]) * inv)
+        starts = np.flatnonzero(ids[1:] != ids[:-1])
+        starts += 1
+        starts = np.concatenate([[0], starts, [xs.size]])
+        self.uid = ids[starts[:-1]]
+        self.centres = xs[0] + (self.uid + 0.5) * (_CHUNK * self.h)
+        self.run = (0, np.empty((_TERMS, len(self.cols), 0)))
+        self.starts = starts  # last: a thread that sees starts sees the rest
 
-def _chunk_moments(h: float, xs: np.ndarray, cols: list, recip, chunks: _Memo,
-                   lo: int, hi: int) -> np.ndarray:
-    """The moments M_k (see above _CHUNK) of chunks lo to hi, (_TERMS, len(cols),
-    hi - lo), each from the chunk's data alone.
+    def _chunk_plan(self, pts: np.ndarray, rows, below, above):
+        """The points pts[rows] whose chunks lie within the expansion's reach, and their chunks.
 
-    They take runs of chunks with up to BLOCK_ELEMENTS/2 terms of all
-    columns, or one chunk.
-    """
-    rh = 1.0 / h
-    counts = np.diff(chunks.starts[lo:hi + 1])
-    centres = chunks.centres[lo:hi]
-    out = np.empty((_TERMS, len(cols), hi - lo))
-    for run, at, seg in _runs(counts, chunks.starts[lo:hi], BLOCK_ELEMENTS // 2 // len(cols)):
-        r = np.take(xs, at)
-        r -= np.repeat(centres[run], counts[run])
-        r *= rh
-        t = np.empty((len(cols), r.size))
-        g = t[0]
-        np.multiply(r, r, out=g)
-        g *= -0.5
-        np.exp(g, out=g)
-        if recip is not None:
-            g *= np.take(recip, at)
-        for j in range(len(cols) - 1, -1, -1):  # row 0, g, is overwritten last
-            if cols[j] is not None:
-                np.multiply(g, np.take(cols[j], at), out=t[j])
-            elif j:
-                t[j] = g
-        for k in range(_TERMS):
-            out[k, :, run] = np.add.reduceat(t, seg, axis=1)
-            if k < _TERMS - 1:
-                t *= r
-    out /= np.array([math.factorial(k) for k in range(_TERMS)])[:, None, None]
-    return out
+        A point's window is every chunk that holds data between below and
+        above, and it takes the expansion where both end chunks' centres lie
+        within _CHUNK_REACH bandwidths.  Returns None where no point qualifies;
+        else (rows kept, each kept point's first and past-last chunk).
+        """
+        h, xs = self.h, self.xs
+        inv = 1.0 / (_CHUNK * h)
+        a = np.searchsorted(self.uid, np.floor((below - xs[0]) * inv), side="left")
+        b = np.searchsorted(self.uid, np.floor((above - xs[0]) * inv), side="right")
+        p = pts[rows]
+        keep = np.maximum(np.abs(p - self.centres[a]), np.abs(p - self.centres[b - 1]))
+        keep *= 1.0 / h
+        keep = keep <= _CHUNK_REACH
+        if not keep.any():
+            return None
+        return rows[keep], a[keep], b[keep]
 
+    def _chunk_moments(self, lo: int, hi: int) -> np.ndarray:
+        """The moments M_k (see above _CHUNK) of chunks lo to hi, (_TERMS, len(cols),
+        hi - lo), each from the chunk's data alone.
 
-def _expanded_sums(h: float, xs: np.ndarray, pts: np.ndarray, cols: list, plan,
-                   sums: list, memo: list) -> None:
-    """Write the expanded gaussian sums of the points of plan (_chunk_plan) into sums.
+        They take runs of chunks with up to BLOCK_ELEMENTS/2 terms of all
+        columns, or one chunk.
+        """
+        xs, cols, recip = self.xs, self.cols, self.recip
+        rh = 1.0 / self.h
+        counts = np.diff(self.starts[lo:hi + 1])
+        centres = self.centres[lo:hi]
+        out = np.empty((_TERMS, len(cols), hi - lo))
+        for run, at, seg in _runs(counts, self.starts[lo:hi], BLOCK_ELEMENTS // 2 // len(cols)):
+            r = np.take(xs, at)
+            r -= np.repeat(centres[run], counts[run])
+            r *= rh
+            t = np.empty((len(cols), r.size))
+            g = t[0]
+            np.multiply(r, r, out=g)
+            g *= -0.5
+            np.exp(g, out=g)
+            if recip is not None:
+                g *= np.take(recip, at)
+            for j in range(len(cols) - 1, -1, -1):  # row 0, g, is overwritten last
+                if cols[j] is not None:
+                    np.multiply(g, np.take(cols[j], at), out=t[j])
+                elif j:
+                    t[j] = g
+            for k in range(_TERMS):
+                out[k, :, run] = np.add.reduceat(t, seg, axis=1)
+                if k < _TERMS - 1:
+                    t *= r
+        out /= np.array([math.factorial(k) for k in range(_TERMS)])[:, None, None]
+        return out
 
-    memo[0] (a _Memo) holds the chunks and the moments of a run of them;
-    the chunks from the first to the last that a point needs and that it
-    lacks get theirs (_chunk_moments), and memo[0] takes the longer run.
-    Each point sums exp(-S^2/2) times Horner's sum_k M_k S^k over its own
-    chunks, so no value depends on the other points, nor on which call
-    found the moments.  The points take runs with up to BLOCK_ELEMENTS/4
-    lanes of all columns, one per chunk of a point's window and column.
-    """
-    rows, a, b = plan
-    chunks = memo[0]
-    first, m = chunks.first, chunks.moments
-    end = first + m.shape[2]
-    lo, hi = int(a.min()), int(b.max())
-    if m.shape[2] == 0:
-        first = end = lo
-    if lo < first or hi > end:
-        lo, hi = min(lo, first), max(hi, end)
-        recip = chunks.recip
-        m = np.concatenate([_chunk_moments(h, xs, cols, recip, chunks, lo, first), m,
-                            _chunk_moments(h, xs, cols, recip, chunks, end, hi)], axis=2)
-        first = lo
-        memo[0] = replace(chunks, first=first, moments=m)
-    centres = chunks.centres[first:first + m.shape[2]]
+    def _expanded_sums(self, pts: np.ndarray, plan, sums: list) -> None:
+        """Write the expanded gaussian sums of the points of plan (_chunk_plan) into sums.
 
-    rh = 1.0 / h
-    lanes = b - a
-    for run, at, seg in _runs(lanes, a - first, BLOCK_ELEMENTS // 4 // len(cols)):
-        S = np.repeat(pts[rows[run]], lanes[run])
-        S -= centres.take(at)
-        S *= rh
-        damp = S * S
-        damp *= -0.5
-        np.exp(damp, out=damp)
-        # at is in range: mode="clip" only skips the bounds check
-        acc = m[_TERMS - 1].take(at, axis=1, mode="clip")
-        tmp = np.empty_like(acc)
-        for k in range(_TERMS - 2, -1, -1):
-            acc *= S
-            acc += m[k].take(at, axis=1, out=tmp, mode="clip")
-        acc *= damp
-        for j, s in enumerate(sums):
-            s[rows[run]] = np.add.reduceat(acc[j], seg)
+        run holds the moments of a run of chunks; the chunks from the first to
+        the last that a point needs and that it lacks get theirs
+        (_chunk_moments), and run takes the longer run.  Each point sums
+        exp(-S^2/2) times Horner's sum_k M_k S^k over its own chunks, so no
+        value depends on the other points, nor on which call found the
+        moments.  The points take runs with up to BLOCK_ELEMENTS/4 lanes of
+        all columns, one per chunk of a point's window and column.
+        """
+        rows, a, b = plan
+        first, m = self.run
+        end = first + m.shape[2]
+        lo, hi = int(a.min()), int(b.max())
+        if m.shape[2] == 0:
+            first = end = lo
+        if lo < first or hi > end:
+            lo, hi = min(lo, first), max(hi, end)
+            m = np.concatenate([self._chunk_moments(lo, first), m,
+                                self._chunk_moments(end, hi)], axis=2)
+            first = lo
+            self.run = (first, m)
+        centres = self.centres[first:first + m.shape[2]]
+
+        rh = 1.0 / self.h
+        lanes = b - a
+        for run, at, seg in _runs(lanes, a - first, BLOCK_ELEMENTS // 4 // len(self.cols)):
+            S = np.repeat(pts[rows[run]], lanes[run])
+            S -= centres.take(at)
+            S *= rh
+            damp = S * S
+            damp *= -0.5
+            np.exp(damp, out=damp)
+            # at is in range: mode="clip" only skips the bounds check
+            acc = m[_TERMS - 1].take(at, axis=1, mode="clip")
+            tmp = np.empty_like(acc)
+            for k in range(_TERMS - 2, -1, -1):
+                acc *= S
+                acc += m[k].take(at, axis=1, out=tmp, mode="clip")
+            acc *= damp
+            for j, s in enumerate(sums):
+                s[rows[run]] = np.add.reduceat(acc[j], seg)
 
 
 def _runs(lens: np.ndarray, firsts: np.ndarray, budget: int):
@@ -622,89 +689,3 @@ def _blocks(lo, hi, near, n: int) -> list:
                  a, b, squares)
                 for k in row_blocks(e - s, b - a)]
     return out
-
-
-def window_sums(shape: str, h: float, xs: np.ndarray, pts: np.ndarray, cols: list,
-                divisor=None, memo: list | None = None):
-    """Kernel-weighted sums over the sorted data xs at the points pts, one per column.
-
-    Each point sums its window of xs (_plan), so it has the same bits alone
-    as in a grid: datum by datum, or, for a dense gaussian window, chunk by
-    chunk from the chunks' moments (_expanded_sums, see above _CHUNK), as a
-    rule on the point, the data, h and the weights alone decides.  The
-    direct fill's blocks (_blocks) run in order in the calling thread:
-    on two CPUs the block pool bought these sums no wall time and cost them
-    CPU time.  The weights are the kernel's unnormalised profile
-    K((x - x_i)/h), over divisor[i] where a divisor is given (d_i > 0, so
-    that a weight of 0.0 stays 0.0); the gaussian's take one of the two
-    forms described above _gauss_reach.  No lane is divided by h, and none
-    by the divisor unless a reciprocal 1/d_i overflows.  Column k of cols
-    gives the sums of the weights where it is None and of the weights times
-    its values otherwise; the block takes the product with the last column
-    in place.
-    memo, where given, is a one-slot list, [None] at first, that the caller
-    keeps for one xs, h, cols and divisor (a _Memo): the weights 1/d_i, and
-    the chunks and the moments that a call finds, are kept there, so that
-    later calls pay only Horner's rule where their points' chunks have
-    moments.  Each chunk's moments read its own data alone, so a value has
-    the same bits with or without a memo.  It keeps the last call's points
-    and results too, read-only, and a call on equal points (-0.0 equals 0.0,
-    with the same sums) returns them without planning or filling.
-    Returns the sums and t0, the offsets (x - x0)/h from each point's
-    nearest datum x0 whose factor exp(-t0^2/2) the form measured from x0
-    leaves out: 0.0 where the weights take the form of squares, and at every
-    point of a compact kernel.
-    """
-    h = float(h)
-    # the lanes multiply by reciprocals: 1/h, taken once per call, and the
-    # weights 1/d_i, once per memo, unless one of them overflows (a d_i
-    # below 1/DBL_MAX, a start's density far out in an unclipped tail), as
-    # 0.0 * inf is NaN; the lanes then divide by the divisor
-    rh = 1.0 / h
-    keep, memo = memo is not None, memo or [None]
-    if memo[0] is None:
-        memo[0] = _reciprocals(divisor)
-    last = memo[0].last
-    if last is not None and np.array_equal(last[0], pts):
-        return list(last[1]), last[2]
-    weigh = scale = None
-    if divisor is not None:
-        weigh, scale = (np.divide, divisor) if memo[0].divide else (np.multiply, memo[0].recip)
-    blocks, off, x0, t0, expanded = _plan(shape, h, xs, pts, cols, divisor, memo)
-    sums = [np.zeros(pts.size) for _ in cols]
-    if expanded is not None:
-        _expanded_sums(h, xs, pts, cols, expanded, sums, memo)
-
-    with np.errstate(over="ignore"):  # a datum the granule adds may lie far out: weight 0.0
-        for rows, a, b, squares in blocks:
-            w = np.subtract(pts[rows, None], xs[None, a:b])
-            if shape != "gaussian":
-                _profile(shape, h, w, w)
-            elif squares:
-                w *= rh
-                np.multiply(w, w, out=w)
-                w *= -0.5
-                np.exp(w, out=w)
-            else:
-                w += off[rows, None]
-                w *= rh
-                d = np.subtract(x0[rows, None], xs[None, a:b])
-                d *= -0.5 * rh
-                w *= d
-                np.exp(w, out=w)
-            if scale is not None:
-                weigh(w, scale[None, a:b], out=w)
-            for k, col in enumerate(cols):
-                if col is None:
-                    sums[k][rows] = w.sum(axis=1)
-                elif k < len(cols) - 1:
-                    sums[k][rows] = np.multiply(w, col[None, a:b]).sum(axis=1)
-                else:
-                    w *= col[None, a:b]
-                    sums[k][rows] = w.sum(axis=1)
-    if keep:
-        pts = pts.copy()
-        for v in (pts, t0, *sums):
-            v.flags.writeable = False
-        memo[0] = replace(memo[0], last=(pts, tuple(sums), t0))
-    return sums, t0

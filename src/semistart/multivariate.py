@@ -18,7 +18,7 @@ import numpy as np
 from .bandwidth import BandwidthChoice
 from .hermite import hermite_rows
 from .kernels import _H_MIN, SQRT_2PI, exp_into, for_blocks, require_bandwidth, row_blocks
-from .starts import _require_finite
+from .starts import _require_clip, _require_finite
 
 __all__ = ["MvEstimate", "mv_estimate", "sphere", "mv_bandwidth"]
 
@@ -116,6 +116,7 @@ class MvEstimate:
         _require_finite(cov, "cov")
         # n >= d + 1 is only needed when the moments are estimated (see fit)
         require_bandwidth(self.h)
+        _require_clip(self.clip)
         h = float(self.h)
         if not _H_MIN <= h * h < math.inf:  # the sums scale by -1/(2 h^2)
             raise ValueError(f"bandwidth h must be from about {math.sqrt(_H_MIN):.3g} to "

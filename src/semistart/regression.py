@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import SQRT_2PI, KernelSpec, require_bandwidth, window_sums
+from .kernels import SQRT_2PI, KernelSpec, WindowSums, require_bandwidth
 from .starts import _require_finite
 
 __all__ = ["MeanStart", "RegressionFit", "fit_mean_start", "gnw_estimate", "nw_estimate"]
@@ -112,9 +112,9 @@ class RegressionFit:
     and by y among tied x, which the smoothers sum in.  Built with them:
     the clip floor of the mean start, 5% of sd(y) (or 0.05 when y is
     constant), and the columns that the smoothers' sums weigh (_sums).  So
-    no value depends on the order of the pairs.  It keeps kernels.window_sums'
-    memo, whose moments and last sums later evaluations reuse: the two
-    smoothers on one grid sum it once.
+    no value depends on the order of the pairs.  They live in one
+    kernels.WindowSums over x, whose moments and last sums later
+    evaluations reuse: the two smoothers on one grid sum it once.
     """
 
     x: np.ndarray
@@ -123,11 +123,9 @@ class RegressionFit:
     h: float
     mean_start: MeanStart
     floor: float = field(init=False, repr=False)
-    # the columns of _sums: None (the weights), y and, unless the mean start
-    # is constant, y_i/m(x_i)
-    _cols: list = field(init=False, repr=False)
-    # one slot: window_sums' memo for x, h and _cols
-    _memo: list = field(init=False, repr=False)
+    # the sums of _sums over x, with the columns None (the weights), y and,
+    # unless the mean start is constant, y_i/m(x_i)
+    _windows: WindowSums = field(init=False, repr=False)
 
     def __post_init__(self):
         x, y = _sorted_pairs(self.x, self.y)
@@ -135,12 +133,11 @@ class RegressionFit:
         x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_memo", [None])
         object.__setattr__(self, "floor", _CLIP_FRACTION * float(y.std()) or _CLIP_FRACTION)
         cols = [None, y]
         if self.mean_start.kind != "constant":
             cols.append(y / _clipped_mean(self, x))
-        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_windows", WindowSums(self.kernel.shape, self.h, x, cols))
 
     @classmethod
     def fit(cls, x, y, kernel: KernelSpec, h: float,
@@ -184,13 +181,13 @@ def _sums(fit: RegressionFit, pts: np.ndarray):
 
     The numerators sum the column weights y_i and y_i/m(x_i); a constant mean
     start has only the first, which then stands for both.  The points fill
-    one windowed block for all three (kernels.window_sums), so that each
+    one windowed block for all three (kernels.WindowSums), so that each
     point has the same bits alone as in a grid.  The weights are the
     kernel's unnormalised profile K((x - x_i)/h), whose factor cancels in
     the ratio.
     """
     shape, h = fit.kernel.shape, float(fit.h)
-    (wsum, *nums), t0 = window_sums(shape, h, fit.x, pts, fit._cols, memo=fit._memo)
+    (wsum, *nums), t0 = fit._windows(pts)
     # no local data: the normalised kernel's weights, summed, fall below
     # 1e-300; in logs, with the factor exp(-t0^2/2) of the weights measured
     # from the nearest datum put back (t0 = d/h)

@@ -52,8 +52,7 @@ class FittedStart:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unsupported start family: {self.family!r}")
-        if self.clip is not None and self.clip <= 0:
-            raise ValueError("clip threshold must be positive")
+        _require_clip(self.clip)
         floor = None
         if self.clip is not None and self.family != "constant":
             lo, hi = _clip_edges(self)
@@ -63,6 +62,12 @@ class FittedStart:
 
     def unclipped(self) -> "FittedStart":
         return replace(self, clip=None)
+
+
+def _require_clip(clip) -> None:
+    """Reject a clip threshold that is NaN or not positive; None and inf pass."""
+    if clip is not None and not clip > 0:  # NaN fails the comparison
+        raise ValueError("clip threshold must be positive")
 
 
 def _require_finite(x: np.ndarray, what: str = "data value") -> None:

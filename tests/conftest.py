@@ -47,7 +47,7 @@ def literal_gaussian(h, z):
 def literal_window_exponent(h, z):
     """The exponent of the windowed sums' gaussian weight, ((z * (1/h))^2) * -0.5.
 
-    kernels.window_sums multiplies by 1/h where eval_scaled divides by h, so
+    kernels.WindowSums multiplies by 1/h where eval_scaled divides by h, so
     the two differ in the last bits of the exponent, and by up to about
     1e-13 of a weight 38 bandwidths out.
     """
@@ -138,7 +138,7 @@ def check_correction(e, x, r, log_r=None):
 
 
 def literal_kernel_profile(shape, h, z):
-    """A kernel's unnormalised profile K(z/h) as one literal expression, as window_sums weighs."""
+    """A kernel's unnormalised profile K(z/h) as one literal expression, as WindowSums weighs."""
     if shape == "gaussian":
         return literal_window_weight(h, z)
     u = z / h

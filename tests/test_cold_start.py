@@ -78,7 +78,7 @@ def test_import_starts_no_thread_pool(tmp_path):
 
 
 def test_windowed_requests_start_no_thread_pool(tmp_path):
-    # estimate, gof and regress sum through kernels.window_sums, which runs
+    # estimate, gof and regress sum through kernels.WindowSums, which runs
     # every block in the calling thread: over 10^4 data, many blocks each
     rng = np.random.default_rng(13)
     data, pairs, positive = (tmp_path / name for name in ("data.csv", "pairs.csv", "pos.csv"))

@@ -507,13 +507,13 @@ def test_permuting_the_data_keeps_every_bit(start, shape, log_h, n, decimals, se
 def test_an_estimate_sums_its_correction_once_per_grid(monkeypatch):
     from semistart import kernels
     sizes = []  # the points of each windowed pass: each plan, then its fill
-    inner = kernels._plan
+    inner = kernels.WindowSums._plan
 
-    def counted(*args, **kwargs):
-        sizes.append(args[3].size)
-        return inner(*args, **kwargs)
+    def counted(self, pts):
+        sizes.append(pts.size)
+        return inner(self, pts)
 
-    monkeypatch.setattr(kernels, "_plan", counted)
+    monkeypatch.setattr(kernels.WindowSums, "_plan", counted)
     x = mixture_sample(marron_wand(2), 3000, seed=11)
     st = fit_start("normal", x)
     grid = np.linspace(-3.0, 3.0, 161)

@@ -330,6 +330,17 @@ def test_h_domain_cap_rejects_a_bad_h_max(h_max):
         h_domain_cap(marron_wand(1), 1.0, h_max)
 
 
+@pytest.mark.parametrize("sd0", [-1.0, 0.0, np.nan, np.inf])
+def test_h_domain_cap_checks_the_start_scale_as_mise_new_does(sd0):
+    # a negative sd0 once gave a negative cap, 0 a ZeroDivisionError and NaN a
+    # MiseDomainError that blamed the formula
+    m = marron_wand(4)
+    for call in (lambda: h_domain_cap(m, sd0, h_max=3.0), lambda: mise_new(m, 0.0, sd0, 0.5, 100)):
+        with pytest.raises(ValueError, match="^start scale must be finite and positive, got ") as err:
+            call()
+        assert not isinstance(err.value, MiseDomainError)
+
+
 def test_h_domain_cap_allows_an_infinite_h_max():
     assert h_domain_cap(marron_wand(1), 10.0) == np.inf
 

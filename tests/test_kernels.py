@@ -18,9 +18,8 @@ from semistart import (DensityEstimate, FittedStart, MvEstimate, RegressionFit, 
                        gnw_estimate, marron_wand, mise_kernel, mise_new, mv_estimate,
                        nw_estimate, plugin_roughness, ucv)
 from semistart import kernels
-from semistart.kernels import (MAX_BLOCK_THREADS, SHAPES,
-                               eval_scaled, exp_into, for_blocks, kernel_props, row_blocks,
-                               window_sums)
+from semistart.kernels import (MAX_BLOCK_THREADS, SHAPES, WindowSums,
+                               eval_scaled, exp_into, for_blocks, kernel_props, row_blocks)
 
 from conftest import (check_correction, literal_gaussian, literal_window_exponent,
                       mp_gnw, mp_log_correction, phi)
@@ -231,24 +230,29 @@ def _full_row_log_sums(shape, h, xs, pts, col, divisor):
 
 @contextlib.contextmanager
 def expanded_rows():
-    """Yield a list that takes the number of points each window_sums call expands."""
+    """Yield a list that takes the number of points each WindowSums call expands."""
     seen = []
-    real = kernels._expanded_sums
+    real = WindowSums._expanded_sums
 
-    def spy(h, xs, pts, cols, plan, sums, memo):
+    def spy(self, pts, plan, sums):
         seen.append(plan[0].size)
-        return real(h, xs, pts, cols, plan, sums, memo)
+        return real(self, pts, plan, sums)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_expanded_sums", spy)
+        mp.setattr(WindowSums, "_expanded_sums", spy)
         yield seen
 
 
-def _direct_window_sums(*args, **kwargs):
-    """window_sums with every point on the direct fill, the expansion's oracle."""
+def fresh_sums(shape, h, xs, pts, cols, divisor=None):
+    """The sums and t0 at pts of a fresh WindowSums object."""
+    return WindowSums(shape, h, xs, cols, divisor)(pts)
+
+
+def _direct_sums(*args):
+    """fresh_sums with every point on the direct fill, the expansion's oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_DENSE_MIN", 2**62)
-        return window_sums(*args, **kwargs)
+        return fresh_sums(*args)
 
 
 @pytest.mark.parametrize("style", ["density", "regression"])
@@ -277,10 +281,10 @@ def _check_window_sums_against_full_rows(shape, style, n, h):
     weights = np.exp(rng.uniform(-8.0, 8.0, n))  # widens the gaussian reach
     cols, divisor = ([None], weights) if style == "density" else ([None, weights], None)
     pts = rng.permutation(np.linspace(xs[0] - 40.0 * h, xs[-1] + 40.0 * h, 241))
-    sums, t0 = window_sums(shape, h, xs, pts, cols, divisor)
+    sums, t0 = fresh_sums(shape, h, xs, pts, cols, divisor)
     assert t0.shape == pts.shape
     for k in range(pts.size):
-        alone, t0_alone = window_sums(shape, h, xs, pts[k:k + 1], cols, divisor)
+        alone, t0_alone = fresh_sums(shape, h, xs, pts[k:k + 1], cols, divisor)
         assert t0_alone[0] == t0[k]
         assert all(a[0] == s[k] for a, s in zip(alone, sums))
     for col, s in zip(cols, sums):
@@ -341,15 +345,15 @@ def test_expanded_sums_are_the_direct_sums(style, c, h, shift, seed, past):
     pts = np.concatenate([xs[rng.integers(0, xs.size, 24)],
                           [xs[0] - past * h, xs[-1] + past * h]])
     with expanded_rows() as rows:
-        got, t0 = window_sums("gaussian", h, xs, pts, cols, divisor)
+        got, t0 = fresh_sums("gaussian", h, xs, pts, cols, divisor)
     assert rows and rows[0] >= 6  # of the 24 points at data
-    want, t0_direct = _direct_window_sums("gaussian", h, xs, pts, cols, divisor)
+    want, t0_direct = _direct_sums("gaussian", h, xs, pts, cols, divisor)
     assert np.array_equal(t0, t0_direct)
     for col, g, w in zip(cols, got, want):
         if col is None:
             scale = w
         else:
-            scale = _direct_window_sums("gaussian", h, xs, pts, [np.abs(col)], divisor)[0][0]
+            scale = _direct_sums("gaussian", h, xs, pts, [np.abs(col)], divisor)[0][0]
         assert np.all(np.abs(g - w) <= 1e-14 * scale)
 
 
@@ -364,9 +368,9 @@ def test_data_too_far_from_zero_next_to_h_sum_directly():
     for b, expands in ((2.0**41 * h, False), (2.0**40 * h, True)):
         xs = z + b
         with expanded_rows() as rows:
-            got, _ = window_sums("gaussian", h, xs, pts + b, [None])
+            got, _ = fresh_sums("gaussian", h, xs, pts + b, [None])
         assert rows == ([pts.size] if expands else [])
-        want, _ = _direct_window_sums("gaussian", h, xs, pts + b, [None])
+        want, _ = _direct_sums("gaussian", h, xs, pts + b, [None])
         assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * want[0])
 
 
@@ -374,14 +378,14 @@ def test_data_too_far_from_zero_next_to_h_sum_directly():
 def found_chunks():
     """Yield a list that takes the number of chunks whose moments each call finds."""
     seen = []
-    real = kernels._chunk_moments
+    real = WindowSums._chunk_moments
 
-    def spy(h, xs, cols, recip, chunks, lo, hi):
+    def spy(self, lo, hi):
         seen.append(hi - lo)
-        return real(h, xs, cols, recip, chunks, lo, hi)
+        return real(self, lo, hi)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_chunk_moments", spy)
+        mp.setattr(WindowSums, "_chunk_moments", spy)
         yield seen
 
 
@@ -389,8 +393,8 @@ def test_a_fit_keeps_the_moments_its_calls_find():
     # a fit pays each chunk's moments once: points evaluated one at a time
     # find the moments of their chunks that earlier points lacked, and a grid
     # over the same range then finds none, and takes the weights 1/fbar and
-    # the chunks from the memo too.  Every value has the bits of a fresh
-    # fit's, whichever call found the moments
+    # the chunks from the fit's WindowSums object too.  Every value has the
+    # bits of a fresh fit's, whichever call found the moments
     x = np.random.default_rng(67).standard_normal(50_000)
     y = 1.0 + x * x
     h = 1.06 * x.size**-0.2
@@ -403,21 +407,21 @@ def test_a_fit_keeps_the_moments_its_calls_find():
         fit = fresh()
         with found_chunks() as found:
             one_by_one = np.array([value(fit, float(t)) for t in grid[::-1]])[::-1]
-        assert max(found) > 0 and sum(found) == fit._memo[0].moments.shape[2]
+        assert max(found) > 0 and sum(found) == fit._windows.run[1].shape[2]
         with found_chunks() as found, pytest.MonkeyPatch.context() as mp:
-            for kept in ("_reciprocals", "_chunked"):
-                mp.setattr(kernels, kept, lambda *args: pytest.fail("not kept"))
+            for kept in ("__init__", "_chunked"):
+                mp.setattr(WindowSums, kept, lambda *args: pytest.fail("not kept"))
             on_a_grid = value(fit, grid)
         assert sum(found) == 0
         assert np.array_equal(one_by_one, alone) and np.array_equal(on_a_grid, alone)
 
 
 @pytest.mark.parametrize("style", ["density", "regression"])
-def test_a_memo_keeps_the_last_points_sums(style):
-    # a call with a memo returns read-only arrays, and a repeat of the kept
-    # points (0.0 written as -0.0 too) plans nothing; other points plan
-    # again, and so do the first ones after them.  Every value has the bits
-    # of a call without a memo, where the points near the data take the
+def test_an_object_keeps_the_last_points_sums(style):
+    # a call returns read-only arrays, and a repeat of the kept points on a
+    # reused object (0.0 written as -0.0 too) plans nothing; other points
+    # plan again, and so do the first ones after them.  Every value has the
+    # bits of a fresh object's, where the points near the data take the
     # expansion
     rng = np.random.default_rng(69)
     xs = np.sort(rng.standard_normal(2**14))
@@ -426,21 +430,21 @@ def test_a_memo_keeps_the_last_points_sums(style):
     grid = np.linspace(-3.0, 3.0, 61)
     assert 0.0 in grid
     signed = np.where(grid == 0.0, -0.0, grid)
-    memo, planned, expanded = [None], [], []
-    real = kernels._plan
+    reused, planned, expanded = WindowSums("gaussian", 0.1, xs, cols, divisor), [], []
+    real = WindowSums._plan
 
-    def spy(*args):
-        planned.append(args[3].size)
-        return real(*args)
+    def spy(self, pts):
+        planned.append(pts.size)
+        return real(self, pts)
 
     for pts in (grid, grid.copy(), signed, grid[::2], grid, grid):
         with pytest.MonkeyPatch.context() as mp, expanded_rows() as rows:
-            mp.setattr(kernels, "_plan", spy)
-            sums, t0 = window_sums("gaussian", 0.1, xs, pts, cols, divisor, memo)
+            mp.setattr(WindowSums, "_plan", spy)
+            sums, t0 = reused(pts)
         expanded.append(sum(rows))
-        want, want_t0 = window_sums("gaussian", 0.1, xs, pts, cols, divisor)
+        want, want_t0 = fresh_sums("gaussian", 0.1, xs, pts, cols, divisor)
         for got, ref in zip([*sums, t0], [*want, want_t0]):
-            assert not got.flags.writeable and ref.flags.writeable
+            assert not got.flags.writeable and not ref.flags.writeable
             assert got.tobytes() == ref.tobytes()
     assert planned == [61, 31, 61]
     assert expanded[0] > 0 and expanded[3] > 0 and expanded[4] > 0
@@ -456,9 +460,9 @@ def test_the_expansion_keeps_its_digits_where_far_chunks_weigh_most():
     divisor = np.exp(-6.0 * xs / h)
     pts = np.array([0.0, 0.5 * h, 3.0 * h, 6.0 * h, 12.0 * h])
     with expanded_rows() as rows:
-        got, _ = window_sums("gaussian", h, xs, pts, [None], divisor)
+        got, _ = fresh_sums("gaussian", h, xs, pts, [None], divisor)
     assert rows == [pts.size]
-    want, _ = _direct_window_sums("gaussian", h, xs, pts, [None], divisor)
+    want, _ = _direct_sums("gaussian", h, xs, pts, [None], divisor)
     assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * want[0])
 
 
@@ -517,8 +521,8 @@ def test_only_the_weights_own_sums_take_the_squares_past_one_bandwidth(shape):
     xs = np.sort(rng.uniform(0.0, 1.0, 300))
     ys = 1.0 + xs + rng.normal(0.0, 0.2, 300)
     pts = np.array([xs[0] - 5.0 * h, xs[-1] + 5.0 * h])
-    _, plain = window_sums(shape, h, xs, pts, [None])
-    _, weighted = window_sums(shape, h, xs, pts, [None, ys])
+    _, plain = fresh_sums(shape, h, xs, pts, [None])
+    _, weighted = fresh_sums(shape, h, xs, pts, [None, ys])
     assert np.array_equal(plain, [0.0, 0.0])
     if shape == "gaussian":
         assert list(weighted) == pytest.approx([-5.0, 5.0], rel=1e-12)

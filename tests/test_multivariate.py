@@ -52,6 +52,18 @@ def test_mv_estimate_single_datum_identity():
     assert mv_estimate(e, np.zeros(2)) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
 
 
+@pytest.mark.parametrize("clip", [np.nan, 0.0, -1.0, -np.inf])
+def test_mv_estimate_rejects_a_nan_or_nonpositive_clip(clip):
+    # a NaN clip once gave NaN at every point, and clip = -1 the bits of
+    # clip = 1.  An infinite clip caps no radius, as clip = None
+    x = np.random.default_rng(3).standard_normal((40, 2))
+    with pytest.raises(ValueError, match="^clip threshold must be positive$"):
+        MvEstimate.fit(x, 0.5, clip=clip)
+    pts = np.array([[0.0, 0.0], [3.0, -2.0]])
+    assert np.array_equal(mv_estimate(MvEstimate.fit(x, 0.5, clip=np.inf), pts),
+                          mv_estimate(MvEstimate.fit(x, 0.5, clip=None), pts))
+
+
 def test_mv_estimate_total_mass():
     # raw formula (no clip): the determinant factor makes the mass ~1
     data = rng_data(4, 500, 2)

@@ -518,13 +518,13 @@ def test_smoother_has_the_same_bits_on_any_number_of_block_threads(machine):
 @pytest.mark.parametrize("kind", ["constant", "linear"])
 def test_a_fit_smooths_once_per_grid(kind, monkeypatch):
     passes = []  # one windowed pass over a grid per plan, then its fill
-    inner = kernels._plan
+    inner = kernels.WindowSums._plan
 
-    def counted(*args, **kwargs):
-        passes.append(args[3].size)
-        return inner(*args, **kwargs)
+    def counted(self, pts):
+        passes.append(pts.size)
+        return inner(self, pts)
 
-    monkeypatch.setattr(kernels, "_plan", counted)
+    monkeypatch.setattr(kernels.WindowSums, "_plan", counted)
     rng = np.random.default_rng(49)
     xs = rng.uniform(0.0, 1.0, 3000)
     ys = 2.0 + xs + 0.5 * np.sin(2.0 * np.pi * xs) + rng.normal(0.0, 0.3, 3000)

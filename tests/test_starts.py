@@ -74,6 +74,18 @@ def test_eval_start_values_and_clip():
     assert eval_start(raw, 4.0) == pytest.approx(float(phi(4.0)), abs=1e-15)
 
 
+@pytest.mark.parametrize("clip", [np.nan, 0.0, -1.0, -np.inf])
+def test_a_nan_or_nonpositive_clip_is_rejected(clip):
+    # a NaN clip fails clip <= 0 too: it once made the floor (nan, nan, nan,
+    # nan) and left every estimate unclipped.  An infinite clip clips nothing
+    for family, params in (("normal", {"mu": 0.0, "sd": 1.0}), ("constant", {})):
+        with pytest.raises(ValueError, match="^clip threshold must be positive$"):
+            FittedStart(family, params, clip=clip)
+    s = FittedStart("normal", {"mu": 0.0, "sd": 1.0}, clip=np.inf)
+    x = np.linspace(-6.0, 6.0, 13)
+    assert np.array_equal(eval_start(s, x), eval_start(s.unclipped(), x))
+
+
 def test_clip_continuity_and_floor():
     for s in (FittedStart("normal", {"mu": 0.3, "sd": 1.4}),
               FittedStart("lognormal", {"mu": 0.1, "sd": 0.6}),
